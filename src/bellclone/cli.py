@@ -271,16 +271,22 @@ def cmd_distill(args) -> int:
         _check("locc-audit", not ledger.locc_violations(), len(ledger.locc_violations()), "no cross-cut steps"),
     ]
     if args.engine in ("dense", "both") and 2 * n <= dense.MAX_REGISTER_QUBITS:
-        dn = protocols.distill_quasi_pure_dense(ensemble)
-        worst_p = max(
-            abs(bp - dp) for (_, bp, _), (_, dp, _) in zip(branches, dn)
-        )
+        # Branches are matched by outcome bit; an outcome on one side only
+        # counts as probability 0 on the other and fails both checks.
+        sym = {bit: (prob, cond) for bit, prob, cond in branches}
+        dn = {bit: (prob, state) for bit, prob, state in protocols.distill_quasi_pure_dense(ensemble)}
+        same_outcomes = sym.keys() == dn.keys()
+        worst_p = max(abs(sym.get(bit, (0.0,))[0] - dn.get(bit, (0.0,))[0]) for bit in sym.keys() | dn.keys())
         worst_td = max(
-            dense.trace_distance(to_dense(cond), dstate)
-            for (_, _, cond), (_, _, dstate) in zip(branches, dn)
+            (dense.trace_distance(to_dense(sym[bit][1]), dn[bit][1]) for bit in sym.keys() & dn.keys()),
+            default=1.0,
         )
-        checks.append(_check("dense-branch-probabilities", worst_p <= 1e-12, worst_p, "within 1e-12"))
-        checks.append(_check("symbolic-dense-agreement", worst_td < 1e-10, worst_td, "trace distance < 1e-10"))
+        checks.append(
+            _check("dense-branch-probabilities", same_outcomes and worst_p <= 1e-12, worst_p, "within 1e-12")
+        )
+        checks.append(
+            _check("symbolic-dense-agreement", same_outcomes and worst_td < 1e-10, worst_td, "trace distance < 1e-10")
+        )
     record = {
         "protocol": "distill",
         "engine": args.engine,

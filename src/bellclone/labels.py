@@ -15,16 +15,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class BellLabel:
-    """Bell-state identity as a pair of bits (bit-flip, phase-flip)."""
+    """Bell-state identity as a pair of bits (bit-flip, phase-flip).
+
+    The four labels are interned: ``BellLabel(a, b)`` returns the shared
+    instance, so equal labels are identical and hash by identity, which
+    keeps dicts keyed by long label strings cheap to build.
+    """
 
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.a not in (0, 1) or self.b not in (0, 1):
-            raise ValueError(f"label bits must be 0 or 1, got ({self.a}, {self.b})")
+    def __new__(cls, a: int, b: int) -> "BellLabel":
+        if a not in (0, 1) or b not in (0, 1):
+            raise ValueError(f"label bits must be 0 or 1, got ({a}, {b})")
+        return LABELS[2 * int(a) + int(b)]
+
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return BellLabel, (self.a, self.b)
 
     @property
     def index(self) -> int:
@@ -43,13 +54,15 @@ class BellLabel:
         return self.name
 
 
-B1 = BellLabel(0, 0)
-B2 = BellLabel(0, 1)
-B3 = BellLabel(1, 0)
-B4 = BellLabel(1, 1)
+def _interned(a: int, b: int) -> BellLabel:
+    label = object.__new__(BellLabel)
+    object.__setattr__(label, "a", a)
+    object.__setattr__(label, "b", b)
+    return label
+
 
 #: All four labels in index order.
-LABELS = (B1, B2, B3, B4)
+LABELS = (B1, B2, B3, B4) = tuple(_interned(a, b) for a in (0, 1) for b in (0, 1))
 
 #: A string of Bell labels, one per shared pair (Alice qubit first in each pair).
 BellString = tuple[BellLabel, ...]

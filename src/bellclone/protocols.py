@@ -23,16 +23,18 @@ import numpy as np
 from . import dense
 from .calculus import (
     BellEnsemble,
+    append_b1,
     apply_rewrite_op,
     bxor,
     dense_rewrite_op,
     mix,
     discriminate_sets,
     one_sided_pauli,
+    relabel_pair,
     to_dense,
 )
 from .dense import Cut, DenseState, HADAMARD, PHASE_S, pauli, pauli_for_label
-from .labels import B1, B2, B3, LABELS, BellLabel, BellString
+from .labels import B1, B2, B3, LABELS, BellLabel
 from .measures import MeasureReport, log_negativity_report
 
 
@@ -173,15 +175,6 @@ def pair_reduction_table(label_1: BellLabel, label_2: BellLabel) -> PairReductio
     return _pair_reduction_cached(frozenset((label_1, label_2)))
 
 
-def _apply_label_map(e: BellEnsemble, pair: int, mapping: dict[BellLabel, BellLabel]) -> BellEnsemble:
-    def rewrite(s: BellString) -> BellString:
-        out = list(s)
-        out[pair] = mapping[s[pair]]
-        return tuple(out)
-
-    return e.map_strings(rewrite)
-
-
 # ---------------------------------------------------------------------------
 # Cloning of a known set of two Bell states
 # ---------------------------------------------------------------------------
@@ -193,12 +186,6 @@ def _as_one_pair_ensemble(input_state: BellLabel | BellEnsemble) -> BellEnsemble
     if input_state.n_pairs != 1:
         raise ValueError("clone input must be a single-pair state")
     return input_state
-
-
-def _append_b1_pairs(e: BellEnsemble, count: int) -> BellEnsemble:
-    if count == 0:
-        return e
-    return e.map_strings(lambda s: s + (B1,) * count)
 
 
 def clone_pair_1_to_n(
@@ -227,16 +214,17 @@ def clone_pair_1_to_n(
 
     red = pair_reduction_table(*pair)
     ledger = ResourceLedger(ebits_consumed=float(n - 1))
-    e = _append_b1_pairs(e, n - 1)
-    e = _apply_label_map(e, 0, red.label_map)
+    e = append_b1(e, n - 1)
+    e = relabel_pair(e, 0, red.label_map)
     ledger.record("alice", "unitary", "A0", red.alice_word)
     ledger.record("bob", "unitary", "B0", red.bob_word)
     for k in range(1, n):
         e = bxor(e, 0, k)
         ledger.record("alice", "cnot", "A0", f"A{k}")
         ledger.record("bob", "cnot", "B0", f"B{k}")
+    inverse = red.inverse_map
     for k in range(n):
-        e = _apply_label_map(e, k, red.inverse_map)
+        e = relabel_pair(e, k, inverse)
         ledger.record("alice", "unitary", f"A{k}", f"inv({red.alice_word})")
         ledger.record("bob", "unitary", f"B{k}", f"inv({red.bob_word})")
     return e, ledger
@@ -248,7 +236,7 @@ def clone_pair_dense(
     """Dense execution of :func:`clone_pair_1_to_n` (register 2n qubits)."""
     pair = tuple(pair)
     red = pair_reduction_table(*pair)
-    e0 = _append_b1_pairs(_as_one_pair_ensemble(input_state), n - 1)
+    e0 = append_b1(_as_one_pair_ensemble(input_state), n - 1)
     state = to_dense(e0)
     state = dense.apply_unitary(state, red.alice_matrix, (0,))
     state = dense.apply_unitary(state, red.bob_matrix, (1,))
@@ -274,26 +262,12 @@ def _rho_m_recipe(m: int) -> tuple[BellEnsemble, bool, list[tuple]]:
         raise ValueError(f"rho_m needs m >= 2 pairs, got {m}")
     last = m - 1
     if m % 2:
-        initial = mix(
-            [
-                BellEnsemble.point((B1,) * last + (B1,)),
-                BellEnsemble.point((B1,) * last + (B2,)),
-            ],
-            [0.5, 0.5],
-        )
+        initial = BellEnsemble({(B1,) * last + (tail,): 0.5 for tail in (B1, B2)})
         circuit = [("bxor", k, last) for k in range(last)]
         return initial, True, circuit
-    first = mix(
-        [BellEnsemble.point((B1,)), BellEnsemble.point((B3,))], [0.5, 0.5]
+    initial = BellEnsemble(
+        {(first,) + (B1,) * (m - 2) + (tail,): 0.25 for first in (B1, B3) for tail in (B1, B2)}
     )
-    tail = mix(
-        [BellEnsemble.point((B1,)), BellEnsemble.point((B2,))], [0.5, 0.5]
-    )
-    entries = {}
-    for (s1,), p1 in first.entries.items():
-        for (s2,), p2 in tail.entries.items():
-            entries[(s1,) + (B1,) * (m - 2) + (s2,)] = p1 * p2
-    initial = BellEnsemble(entries)
     circuit = [("bxor", 0, k) for k in range(1, last)]
     circuit += [("bxor", k, last) for k in range(last)]
     return initial, False, circuit
@@ -351,9 +325,7 @@ def smolin_ensemble() -> BellEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def _teleport_and_correct(
-    channel: DenseState, input_state: DenseState, ledger: ResourceLedger | None = None
-) -> DenseState:
+def _teleport_and_correct(channel: DenseState, input_state: DenseState) -> DenseState:
     """Teleport a shared two-qubit state through a pair-structured channel.
 
     The channel's pair 0 is consumed by the Bell measurements (Alice
@@ -377,11 +349,6 @@ def _teleport_and_correct(
     # (2k+2, 2k+3); receivers are channel pairs 1..n.
     alice_receivers = [4 + 2 * k for k in range(n_receive)]
     bob_receivers = [5 + 2 * k for k in range(n_receive)]
-    if ledger is not None:
-        ledger.record("alice", "bell-measure", "A_in", "A0")
-        ledger.record("bob", "bell-measure", "B_in", "B0")
-        ledger.record("classical", "broadcast-outcomes", 4)
-        ledger.classical_bits += 4
 
     outputs: list[tuple[float, DenseState]] = []
     for la, pa, state_a in dense.bell_measurement(combined, (0, 2)):
@@ -394,10 +361,6 @@ def _teleport_and_correct(
             for q in bob_receivers:
                 out = dense.apply_unitary(out, corr_b, (q,))
             outputs.append((pa * pb, out))
-    if ledger is not None:
-        for k in range(n_receive):
-            ledger.record("alice", "pauli-correct", f"A{k + 1}")
-            ledger.record("bob", "pauli-correct", f"B{k + 1}")
 
     averaged = DenseState.mixture(outputs)
     keep = sorted(alice_receivers + bob_receivers)
@@ -555,9 +518,7 @@ def distill_quasi_pure(
     ledger.record("bob", "measure-z", f"B{last}")
     ledger.record("classical", "compare-parity", 2)
     ledger.classical_bits += 2
-    branches = [
-        (bit, prob, cond) for bit, prob, cond in discriminate_sets(e, last)
-    ]
+    branches = discriminate_sets(e, last)
     if all(cond is not None and len(cond.entries) == 1 for _, _, cond in branches):
         ledger.ebits_distilled = float(n - 1)
     return branches, ledger
@@ -576,23 +537,14 @@ def distill_quasi_pure_dense(
     last = n - 1
     for k in range(last):
         state = dense_rewrite_op(state, ("bxor", k, last))
-    qa, qb = 2 * last, 2 * last + 1
-    dim = state.n_qubits
-    projectors = {0: np.zeros((4, 4), dtype=complex), 1: np.zeros((4, 4), dtype=complex)}
-    for xa in (0, 1):
-        for xb in (0, 1):
-            ket = np.zeros(4, dtype=complex)
-            ket[2 * xa + xb] = 1.0
-            projectors[xa ^ xb] += np.outer(ket, ket.conj())
     out = []
     for bit in (0, 1):
-        proj = projectors[bit]
+        # Projector onto the computational states (x_a, x_b) of the last pair with x_a ^ x_b = bit.
+        proj = np.diag([complex((x >> 1) ^ (x & 1) == bit) for x in range(4)])
         weighted = []
         prob = 0.0
         for b in state.branches:
-            psi = np.moveaxis(b.amplitudes.reshape((2,) * dim), (qa, qb), (0, 1))
-            psi = (proj @ psi.reshape(4, -1)).reshape((2,) * dim)
-            psi = np.moveaxis(psi, (0, 1), (qa, qb)).reshape(-1)
+            psi = dense._apply_matrix(b.amplitudes, state.n_qubits, proj, (2 * last, 2 * last + 1))
             p_b = float(np.vdot(psi, psi).real)
             prob += b.weight * p_b
             if p_b > 1e-14:

@@ -291,3 +291,18 @@ class TestOracleEquivalence:
             e = apply_rewrite_op(e, op)
             state = dense_rewrite_op(state, op)
         assert dense.trace_distance(to_dense(e), state) < 1e-10
+
+
+class TestFromTextBoundary:
+    def test_duplicate_string_rejected_with_its_line(self):
+        text = "0.25 00 01\n0.5 11 11\n\n0.25 00 01\n"
+        with pytest.raises(ValueError, match=r"line 4: duplicate string 00 01 \(first on line 1\)"):
+            BellEnsemble.from_text(text)
+
+    def test_malformed_line_is_named(self):
+        with pytest.raises(ValueError, match="line 2: not a Bell label bit pair"):
+            BellEnsemble.from_text("0.5 00\n0.5 2\n")
+        with pytest.raises(ValueError, match="line 1: could not convert"):
+            BellEnsemble.from_text("half 00\n")
+        with pytest.raises(ValueError, match="line 1: no Bell labels"):
+            BellEnsemble.from_text("1.0\n")

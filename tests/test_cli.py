@@ -209,3 +209,24 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "output: B3" in proc.stdout
+
+
+class TestDistillBranchMatching:
+    def test_dropped_dense_branch_fails(self, capsys, monkeypatch):
+        real = cli.protocols.distill_quasi_pure_dense
+        monkeypatch.setattr(cli.protocols, "distill_quasi_pure_dense", lambda e: real(e)[:1])
+        code, out, _ = run_cli(
+            capsys, "distill", "--p", "0.4,0.1,0.3,0.2", "--n", "3", "--engine", "both", "--format", "json"
+        )
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["dense-branch-probabilities"]["passed"] is False
+        assert checks["dense-branch-probabilities"]["measured"] == 0.5
+        assert checks["symbolic-dense-agreement"]["passed"] is False
+
+    def test_branches_matched_by_outcome_not_position(self, capsys, monkeypatch):
+        real = cli.protocols.distill_quasi_pure_dense
+        monkeypatch.setattr(cli.protocols, "distill_quasi_pure_dense", lambda e: real(e)[::-1])
+        code, out, _ = run_cli(capsys, "distill", "--p", "0.4,0.1,0.3,0.2", "--n", "3", "--engine", "both")
+        assert code == 0
+        assert "result: pass" in out
