@@ -12,12 +12,14 @@ Pair 0 holds the most significant two-bit field and each field holds
 ``a`` above ``b`` (label index - 1), so integer order is lexicographic
 label order.  A rewrite is a few shifts and XORs per string, O(support x
 pairs / word) per step.  Only the constructor, :meth:`~BellEnsemble.from_text`,
-:func:`mix` and the conditionals of :func:`discriminate_sets` merge,
-prune and check; the bijective rewrites just re-sort.
+:func:`mix`, :func:`teleport` and the conditionals of :func:`discriminate_sets`
+merge, prune and check; the bijective rewrites just re-sort.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -69,8 +71,8 @@ class BellEnsemble:
         for string, prob in dict(entries).items():
             if not string:
                 raise ValueError("Bell strings must have at least one pair")
-            if prob < 0:
-                raise ValueError(f"negative probability {prob}")
+            if not math.isfinite(prob) or prob < 0:
+                raise ValueError(f"probability {prob} is not a finite non-negative number")
             key = (len(string), _pack(string))
             merged[key] = merged.get(key, 0.0) + float(prob)
         merged = {k: p for k, p in merged.items() if p > PRUNE_EPS}
@@ -269,6 +271,24 @@ def discriminate_sets(
     return out
 
 
+def teleport(channel: BellEnsemble, source: BellEnsemble) -> BellEnsemble:
+    """Joint teleportation of the one-pair ``source`` through channel pair 0:
+    each party Bell-measures its input qubit with its half of pair 0, and
+    the broadcast outcomes Pauli-correct every other pair.  Receiver k ends
+    up with label x ^ c0 ^ ck (input x, channel labels c0 and ck)."""
+    n = channel.n_pairs - 1
+    if source.n_pairs != 1 or n < 1:
+        raise ValueError("teleportation needs a one-pair input and a channel of two or more pairs")
+    low = (1 << 2 * n) - 1
+    ones = int("01" * n, 2)
+    out: dict[int, float] = {}
+    for x, q in source._probs.items():
+        for c, p in channel._probs.items():
+            y = (c & low) ^ ((x ^ (c >> 2 * n)) & 3) * ones
+            out[y] = out.get(y, 0.0) + q * p
+    return BellEnsemble._make(n, _canonical(out))
+
+
 def mix(ensembles: list[BellEnsemble], weights: list[float]) -> BellEnsemble:
     """Convex combination of ensembles over the same number of pairs."""
     if len(ensembles) != len(weights):
@@ -306,32 +326,102 @@ def to_dense(e: BellEnsemble, role: str = "source") -> dense.DenseState:
     return dense.DenseState(tuple(branches), labels)
 
 
-def dense_rewrite_op(state: dense.DenseState, op: tuple) -> dense.DenseState:
-    """Apply the dense circuit matching a symbolic rewrite step.
+def _local_pair(state: dense.DenseState, pair: int, u_alice, u_bob) -> dense.DenseState:
+    out = dense.apply_unitary(state, u_alice, (2 * pair,))
+    return dense.apply_unitary(out, u_bob, (2 * pair + 1,))
 
-    Steps are ("bxor", source, target), ("bilateral_hadamard", pair) or
-    ("one_sided_pauli", pair, index, side); pair k occupies qubits
-    (2k, 2k+1).  This is the oracle side of the symbolic/dense
-    equivalence checks.
+
+def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseState) -> dense.DenseState:
+    """Teleport a shared two-qubit state through a pair-structured channel.
+
+    The channel's pair 0 is consumed by the Bell measurements (Alice
+    measures her input qubit with A0, Bob his with B0); the
+    outcome-indexed Pauli corrections are applied independently to every
+    remaining channel pair, and the 16 outcomes are averaged back into
+    one mixture.
     """
+    n_receive = channel.n_qubits // 2 - 1
+    if n_receive < 1:
+        raise ValueError("channel needs at least two pairs")
+    if input_state.n_qubits != 2:
+        raise ValueError("teleportation input must be a two-qubit state")
+    parties = tuple(q.party for q in input_state.qubit_labels)
+    if parties != ("alice", "bob"):
+        raise ValueError("input must hold one Alice qubit then one Bob qubit")
+
+    # Register: 0 = input Alice, 1 = input Bob, then channel pairs at
+    # (2k+2, 2k+3); receivers are channel pairs 1..n, qubits 4 onwards.
+    n = input_state.n_qubits + channel.n_qubits
+    outputs: list[tuple[float, dense.DenseState]] = []
+    for la, pa, state_a in dense.bell_measurement(dense.tensor(input_state, channel), (0, 2)):
+        for lb, pb, out in dense.bell_measurement(state_a, (1, 3)):
+            for first, label in ((4, la), (5, lb)):  # Alice's receivers, then Bob's
+                corr = dense.pauli(dense.pauli_for_label(label))
+                for q in range(first, n, 2):
+                    out = dense.apply_unitary(out, corr, (q,))
+            outputs.append((pa * pb, out))
+    reduced = dense.partial_trace(dense.DenseState.mixture(outputs), range(4, n))
+    return replace(reduced, qubit_labels=dense.pair_register(n_receive))
+
+
+def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float, dense.DenseState | None]]:
+    """Dense :func:`discriminate_sets`: (parity bit, probability, reduced
+    post-state on the other pairs, or None) per outcome."""
+    keep = [q for q in range(state.n_qubits) if q // 2 != pair]
+    out = []
+    for bit in (0, 1):
+        # Projector onto the computational states (x_a, x_b) of the pair with x_a ^ x_b = bit.
+        proj = np.diag([complex((x >> 1) ^ (x & 1) == bit) for x in range(4)])
+        weighted, prob = [], 0.0
+        for b in state.branches:
+            psi = dense._apply_matrix(b.amplitudes, state.n_qubits, proj, (2 * pair, 2 * pair + 1))
+            p_b = float(np.vdot(psi, psi).real)
+            prob += b.weight * p_b
+            if p_b > 1e-14:
+                weighted.append(dense.PureBranch(psi / np.sqrt(p_b), b.weight * p_b))
+        if prob > 1e-14:
+            branches = tuple(dense.PureBranch(br.amplitudes, br.weight / prob) for br in weighted)
+            post = dense.DenseState(branches, state.qubit_labels)
+            out.append((bit, prob, dense.partial_trace(post, keep) if keep else None))
+    return out
+
+
+def dense_rewrite_op(state: dense.DenseState, op: tuple):
+    """Apply the dense circuit of one step (see :func:`apply_rewrite_op`);
+    pair k occupies qubits (2k, 2k+1), Alice's first.  This is the
+    oracle side of the symbolic/dense equivalence checks."""
     name = op[0]
     if name == "bxor":
         _, s, t = op
         out = dense.apply_unitary(state, dense.CNOT, (2 * s, 2 * t))
         return dense.apply_unitary(out, dense.CNOT, (2 * s + 1, 2 * t + 1))
     if name == "bilateral_hadamard":
-        _, k = op
-        out = dense.apply_unitary(state, dense.HADAMARD, (2 * k,))
-        return dense.apply_unitary(out, dense.HADAMARD, (2 * k + 1,))
+        return _local_pair(state, op[1], dense.HADAMARD, dense.HADAMARD)
     if name == "one_sided_pauli":
         _, k, idx, side = op
         qubit = 2 * k if side == "alice" else 2 * k + 1
         return dense.apply_unitary(state, dense.pauli(idx), (qubit,))
+    if name == "local_clifford":
+        return _local_pair(state, op[1], op[2].alice_matrix, op[2].bob_matrix)
+    if name == "random_pauli_x":
+        flipped = state
+        for k in range(state.n_qubits // 2):
+            flipped = dense.apply_unitary(flipped, dense.pauli(1), (2 * k + 1,))
+        return dense.DenseState.mixture([(0.5, state), (0.5, flipped)])
+    if name == "parity_measure":
+        return _parity_measure(state, op[1])
+    if name == "teleport":
+        return _teleport_and_correct(state, to_dense(op[1], role="input"))
     raise ValueError(f"unknown rewrite step {name!r}")
 
 
-def apply_rewrite_op(e: BellEnsemble, op: tuple) -> BellEnsemble:
-    """Apply a symbolic rewrite step given in the tuple form above."""
+def apply_rewrite_op(e: BellEnsemble, op: tuple):
+    """Apply one step symbolically.  Steps: ("bxor", source, target),
+    ("bilateral_hadamard", pair), ("one_sided_pauli", pair, index, side),
+    ("local_clifford", pair, reduction) with a
+    :class:`~bellclone.protocols.PairReduction`, ("random_pauli_x",) for
+    Bob's sigma_x on all his qubits with probability 1/2, ("teleport",
+    source) and ("parity_measure", pair), whose branch list ends a list."""
     name = op[0]
     if name == "bxor":
         return bxor(e, op[1], op[2])
@@ -339,4 +429,15 @@ def apply_rewrite_op(e: BellEnsemble, op: tuple) -> BellEnsemble:
         return bilateral_hadamard(e, op[1])
     if name == "one_sided_pauli":
         return one_sided_pauli(e, op[1], op[2], op[3])
+    if name == "local_clifford":
+        return relabel_pair(e, op[1], op[2].label_map)
+    if name == "random_pauli_x":
+        flipped = e
+        for k in range(e.n_pairs):
+            flipped = one_sided_pauli(flipped, k, 1, "bob")
+        return mix([e, flipped], [0.5, 0.5])
+    if name == "parity_measure":
+        return discriminate_sets(e, op[1])
+    if name == "teleport":
+        return teleport(e, op[1])
     raise ValueError(f"unknown rewrite step {name!r}")

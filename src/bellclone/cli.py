@@ -115,6 +115,39 @@ def _render_run(record: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _locc_check(ledger) -> dict:
+    violations = len(ledger.locc_violations())
+    return _check("locc-audit", not violations, violations, "no cross-cut steps")
+
+
+def _ledger_checks(ledger, expected_ebits: int) -> list[dict]:
+    """The ledger's derived ebits against the paper's formula, and its LOCC audit."""
+    ebits = ledger.ebits_consumed
+    return [_check("ledger-ebits", ebits == expected_ebits, ebits, f"= {expected_ebits}"), _locc_check(ledger)]
+
+
+def _protocol_record(protocol: str, args, params: dict, ledger, checks: list[dict], **output) -> dict:
+    """A protocol run's report; ``output`` is its ensemble or branch table."""
+    return {
+        "protocol": protocol,
+        "engine": args.engine,
+        "parameters": params,
+        **output,
+        "ledger": ledger.to_dict(),
+        "checks": checks,
+    }
+
+
+def _dense_route(engine: str, run):
+    """The dense route's result; None for the symbolic engine or past the oracle's limits."""
+    if engine == "symbolic":
+        return None
+    try:
+        return run()
+    except protocols.DenseLimitError:
+        return None
+
+
 def _finish_run(record: dict, args) -> int:
     record["passed"] = all(c["passed"] for c in record["checks"])
     _emit(_render_run(record, args.format), args.output)
@@ -125,7 +158,6 @@ def cmd_clone(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
-    engine = args.engine
     checks = []
     if args.set == "two":
         if not args.pair:
@@ -159,36 +191,18 @@ def cmd_clone(args) -> int:
         expected_ebits = n if n % 2 == 0 else n - 1
         params = {"set": "four", "input": input_name, "n": n}
         dense_run = lambda: protocols.clone_four_dense(input_state, n)  # noqa: E731
-        checks.append(
-            _check(
-                "symbolic-structure",
-                all(len(set(s)) == 1 for s in ensemble.entries),
-                "perfectly correlated clones",
-                "exact",
-            )
-        )
+        correlated = all(len(set(s)) == 1 for s in ensemble.entries)
+        checks.append(_check("symbolic-structure", correlated, "perfectly correlated clones", "exact"))
 
-    checks.append(
-        _check("ledger-ebits", ledger.ebits_consumed == expected_ebits, ledger.ebits_consumed, f"= {expected_ebits}")
-    )
-    checks.append(_check("locc-audit", not ledger.locc_violations(), len(ledger.locc_violations()), "no cross-cut steps"))
-    if engine in ("dense", "both") and 2 * ensemble.n_pairs <= dense.MAX_REGISTER_QUBITS:
-        dn = dense_run()
+    checks += _ledger_checks(ledger, expected_ebits)
+    dn = _dense_route(args.engine, dense_run)
+    if dn is not None:
         td = dense.trace_distance(to_dense(ensemble), dn)
         checks.append(_check("symbolic-dense-agreement", td < 1e-10, td, "trace distance < 1e-10"))
         if len(ensemble.entries) == 1:
             fid = dense.fidelity(dn, to_dense(ensemble).branches[0].amplitudes)
             checks.append(_check("dense-fidelity", abs(1.0 - fid) <= 1e-12, fid, "within 1e-12 of 1"))
-
-    record = {
-        "protocol": "clone",
-        "engine": engine,
-        "parameters": params,
-        "ensemble": ensemble.to_text(),
-        "ledger": ledger.to_dict(),
-        "checks": checks,
-    }
-    return _finish_run(record, args)
+    return _finish_run(_protocol_record("clone", args, params, ledger, checks, ensemble=ensemble.to_text()), args)
 
 
 def cmd_prepare(args) -> int:
@@ -204,21 +218,13 @@ def cmd_prepare(args) -> int:
             f"{len(ensemble.entries)} strings",
             "four constant strings at 1/4",
         ),
-        _check("ledger-ebits", ledger.ebits_consumed == expected_ebits, ledger.ebits_consumed, f"= {expected_ebits}"),
-        _check("locc-audit", not ledger.locc_violations(), len(ledger.locc_violations()), "no cross-cut steps"),
+        *_ledger_checks(ledger, expected_ebits),
     ]
-    if args.engine in ("dense", "both") and 2 * m <= dense.MAX_REGISTER_QUBITS:
-        td = dense.trace_distance(to_dense(ensemble), protocols.prepare_rho_m_dense(m))
+    dn = _dense_route(args.engine, lambda: protocols.prepare_rho_m_dense(m))
+    if dn is not None:
+        td = dense.trace_distance(to_dense(ensemble), dn)
         checks.append(_check("symbolic-dense-agreement", td < 1e-12, td, "trace distance < 1e-12"))
-    record = {
-        "protocol": "prepare",
-        "engine": args.engine,
-        "parameters": {"m": m},
-        "ensemble": ensemble.to_text(),
-        "ledger": ledger.to_dict(),
-        "checks": checks,
-    }
-    return _finish_run(record, args)
+    return _finish_run(_protocol_record("prepare", args, {"m": m}, ledger, checks, ensemble=ensemble.to_text()), args)
 
 
 def cmd_teleport(args) -> int:
@@ -268,37 +274,26 @@ def cmd_distill(args) -> int:
             [len(cond.entries) for _, _, cond in branches],
             "single string per branch",
         ),
-        _check("locc-audit", not ledger.locc_violations(), len(ledger.locc_violations()), "no cross-cut steps"),
+        _locc_check(ledger),
     ]
-    if args.engine in ("dense", "both") and 2 * n <= dense.MAX_REGISTER_QUBITS:
+    dense_branches = _dense_route(args.engine, lambda: protocols.distill_quasi_pure_dense(ensemble))
+    if dense_branches is not None:
         # Branches are matched by outcome bit; an outcome on one side only
         # counts as probability 0 on the other and fails both checks.
         sym = {bit: (prob, cond) for bit, prob, cond in branches}
-        dn = {bit: (prob, state) for bit, prob, state in protocols.distill_quasi_pure_dense(ensemble)}
+        dn = {bit: (prob, state) for bit, prob, state in dense_branches}
         same_outcomes = sym.keys() == dn.keys()
         worst_p = max(abs(sym.get(bit, (0.0,))[0] - dn.get(bit, (0.0,))[0]) for bit in sym.keys() | dn.keys())
         worst_td = max(
             (dense.trace_distance(to_dense(sym[bit][1]), dn[bit][1]) for bit in sym.keys() & dn.keys()),
             default=1.0,
         )
-        checks.append(
-            _check("dense-branch-probabilities", same_outcomes and worst_p <= 1e-12, worst_p, "within 1e-12")
-        )
-        checks.append(
-            _check("symbolic-dense-agreement", same_outcomes and worst_td < 1e-10, worst_td, "trace distance < 1e-10")
-        )
-    record = {
-        "protocol": "distill",
-        "engine": args.engine,
-        "parameters": {"p": args.p, "n": n},
-        "branches": [
-            {"outcome": bit, "probability": prob, "ensemble": cond.to_text()}
-            for bit, prob, cond in branches
-        ],
-        "ledger": ledger.to_dict(),
-        "checks": checks,
-    }
-    return _finish_run(record, args)
+        checks += [
+            _check("dense-branch-probabilities", same_outcomes and worst_p <= 1e-12, worst_p, "within 1e-12"),
+            _check("symbolic-dense-agreement", same_outcomes and worst_td < 1e-10, worst_td, "trace distance < 1e-10"),
+        ]
+    table = [{"outcome": bit, "probability": prob, "ensemble": cond.to_text()} for bit, prob, cond in branches]
+    return _finish_run(_protocol_record("distill", args, {"p": args.p, "n": n}, ledger, checks, branches=table), args)
 
 
 def _sigma_curve_rows(n: int, grid: int) -> list[dict]:

@@ -1,20 +1,23 @@
-"""LOCC protocols over Bell ensembles, with dense cross-check paths.
+"""LOCC protocols over Bell ensembles, each written once as a step list.
 
-Each protocol runs symbolically on :class:`~bellclone.calculus.BellEnsemble`
-values and records an ebit/classical-bit ledger whose steps are all
-Alice-local, Bob-local, or classical communication.  For registers small
-enough, a ``*_dense`` companion executes the same recipe with explicit
-unitaries, Bell measurements and Pauli corrections, providing the
-independent verification route.
+A protocol is a :class:`Program`: an initial ensemble and a tuple of
+steps in the vocabulary of :func:`~bellclone.calculus.apply_rewrite_op`.
+:func:`apply_steps` runs the list symbolically at any number of pairs;
+:func:`run_dense` runs the same list with explicit unitaries and
+measurements on small registers, the independent verification route.
+The ebit/classical-bit ledger is derived from the list
+(:func:`derive_ledger`), with every step Alice-local, Bob-local, or
+classical communication.
 
 Resource accounting: a shared |B1> counts as exactly 1 ebit; two-outcome
 Bell mixtures with maximum probability 1/2 are separable and count as 0.
+The rule is applied to each initial pair that is not an input.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -23,17 +26,14 @@ import numpy as np
 from . import dense
 from .calculus import (
     BellEnsemble,
+    _teleport_and_correct,
     append_b1,
     apply_rewrite_op,
-    bxor,
     dense_rewrite_op,
     mix,
-    discriminate_sets,
-    one_sided_pauli,
-    relabel_pair,
     to_dense,
 )
-from .dense import Cut, DenseState, HADAMARD, PHASE_S, pauli, pauli_for_label
+from .dense import Cut, DenseState, HADAMARD, PHASE_S, pauli
 from .labels import B1, B2, B3, LABELS, BellLabel
 from .measures import MeasureReport, log_negativity_report
 
@@ -77,6 +77,106 @@ class ResourceLedger:
             "ebits_distilled": self.ebits_distilled,
             "classical_bits": self.classical_bits,
         }
+
+
+# ---------------------------------------------------------------------------
+# Programs: one step list, two interpreters, a derived ledger
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Program:
+    """An initial ensemble and the steps run on it.  Its first ``inputs``
+    pairs are handed over (an input, or a channel prepared earlier) and
+    not charged; each later pair is costed by :func:`ebit_cost`."""
+
+    initial: BellEnsemble
+    steps: tuple[tuple, ...]
+    inputs: int = 0
+
+
+def ebit_cost(e: BellEnsemble, pair: int) -> int:
+    """The accounting rule on one pair of a product ensemble: 1 for a
+    shared |B1>, 0 for a separable two-label mixture at most 1/2 each."""
+    marginal: dict[BellLabel, float] = {}
+    for s, p in e.entries.items():
+        marginal[s[pair]] = marginal.get(s[pair], 0.0) + p
+    if set(marginal) == {B1}:
+        return 1
+    if len(marginal) != 2 or max(marginal.values()) > 0.5 + 1e-12:
+        raise ValueError(f"no ebit rule for pair {pair}: neither |B1> nor a separable two-label mixture")
+    return 0
+
+
+def _step_lines(op: tuple, n_pairs: int) -> list[LedgerStep]:
+    """Ledger lines of one step on an n-pair register; the teleport step
+    calls its input pair ``in``."""
+    name = op[0]
+    if name == "bxor":
+        _, s, t = op
+        return [LedgerStep("alice", "cnot", (f"A{s}", f"A{t}")), LedgerStep("bob", "cnot", (f"B{s}", f"B{t}"))]
+    if name == "local_clifford":
+        _, k, red = op
+        alice = LedgerStep("alice", "unitary", (f"A{k}", red.alice_word))
+        return [alice, LedgerStep("bob", "unitary", (f"B{k}", red.bob_word))]
+    if name == "random_pauli_x":
+        return [LedgerStep("bob", "random-pauli-x", tuple(f"B{k}" for k in range(n_pairs)))]
+    if name == "parity_measure":
+        k = op[1]
+        measure = [LedgerStep("alice", "measure-z", (f"A{k}",)), LedgerStep("bob", "measure-z", (f"B{k}",))]
+        return measure + [LedgerStep("classical", "compare-parity", (2,))]
+    if name == "teleport":
+        lines = [LedgerStep("alice", "bell-measure", ("A_in", "A0")), LedgerStep("bob", "bell-measure", ("B_in", "B0"))]
+        lines.append(LedgerStep("classical", "broadcast-outcomes", (4,)))
+        for k in range(1, n_pairs):
+            lines += [LedgerStep("alice", "pauli-correct", (f"A{k}",)), LedgerStep("bob", "pauli-correct", (f"B{k}",))]
+        return lines
+    raise ValueError(f"no ledger rule for step {name!r}")
+
+
+def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> ResourceLedger:
+    """The program's ledger (appended to ``ledger`` if given): ebits from
+    the charged initial pairs, one line per party and step, and the bits
+    each classical line sends."""
+    ledger = ResourceLedger() if ledger is None else ledger
+    e = program.initial
+    ledger.ebits_consumed += sum(ebit_cost(e, k) for k in range(program.inputs, e.n_pairs))
+    lines = [line for op in program.steps for line in _step_lines(op, e.n_pairs)]
+    ledger.classical_bits += sum(line.operands[0] for line in lines if line.party == "classical")
+    ledger.steps += lines
+    return ledger
+
+
+def apply_steps(e: BellEnsemble, steps: Iterable[tuple]):
+    """Run a step list symbolically (the branch list if it ends in a measurement)."""
+    for op in steps:
+        e = apply_rewrite_op(e, op)
+    return e
+
+
+def _run(program: Program, ledger: ResourceLedger | None = None):
+    return apply_steps(program.initial, program.steps), derive_ledger(program, ledger)
+
+
+class DenseLimitError(ValueError):
+    """The program needs a larger register than the dense oracle holds."""
+
+
+def run_dense(program: Program):
+    """Run a program's steps on explicit state vectors; raises
+    :class:`DenseLimitError` up front if its register or a measured
+    remainder exceeds the dense oracle's limits."""
+    n = program.initial.n_pairs
+    kinds = {op[0] for op in program.steps}
+    register = 2 * (n + ("teleport" in kinds))  # teleportation brings its input pair
+    # Both measurements leave the other n - 1 pairs as a density matrix.
+    remainder = 2 * (n - 1) if kinds & {"teleport", "parity_measure"} else 0
+    if register > dense.MAX_REGISTER_QUBITS or remainder > dense.MAX_DENSE_QUBITS:
+        raise DenseLimitError(f"a {n}-pair program exceeds the dense register limits")
+    state = to_dense(program.initial)
+    for op in program.steps:
+        state = dense_rewrite_op(state, op)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +250,12 @@ class PairReduction:
     def inverse_map(self) -> dict[BellLabel, BellLabel]:
         return {v: k for k, v in self.label_map.items()}
 
+    def inverse(self) -> "PairReduction":
+        """The local unitaries undoing this reduction (adjoint matrices)."""
+        words = (f"inv({self.alice_word})", f"inv({self.bob_word})")
+        adjoints = (self.alice_matrix.conj().T, self.bob_matrix.conj().T)
+        return PairReduction(self.pair, *words, *adjoints, self.inverse_map)
+
 
 @lru_cache(maxsize=None)
 def _pair_reduction_cached(pair: frozenset[BellLabel]) -> PairReduction:
@@ -180,18 +286,29 @@ def pair_reduction_table(label_1: BellLabel, label_2: BellLabel) -> PairReductio
 # ---------------------------------------------------------------------------
 
 
-def _as_one_pair_ensemble(input_state: BellLabel | BellEnsemble) -> BellEnsemble:
+def _clone_pair_program(input_state: BellLabel | BellEnsemble, pair: Iterable[BellLabel], n: int) -> Program:
+    pair = tuple(pair)
+    if len(pair) != 2 or pair[0] == pair[1]:
+        raise ValueError("declared set must contain two distinct labels")
+    if n < 1:
+        raise ValueError(f"copy count must be >= 1, got {n}")
     if isinstance(input_state, BellLabel):
-        return BellEnsemble.point((input_state,))
+        input_state = BellEnsemble.point((input_state,))
     if input_state.n_pairs != 1:
         raise ValueError("clone input must be a single-pair state")
-    return input_state
+    support = {s[0] for s in input_state.entries}
+    if not support <= set(pair):
+        bad = ", ".join(sorted(l.name for l in support - set(pair)))
+        raise ValueError(f"input state {bad} lies outside the declared pair")
+    red = pair_reduction_table(*pair)
+    undo = red.inverse()
+    steps = [("local_clifford", 0, red)] + [("bxor", 0, k) for k in range(1, n)]
+    steps += [("local_clifford", k, undo) for k in range(n)]
+    return Program(append_b1(input_state, n - 1), tuple(steps), inputs=1)
 
 
 def clone_pair_1_to_n(
-    input_state: BellLabel | BellEnsemble,
-    pair: Iterable[BellLabel],
-    n: int,
+    input_state: BellLabel | BellEnsemble, pair: Iterable[BellLabel], n: int
 ) -> tuple[BellEnsemble, ResourceLedger]:
     """1 -> n cloning of a state known to lie in a two-label set.
 
@@ -201,53 +318,12 @@ def clone_pair_1_to_n(
     communication; n = 1 degenerates to the identity.  A mixed
     single-pair input supported on the declared pair is cloned linearly.
     """
-    pair = tuple(pair)
-    if len(pair) != 2 or pair[0] == pair[1]:
-        raise ValueError("declared set must contain two distinct labels")
-    if n < 1:
-        raise ValueError(f"copy count must be >= 1, got {n}")
-    e = _as_one_pair_ensemble(input_state)
-    support = {s[0] for s in e.entries}
-    if not support <= set(pair):
-        bad = ", ".join(sorted(l.name for l in support - set(pair)))
-        raise ValueError(f"input state {bad} lies outside the declared pair")
-
-    red = pair_reduction_table(*pair)
-    ledger = ResourceLedger(ebits_consumed=float(n - 1))
-    e = append_b1(e, n - 1)
-    e = relabel_pair(e, 0, red.label_map)
-    ledger.record("alice", "unitary", "A0", red.alice_word)
-    ledger.record("bob", "unitary", "B0", red.bob_word)
-    for k in range(1, n):
-        e = bxor(e, 0, k)
-        ledger.record("alice", "cnot", "A0", f"A{k}")
-        ledger.record("bob", "cnot", "B0", f"B{k}")
-    inverse = red.inverse_map
-    for k in range(n):
-        e = relabel_pair(e, k, inverse)
-        ledger.record("alice", "unitary", f"A{k}", f"inv({red.alice_word})")
-        ledger.record("bob", "unitary", f"B{k}", f"inv({red.bob_word})")
-    return e, ledger
+    return _run(_clone_pair_program(input_state, pair, n))
 
 
-def clone_pair_dense(
-    input_state: BellLabel | BellEnsemble, pair: Iterable[BellLabel], n: int
-) -> DenseState:
+def clone_pair_dense(input_state: BellLabel | BellEnsemble, pair: Iterable[BellLabel], n: int) -> DenseState:
     """Dense execution of :func:`clone_pair_1_to_n` (register 2n qubits)."""
-    pair = tuple(pair)
-    red = pair_reduction_table(*pair)
-    e0 = append_b1(_as_one_pair_ensemble(input_state), n - 1)
-    state = to_dense(e0)
-    state = dense.apply_unitary(state, red.alice_matrix, (0,))
-    state = dense.apply_unitary(state, red.bob_matrix, (1,))
-    for k in range(1, n):
-        state = dense_rewrite_op(state, ("bxor", 0, k))
-    inv_a = red.alice_matrix.conj().T
-    inv_b = red.bob_matrix.conj().T
-    for k in range(n):
-        state = dense.apply_unitary(state, inv_a, (2 * k,))
-        state = dense.apply_unitary(state, inv_b, (2 * k + 1,))
-    return state
+    return run_dense(_clone_pair_program(input_state, pair, n))
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +331,19 @@ def clone_pair_dense(
 # ---------------------------------------------------------------------------
 
 
-def _rho_m_recipe(m: int) -> tuple[BellEnsemble, bool, list[tuple]]:
-    """Initial product state, whether Bob randomizes sigma_x over all his
-    qubits, and the bilateral C-NOT schedule."""
+def _rho_m_program(m: int) -> Program:
     if m < 2:
         raise ValueError(f"rho_m needs m >= 2 pairs, got {m}")
     last = m - 1
     if m % 2:
         initial = BellEnsemble({(B1,) * last + (tail,): 0.5 for tail in (B1, B2)})
-        circuit = [("bxor", k, last) for k in range(last)]
-        return initial, True, circuit
-    initial = BellEnsemble(
-        {(first,) + (B1,) * (m - 2) + (tail,): 0.25 for first in (B1, B3) for tail in (B1, B2)}
-    )
-    circuit = [("bxor", 0, k) for k in range(1, last)]
-    circuit += [("bxor", k, last) for k in range(last)]
-    return initial, False, circuit
+        steps = [("random_pauli_x",)] + [("bxor", k, last) for k in range(last)]
+    else:
+        initial = BellEnsemble(
+            {(first,) + (B1,) * (m - 2) + (tail,): 0.25 for first in (B1, B3) for tail in (B1, B2)}
+        )
+        steps = [("bxor", 0, k) for k in range(1, last)] + [("bxor", k, last) for k in range(last)]
+    return Program(initial, tuple(steps))
 
 
 def prepare_rho_m(m: int) -> tuple[BellEnsemble, ResourceLedger]:
@@ -284,35 +357,12 @@ def prepare_rho_m(m: int) -> tuple[BellEnsemble, ResourceLedger]:
     out, then C-NOT everything onto the last pair (m-2 ebits).
     m = 2 yields the Smolin state at zero cost.
     """
-    initial, randomize, circuit = _rho_m_recipe(m)
-    ledger = ResourceLedger(ebits_consumed=float(m - 1 if m % 2 else m - 2))
-    e = initial
-    if randomize:
-        flipped = e
-        for k in range(m):
-            flipped = one_sided_pauli(flipped, k, 1, "bob")
-        e = mix([e, flipped], [0.5, 0.5])
-        ledger.record("bob", "random-pauli-x", *(f"B{k}" for k in range(m)))
-    for op in circuit:
-        e = apply_rewrite_op(e, op)
-        _, s, t = op
-        ledger.record("alice", "cnot", f"A{s}", f"A{t}")
-        ledger.record("bob", "cnot", f"B{s}", f"B{t}")
-    return e, ledger
+    return _run(_rho_m_program(m))
 
 
 def prepare_rho_m_dense(m: int) -> DenseState:
     """Dense execution of :func:`prepare_rho_m` (register 2m qubits)."""
-    initial, randomize, circuit = _rho_m_recipe(m)
-    state = to_dense(initial)
-    if randomize:
-        flipped = state
-        for k in range(m):
-            flipped = dense.apply_unitary(flipped, pauli(1), (2 * k + 1,))
-        state = DenseState.mixture([(0.5, state), (0.5, flipped)])
-    for op in circuit:
-        state = dense_rewrite_op(state, op)
-    return state
+    return run_dense(_rho_m_program(m))
 
 
 def smolin_ensemble() -> BellEnsemble:
@@ -323,49 +373,6 @@ def smolin_ensemble() -> BellEnsemble:
 # ---------------------------------------------------------------------------
 # Teleportation through correlated channels
 # ---------------------------------------------------------------------------
-
-
-def _teleport_and_correct(channel: DenseState, input_state: DenseState) -> DenseState:
-    """Teleport a shared two-qubit state through a pair-structured channel.
-
-    The channel's pair 0 is consumed by the Bell measurements (Alice
-    measures her input qubit with A0, Bob his with B0); the
-    outcome-indexed Pauli corrections are applied independently to every
-    remaining channel pair, and the 16 outcomes are averaged back into
-    one mixture.
-    """
-    n_channel_pairs = channel.n_qubits // 2
-    n_receive = n_channel_pairs - 1
-    if n_receive < 1:
-        raise ValueError("channel needs at least two pairs")
-    if input_state.n_qubits != 2:
-        raise ValueError("teleportation input must be a two-qubit state")
-    parties = tuple(q.party for q in input_state.qubit_labels)
-    if parties != ("alice", "bob"):
-        raise ValueError("input must hold one Alice qubit then one Bob qubit")
-
-    combined = dense.tensor(input_state, channel)
-    # Register: 0 = input Alice, 1 = input Bob, then channel pairs at
-    # (2k+2, 2k+3); receivers are channel pairs 1..n.
-    alice_receivers = [4 + 2 * k for k in range(n_receive)]
-    bob_receivers = [5 + 2 * k for k in range(n_receive)]
-
-    outputs: list[tuple[float, DenseState]] = []
-    for la, pa, state_a in dense.bell_measurement(combined, (0, 2)):
-        corr_a = pauli(pauli_for_label(la))
-        for lb, pb, state_ab in dense.bell_measurement(state_a, (1, 3)):
-            corr_b = pauli(pauli_for_label(lb))
-            out = state_ab
-            for q in alice_receivers:
-                out = dense.apply_unitary(out, corr_a, (q,))
-            for q in bob_receivers:
-                out = dense.apply_unitary(out, corr_b, (q,))
-            outputs.append((pa * pb, out))
-
-    averaged = DenseState.mixture(outputs)
-    keep = sorted(alice_receivers + bob_receivers)
-    reduced = dense.partial_trace(averaged, keep)
-    return replace(reduced, qubit_labels=dense.pair_register(n_receive))
 
 
 def teleport_two_qubit(channel: DenseState, input_state: DenseState) -> DenseState:
@@ -409,18 +416,24 @@ def eq_filter_choi() -> np.ndarray:
 
 def _as_distribution(input_state: BellLabel | Sequence[float]) -> tuple[float, float, float, float]:
     if isinstance(input_state, BellLabel):
-        q = [0.0, 0.0, 0.0, 0.0]
-        q[input_state.index - 1] = 1.0
-        return tuple(q)
+        return tuple(float(label is input_state) for label in LABELS)
     q = tuple(float(x) for x in input_state)
-    if len(q) != 4 or any(x < 0 for x in q) or abs(sum(q) - 1.0) > 1e-12:
+    if len(q) != 4 or not all(0.0 <= x <= 1.0 for x in q) or abs(sum(q) - 1.0) > 1e-12:
         raise ValueError(f"not a Bell-diagonal distribution: {q}")
     return q
 
 
-def clone_four_1_to_n(
-    input_state: BellLabel | Sequence[float], n: int
-) -> tuple[BellEnsemble, ResourceLedger]:
+def _clone_four_program(input_state: BellLabel | Sequence[float], n: int) -> tuple[Program, ResourceLedger]:
+    """The program teleporting the input through rho_(n+1), and rho_(n+1)'s ledger."""
+    if n < 1:
+        raise ValueError(f"copy count must be >= 1, got {n}")
+    q = _as_distribution(input_state)
+    channel, ledger = prepare_rho_m(n + 1)
+    source = BellEnsemble({(label,): qk for label, qk in zip(LABELS, q) if qk > 0})
+    return Program(channel, (("teleport", source),), inputs=n + 1), ledger
+
+
+def clone_four_1_to_n(input_state: BellLabel | Sequence[float], n: int) -> tuple[BellEnsemble, ResourceLedger]:
     """1 -> n cloning of a completely unknown Bell state.
 
     Prepares the ancilla rho_(n+1), jointly teleports the input through
@@ -430,39 +443,13 @@ def clone_four_1_to_n(
     for even n and n-1 for odd n (the ancilla's preparation cost) plus 4
     classical bits.
     """
-    if n < 1:
-        raise ValueError(f"copy count must be >= 1, got {n}")
-    q = _as_distribution(input_state)
-    _, ledger = prepare_rho_m(n + 1)
-    entries = {(label,) * n: qk for label, qk in zip(LABELS, q) if qk > 0}
-    out = BellEnsemble(entries)
-    _teleport_steps(ledger, n)
-    return out, ledger
+    return _run(*_clone_four_program(input_state, n))
 
 
-def _teleport_steps(ledger: ResourceLedger, n_receive: int):
-    ledger.record("alice", "bell-measure", "A_in", "A0")
-    ledger.record("bob", "bell-measure", "B_in", "B0")
-    ledger.record("classical", "broadcast-outcomes", 4)
-    ledger.classical_bits += 4
-    for k in range(n_receive):
-        ledger.record("alice", "pauli-correct", f"A{k + 1}")
-        ledger.record("bob", "pauli-correct", f"B{k + 1}")
-
-
-def clone_four_dense(
-    input_state: BellLabel | Sequence[float], n: int
-) -> DenseState:
-    """Dense teleportation route for :func:`clone_four_1_to_n` (n <= 5).
-
-    Builds rho_(n+1) densely, runs the explicit Bell measurements and
-    the per-pair corrections, and returns the joint n-pair output.
-    """
-    q = _as_distribution(input_state)
-    channel = to_dense(prepare_rho_m(n + 1)[0])
-    entries = {(label,): qk for label, qk in zip(LABELS, q) if qk > 0}
-    input_dense = to_dense(BellEnsemble(entries), role="input")
-    return _teleport_and_correct(channel, input_dense)
+def clone_four_dense(input_state: BellLabel | Sequence[float], n: int) -> DenseState:
+    """Dense teleportation route for :func:`clone_four_1_to_n` (n <= 5:
+    the input and rho_(n+1) take 2n+4 qubits)."""
+    return run_dense(_clone_four_program(input_state, n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +477,19 @@ def prepare_quasi_pure(
     return clone_four_1_to_n(q, n)
 
 
-def distill_quasi_pure(
-    e: BellEnsemble,
-) -> tuple[list[tuple[int, float, BellEnsemble]], ResourceLedger]:
+def _distill_program(e: BellEnsemble) -> Program:
+    n = e.n_pairs
+    if n < 2:
+        raise ValueError("distillation needs at least two pairs")
+    for s in e.entries:
+        if any(label != s[0] for label in s):
+            raise ValueError("input must be a mixture of constant Bell strings")
+    last = n - 1
+    steps = [("bxor", k, last) for k in range(last)] + [("parity_measure", last)]
+    return Program(e, tuple(steps), inputs=n)
+
+
+def distill_quasi_pure(e: BellEnsemble) -> tuple[list[tuple[int, float, BellEnsemble]], ResourceLedger]:
     """Distill a mixture of constant strings sum_i p_i P[B_i^(x)n].
 
     Both parties C-NOT every earlier pair onto the last one, then
@@ -502,62 +499,16 @@ def distill_quasi_pure(
     the ledger credits n-1 distilled ebits only when every branch is
     pure.
     """
-    n = e.n_pairs
-    if n < 2:
-        raise ValueError("distillation needs at least two pairs")
-    for s in e.entries:
-        if any(label != s[0] for label in s):
-            raise ValueError("input must be a mixture of constant Bell strings")
-    ledger = ResourceLedger()
-    last = n - 1
-    for k in range(last):
-        e = bxor(e, k, last)
-        ledger.record("alice", "cnot", f"A{k}", f"A{last}")
-        ledger.record("bob", "cnot", f"B{k}", f"B{last}")
-    ledger.record("alice", "measure-z", f"A{last}")
-    ledger.record("bob", "measure-z", f"B{last}")
-    ledger.record("classical", "compare-parity", 2)
-    ledger.classical_bits += 2
-    branches = discriminate_sets(e, last)
+    branches, ledger = _run(_distill_program(e))
     if all(cond is not None and len(cond.entries) == 1 for _, _, cond in branches):
-        ledger.ebits_distilled = float(n - 1)
+        ledger.ebits_distilled = float(e.n_pairs - 1)
     return branches, ledger
 
 
-def distill_quasi_pure_dense(
-    e: BellEnsemble,
-) -> list[tuple[int, float, DenseState]]:
-    """Dense execution of the distillation circuit and parity measurement.
-
-    Returns (parity bit, probability, reduced post-state on the first
-    n-1 pairs) per branch, for cross-checking the symbolic route.
-    """
-    n = e.n_pairs
-    state = to_dense(e)
-    last = n - 1
-    for k in range(last):
-        state = dense_rewrite_op(state, ("bxor", k, last))
-    out = []
-    for bit in (0, 1):
-        # Projector onto the computational states (x_a, x_b) of the last pair with x_a ^ x_b = bit.
-        proj = np.diag([complex((x >> 1) ^ (x & 1) == bit) for x in range(4)])
-        weighted = []
-        prob = 0.0
-        for b in state.branches:
-            psi = dense._apply_matrix(b.amplitudes, state.n_qubits, proj, (2 * last, 2 * last + 1))
-            p_b = float(np.vdot(psi, psi).real)
-            prob += b.weight * p_b
-            if p_b > 1e-14:
-                weighted.append(dense.PureBranch(psi / np.sqrt(p_b), b.weight * p_b))
-        if prob <= 1e-14:
-            continue
-        post = DenseState(
-            tuple(dense.PureBranch(br.amplitudes, br.weight / prob) for br in weighted),
-            state.qubit_labels,
-        )
-        reduced = dense.partial_trace(post, range(2 * last))
-        out.append((bit, prob, reduced))
-    return out
+def distill_quasi_pure_dense(e: BellEnsemble) -> list[tuple[int, float, DenseState]]:
+    """Dense execution of :func:`distill_quasi_pure`: (parity bit,
+    probability, reduced post-state on the first n-1 pairs) per branch."""
+    return run_dense(_distill_program(e))
 
 
 # ---------------------------------------------------------------------------
@@ -598,19 +549,9 @@ def build_sigma_n(p: float, n: int) -> SigmaBuild:
     steps: list[tuple] = [("bilateral_hadamard", 0)]
     steps += [("bxor", 0, k) for k in range(1, n)]
     final_hadamards = [("bilateral_hadamard", k) for k in range(n)]
-    e = start
-    for op in steps:
-        e = apply_rewrite_op(e, op)
-    intermediate = e
-    for op in final_hadamards:
-        e = apply_rewrite_op(e, op)
+    intermediate = apply_steps(start, steps)
+    e = apply_steps(intermediate, final_hadamards)
     return SigmaBuild(e, tuple(steps + final_hadamards), intermediate, start)
-
-
-def apply_steps(e: BellEnsemble, steps: Iterable[tuple]) -> BellEnsemble:
-    for op in steps:
-        e = apply_rewrite_op(e, op)
-    return e
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,14 +30,7 @@ class ClaimRecord:
     tolerance: str
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "criterion": self.criterion,
-            "description": self.description,
-            "passed": self.passed,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def claim_two_state_cloning() -> ClaimRecord:

@@ -306,3 +306,14 @@ class TestFromTextBoundary:
             BellEnsemble.from_text("half 00\n")
         with pytest.raises(ValueError, match="line 1: no Bell labels"):
             BellEnsemble.from_text("1.0\n")
+
+
+class TestNonFiniteProbabilities:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_constructor_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BellEnsemble({(B1,): bad, (B2,): 1.0})
+
+    def test_from_text_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            BellEnsemble.from_text("nan 00\n1 01\n")

@@ -230,3 +230,51 @@ class TestDistillBranchMatching:
         code, out, _ = run_cli(capsys, "distill", "--p", "0.4,0.1,0.3,0.2", "--n", "3", "--engine", "both")
         assert code == 0
         assert "result: pass" in out
+
+
+class TestDenseRouteLimits:
+    """Runs whose dense route does not fit the oracle's registers skip the
+    dense checks instead of crashing."""
+
+    def test_four_state_six_copies_skips_dense(self, capsys):
+        # The teleportation register holds 2n + 4 = 16 qubits.
+        code, out, _ = run_cli(
+            capsys, "clone", "--set", "four", "--input", "B2", "--n", "6", "--engine", "both", "--format", "json"
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["passed"] is True
+        assert record["ensemble"] == "1 01 01 01 01 01 01\n"
+        assert [c["name"] for c in record["checks"]] == ["symbolic-structure", "ledger-ebits", "locc-audit"]
+
+    def test_four_state_five_copies_keeps_dense(self, capsys):
+        code, out, _ = run_cli(capsys, "clone", "--set", "four", "--input", "B3", "--n", "5", "--format", "json")
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert names[-2:] == ["symbolic-dense-agreement", "dense-fidelity"]
+
+    def test_distill_seven_pairs_skips_dense(self, capsys):
+        # The six surviving pairs would need a 12-qubit density matrix.
+        code, out, _ = run_cli(
+            capsys, "distill", "--p", "0.4,0.1,0.3,0.2", "--n", "7", "--engine", "dense", "--format", "json"
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["passed"] is True
+        assert [b["probability"] for b in record["branches"]] == [0.5, 0.5]
+        assert "symbolic-dense-agreement" not in [c["name"] for c in record["checks"]]
+
+
+class TestNonFiniteProbabilities:
+    @pytest.mark.parametrize("vector", ["nan,0.5,0.25,0.25", "0.5,nan,0.25,0.25", "inf,0,0,0"])
+    def test_four_state_input_rejected(self, capsys, vector):
+        code, out, err = run_cli(capsys, "clone", "--set", "four", "--input", vector, "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "distribution" in err
+
+    def test_distill_vector_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "distill", "--p", "nan,0.5,0.25,0.25", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "distribution" in err

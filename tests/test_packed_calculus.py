@@ -284,3 +284,75 @@ class TestInternedLabels:
     def test_hash_consistent_with_equality(self):
         assert {BellLabel(a, b) for a in (0, 1) for b in (0, 1)} == set(LABELS)
         assert hash(BellLabel(0, 1)) == hash(B2)
+
+
+# ---------------------------------------------------------------------------
+# The protocol step kinds: symbolic against dense on every string
+# ---------------------------------------------------------------------------
+
+
+def _protocol_steps(n_pairs: int) -> list[tuple]:
+    """Every instance of the step kinds the protocols add to the rewrites."""
+    reductions = [pair_reduction_table(*pair) for pair in itertools.combinations(LABELS, 2)]
+    steps = [("local_clifford", k, red) for k in range(n_pairs) for red in reductions]
+    steps += [("local_clifford", k, red.inverse()) for k in range(n_pairs) for red in reductions]
+    steps += [("random_pauli_x",)] + [("parity_measure", k) for k in range(n_pairs)]
+    return steps + [("teleport", BellEnsemble.point((x,))) for x in LABELS if n_pairs >= 2]
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_protocol_steps_match_dense(n_pairs):
+    for string in _all_strings(n_pairs):
+        e = BellEnsemble.point(string)
+        start = to_dense(e)
+        for op in _protocol_steps(n_pairs):
+            sym, dn = apply_rewrite_op(e, op), dense_rewrite_op(start, op)
+            if op[0] != "parity_measure":
+                assert dense.trace_distance(to_dense(sym), dn) < 1e-10, (string, op)
+                continue
+            assert [(bit, prob) for bit, prob, _ in sym] == [(string[op[1]].a, 1.0)]
+            assert [(bit, abs(prob - 1.0) <= 1e-12) for bit, prob, _ in dn] == [(string[op[1]].a, True)]
+            if n_pairs == 1:
+                assert sym[0][2] is None and dn[0][2] is None
+            else:
+                assert dense.trace_distance(to_dense(sym[0][2]), dn[0][2]) < 1e-10, (string, op)
+
+
+def test_protocol_steps_on_a_mixture():
+    """The mixing and measuring steps on a full-support three-pair mixture."""
+    rng = random.Random(5)
+    weights = [rng.random() + 0.1 for _ in range(64)]
+    e = BellEnsemble({s: w / sum(weights) for s, w in zip(_all_strings(3), weights)})
+    state = to_dense(e)
+    source = BellEnsemble({(B1,): 0.125, (B2,): 0.25, (B3,): 0.5, (B4,): 0.125})
+    for op in [("random_pauli_x",), ("teleport", source)]:
+        assert dense.trace_distance(to_dense(apply_rewrite_op(e, op)), dense_rewrite_op(state, op)) < 1e-10
+    for pair in range(3):
+        sym, dn = apply_rewrite_op(e, ("parity_measure", pair)), dense_rewrite_op(state, ("parity_measure", pair))
+        assert [bit for bit, _, _ in sym] == [bit for bit, _, _ in dn] == [0, 1]
+        for (_, prob, cond), (_, dprob, dstate) in zip(sym, dn):
+            assert abs(prob - dprob) <= 1e-12
+            assert dense.trace_distance(to_dense(cond), dstate) < 1e-10
+
+
+def test_teleport_rule_on_every_point_mass_of_a_three_pair_channel():
+    """Receiver k gets x ^ c0 ^ ck: all 4 inputs x 64 channel strings,
+    against the dense Bell measurements and Pauli corrections."""
+    worst = 0.0
+    for x in LABELS:
+        op = ("teleport", BellEnsemble.point((x,)))
+        for channel in _all_strings(3):
+            e = BellEnsemble.point(channel)
+            sym = apply_rewrite_op(e, op)
+            c0 = channel[0]
+            expected = tuple(x.flipped(c0.a ^ ck.a, c0.b ^ ck.b) for ck in channel[1:])
+            assert sym.entries == {expected: 1.0}
+            worst = max(worst, dense.trace_distance(to_dense(sym), dense_rewrite_op(to_dense(e), op)))
+    assert worst < 1e-12
+
+
+def test_teleport_needs_a_receiving_pair():
+    with pytest.raises(ValueError, match="two or more pairs"):
+        apply_rewrite_op(BellEnsemble.point((B1,)), ("teleport", BellEnsemble.point((B2,))))
+    with pytest.raises(ValueError, match="one-pair input"):
+        apply_rewrite_op(BellEnsemble.point((B1, B1)), ("teleport", BellEnsemble.point((B2, B2))))

@@ -379,3 +379,47 @@ class TestLedger:
             "ebits_distilled": 0.0,
             "classical_bits": 4,
         }
+
+
+class TestPrograms:
+    """The step lists behind the protocols and what is derived from them."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_distribution_rejected(self, bad):
+        with pytest.raises(ValueError, match="distribution"):
+            clone_four_1_to_n((bad, 0.5, 0.25, 0.25), 2)
+        with pytest.raises(ValueError, match="distribution"):
+            prepare_quasi_pure((bad, 0.5, 0.25, 0.25), 3)
+
+    def test_ebit_rule(self):
+        e = BellEnsemble({(B1, B1, B3): 0.5, (B1, B2, B3): 0.5})
+        assert [protocols.ebit_cost(e, k) for k in range(2)] == [1, 0]
+        with pytest.raises(ValueError, match="no ebit rule"):
+            protocols.ebit_cost(e, 2)  # a pure B3 pair is not a shared |B1>
+
+    def test_input_pairs_are_not_charged(self):
+        program = protocols.Program(BellEnsemble.point((B1, B1, B1)), (("bxor", 0, 2),), inputs=1)
+        ledger = protocols.derive_ledger(program)
+        assert ledger.ebits_consumed == 2.0
+        assert [(s.party, s.operation) + s.operands for s in ledger.steps] == [
+            ("alice", "cnot", "A0", "A2"),
+            ("bob", "cnot", "B0", "B2"),
+        ]
+
+    def test_four_state_cloning_is_computed(self):
+        # A Bell-diagonal input with every component: each label is teleported.
+        out, _ = clone_four_1_to_n((0.125, 0.375, 0.25, 0.25), 4)
+        assert out.entries == {(l,) * 4: q for l, q in zip(LABELS, (0.125, 0.375, 0.25, 0.25))}
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: clone_four_dense(B1, 6),
+            lambda: distill_quasi_pure_dense(BellEnsemble.point((B1,) * 7)),
+            lambda: prepare_rho_m_dense(8),
+            lambda: clone_pair_dense(B1, (B1, B2), 8),
+        ],
+    )
+    def test_dense_limits_raise_before_work(self, run):
+        with pytest.raises(protocols.DenseLimitError):
+            run()
