@@ -1,11 +1,16 @@
 """Exact dense-vector oracle for small qubit registers.
 
 States are stored as weighted mixtures of pure branches (never as full
-density matrices), so registers up to 14 qubits stay cheap; density
-matrices are materialized only for operations that need them (partial
-transpose, spectra) and only up to 10 qubits.  Global phases are ignored
-throughout: two states are considered equal when their density operators
-agree.
+density matrices), so registers up to 14 qubits stay cheap.  Spectra are
+taken at the size of the state's rank, not of the register: a partial
+trace diagonalizes its stacked branch columns by a thin SVD, and a trace
+distance works in the joint span of both states' branches.  A density
+matrix (up to 10 qubits) is materialized only by the partial transpose
+behind log-negativity, by a partial trace whose branches span at least
+the kept space, and on request (``density_matrix``, Choi matrices).
+Matrices with an exactly zero imaginary part are diagonalized in real
+arithmetic.  Global phases are ignored throughout: two states are
+considered equal when their density operators agree.
 
 Qubit ordering: qubit 0 is the most significant bit of the amplitude
 index, and registers built from Bell pairs list qubits pair by pair with
@@ -69,6 +74,10 @@ def bell_vector(label: BellLabel) -> np.ndarray:
     for x in (0, 1):
         v[2 * x + (x ^ label.a)] = (-1) ** (label.b * x) / _SQRT2
     return v
+
+
+#: Row k is the amplitude 4-vector of LABELS[k].
+_BELL_ROWS = np.array([bell_vector(label) for label in LABELS])
 
 
 @dataclass(frozen=True)
@@ -282,20 +291,23 @@ def bell_measurement(
     q1, q2 = sorted(pair)
     if q1 == q2 or q1 < 0 or q2 >= state.n_qubits:
         raise ValueError("measurement needs two distinct register qubits")
-    n = state.n_qubits
+    shape = (2,) * state.n_qubits
+    # subs[b, k]: branch b's amplitudes on the other qubits after <B_k| on the pair.
+    subs = np.array(
+        [
+            _BELL_ROWS.conj() @ np.moveaxis(b.amplitudes.reshape(shape), (q1, q2), (0, 1)).reshape(4, -1)
+            for b in state.branches
+        ]
+    )
     out = []
-    for label in LABELS:
-        bconj = bell_vector(label).conj().reshape(2, 2)
-        bvec = bell_vector(label).reshape(2, 2)
+    for k, label in enumerate(LABELS):
         prob = 0.0
         branches = []
-        for b in state.branches:
-            psi = np.moveaxis(b.amplitudes.reshape((2,) * n), (q1, q2), (0, 1))
-            sub = np.tensordot(bconj, psi, axes=([0, 1], [0, 1]))
+        for b, sub in zip(state.branches, subs[:, k]):
             p_b = float(np.vdot(sub, sub).real)
             prob += b.weight * p_b
             if p_b > 1e-14:
-                full = np.multiply.outer(bvec, sub / np.sqrt(p_b))
+                full = np.outer(_BELL_ROWS[k], sub / np.sqrt(p_b)).reshape(shape)
                 full = np.moveaxis(full, (0, 1), (q1, q2)).reshape(-1)
                 branches.append(PureBranch(full, b.weight * p_b))
         if prob <= 1e-14:
@@ -309,8 +321,12 @@ def partial_trace(state: DenseState, keep: Iterable[int]) -> DenseState:
     """Reduced state on the kept qubits (ascending original order).
 
     The result is re-expressed as a mixture of eigenbranches of the
-    reduced density operator, so the kept block must stay within the
-    10-qubit materialization limit.
+    reduced density operator rho = A A^dagger, where A stacks each
+    branch's (kept x traced) amplitude matrix scaled by sqrt(weight).
+    When A has fewer columns than the kept dimension, its thin SVD gives
+    the eigenbranches at the size of the rank and no density matrix is
+    formed; otherwise rho is materialized and diagonalized, so the kept
+    block must stay within the 10-qubit materialization limit.
     """
     keep = sorted(set(keep))
     n = state.n_qubits
@@ -323,20 +339,31 @@ def partial_trace(state: DenseState, keep: Iterable[int]) -> DenseState:
     if len(keep) > MAX_DENSE_QUBITS:
         raise ValueError("kept block too large to materialize")
     dim = 2 ** len(keep)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for b in state.branches:
-        psi = np.moveaxis(b.amplitudes.reshape((2,) * n), keep, range(len(keep)))
-        m = psi.reshape(dim, -1)
-        rho += b.weight * (m @ m.conj().T)
+    cols = [
+        np.sqrt(b.weight) * np.moveaxis(b.amplitudes.reshape((2,) * n), keep, range(len(keep))).reshape(dim, -1)
+        for b in state.branches
+    ]
+    a = _real_if_exact(np.concatenate(cols, axis=1))
     labels = tuple(state.qubit_labels[q] for q in keep)
-    return from_density_matrix(rho, labels)
+    if a.shape[1] < dim:
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        return _eigenbranch_mixture(s**2, u, labels)
+    return from_density_matrix(a @ a.conj().T, labels)
 
 
 def from_density_matrix(rho: np.ndarray, qubit_labels: Sequence[QubitLabel]) -> DenseState:
     """Eigendecompose a density operator into a branch mixture."""
-    vals, vecs = np.linalg.eigh(rho)
+    vals, vecs = np.linalg.eigh(_real_if_exact(rho))
+    return _eigenbranch_mixture(vals[::-1], vecs[:, ::-1], qubit_labels)
+
+
+def _eigenbranch_mixture(
+    vals: np.ndarray, vecs: np.ndarray, qubit_labels: Sequence[QubitLabel]
+) -> DenseState:
+    """The mixture of eigenvectors (columns of ``vecs``, descending
+    eigenvalues ``vals``) above 1e-13, checked for unit trace."""
     branches = []
-    for v, w in zip(vecs.T[::-1], vals[::-1]):
+    for v, w in zip(vecs.T, vals):
         if w > 1e-13:
             branches.append(PureBranch(v / np.linalg.norm(v), float(w)))
     total = sum(b.weight for b in branches)
@@ -344,6 +371,12 @@ def from_density_matrix(rho: np.ndarray, qubit_labels: Sequence[QubitLabel]) -> 
         raise ValueError(f"operator trace {total} is not 1")
     branches = tuple(PureBranch(b.amplitudes, b.weight / total) for b in branches)
     return DenseState(branches, tuple(qubit_labels))
+
+
+def _real_if_exact(m: np.ndarray) -> np.ndarray:
+    """``m``'s real part when its imaginary part is exactly zero, so that
+    LAPACK works in real arithmetic; ``m`` itself otherwise."""
+    return m.real if np.iscomplexobj(m) and not m.imag.any() else m
 
 
 def partial_transpose(state: DenseState, cut: Cut) -> np.ndarray:
@@ -375,7 +408,7 @@ def log_negativity(state: DenseState, cut: Cut) -> float:
     positive semidefinite; upper-bounds distillable entanglement across
     the cut.
     """
-    eigs = np.linalg.eigvalsh(partial_transpose(state, cut))
+    eigs = np.linalg.eigvalsh(_real_if_exact(partial_transpose(state, cut)))
     return max(0.0, float(np.log2(np.sum(np.abs(eigs)))))
 
 
@@ -390,27 +423,18 @@ def fidelity(state: DenseState, target: PureBranch | np.ndarray) -> float:
 def trace_distance(state_a: DenseState, state_b: DenseState) -> float:
     """(1/2)||rho_a - rho_b||_1, computed in the span of all branches.
 
-    For registers beyond the materialization limit the operators are
-    projected onto the (exact) joint span of their branch vectors first,
-    which preserves the trace distance.
+    The operators are projected onto the (exact) joint span of their
+    branch vectors, which preserves the trace distance, so the
+    eigenproblem is the size of that span's rank; no register-sized
+    density matrix is formed.
     """
     if state_a.n_qubits != state_b.n_qubits:
         raise ValueError("states live on different register sizes")
-    if state_a.n_qubits <= MAX_DENSE_QUBITS:
-        diff = state_a.density_matrix() - state_b.density_matrix()
-        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    vecs = np.array(
-        [b.amplitudes for b in state_a.branches]
-        + [b.amplitudes for b in state_b.branches]
-    ).T
+    vecs = _real_if_exact(np.array([b.amplitudes for b in state_a.branches + state_b.branches]).T)
+    signed = np.array([b.weight for b in state_a.branches] + [-b.weight for b in state_b.branches])
     u, s, _ = np.linalg.svd(vecs, full_matrices=False)
-    basis = u[:, s > 1e-13]
-    r = basis.shape[1]
-    diff = np.zeros((r, r), dtype=complex)
-    for sign, st in ((1.0, state_a), (-1.0, state_b)):
-        for b in st.branches:
-            c = basis.conj().T @ b.amplitudes
-            diff += sign * b.weight * np.outer(c, c.conj())
+    coords = u[:, s > 1e-13].conj().T @ vecs  # branch vectors in an orthonormal basis of their span
+    diff = _real_if_exact((coords * signed) @ coords.conj().T)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 

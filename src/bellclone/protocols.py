@@ -162,17 +162,23 @@ class DenseLimitError(ValueError):
     """The program needs a larger register than the dense oracle holds."""
 
 
-def run_dense(program: Program):
-    """Run a program's steps on explicit state vectors; raises
-    :class:`DenseLimitError` up front if its register or a measured
-    remainder exceeds the dense oracle's limits."""
-    n = program.initial.n_pairs
-    kinds = {op[0] for op in program.steps}
+def _check_dense_fit(n: int, kinds: Iterable[str]) -> None:
+    """Raise :class:`DenseLimitError` if an ``n``-pair program with steps
+    of these kinds exceeds the dense oracle's register or a measured
+    remainder exceeds its materialization limit."""
+    kinds = set(kinds)
     register = 2 * (n + ("teleport" in kinds))  # teleportation brings its input pair
     # Both measurements leave the other n - 1 pairs as a density matrix.
     remainder = 2 * (n - 1) if kinds & {"teleport", "parity_measure"} else 0
     if register > dense.MAX_REGISTER_QUBITS or remainder > dense.MAX_DENSE_QUBITS:
         raise DenseLimitError(f"a {n}-pair program exceeds the dense register limits")
+
+
+def run_dense(program: Program):
+    """Run a program's steps on explicit state vectors; raises
+    :class:`DenseLimitError` up front if it does not fit (see
+    :func:`_check_dense_fit`)."""
+    _check_dense_fit(program.initial.n_pairs, (op[0] for op in program.steps))
     state = to_dense(program.initial)
     for op in program.steps:
         state = dense_rewrite_op(state, op)
@@ -448,7 +454,9 @@ def clone_four_1_to_n(input_state: BellLabel | Sequence[float], n: int) -> tuple
 
 def clone_four_dense(input_state: BellLabel | Sequence[float], n: int) -> DenseState:
     """Dense teleportation route for :func:`clone_four_1_to_n` (n <= 5:
-    the input and rho_(n+1) take 2n+4 qubits)."""
+    the input and rho_(n+1) take 2n+4 qubits).  The limit is checked
+    before rho_(n+1) is prepared."""
+    _check_dense_fit(n + 1, ("teleport",))
     return run_dense(_clone_four_program(input_state, n)[0])
 
 

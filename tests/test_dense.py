@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bellclone import dense
+from bellclone import dense, protocols
+from bellclone.calculus import BellEnsemble, to_dense
 from bellclone.dense import (
     CNOT,
     Cut,
     DenseState,
     HADAMARD,
     PureBranch,
+    QubitLabel,
     apply_unitary,
     bell_measurement,
     bell_state,
@@ -427,3 +429,131 @@ class TestStateValidation:
         assert fidelity(ab, np.kron(BELL_LITERALS[B1], BELL_LITERALS[B4])) == pytest.approx(
             1.0, abs=1e-14
         )
+
+
+# ---------------------------------------------------------------------------
+# Rank-sized spectra against test-local density-matrix formulas
+# ---------------------------------------------------------------------------
+
+
+def random_mixture(rng, n_qubits, weights, real=False):
+    """Random branches on alternating Alice/Bob qubits (pair_register for even n)."""
+    k = len(weights)
+    vecs = rng.normal(size=(k, 2**n_qubits))
+    if not real:
+        vecs = vecs + 1j * rng.normal(size=(k, 2**n_qubits))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    weights = np.asarray(weights, dtype=float) / np.sum(weights)
+    labels = tuple(QubitLabel(("alice", "bob")[q % 2], q // 2) for q in range(n_qubits))
+    return DenseState(tuple(PureBranch(v, w) for v, w in zip(vecs, weights)), labels)
+
+
+def reference_reduced(state, keep):
+    """Reduced density matrix by an explicit index contraction of rho."""
+    n = state.n_qubits
+    rest = [q for q in range(n) if q not in keep]
+    rho = state.density_matrix().reshape((2,) * (2 * n))
+    rho = np.transpose(rho, keep + rest + [n + q for q in keep] + [n + q for q in rest])
+    dk, dr = 2 ** len(keep), 2 ** len(rest)
+    return np.einsum("ajbj->ab", rho.reshape(dk, dr, dk, dr))
+
+
+def reference_trace_distance(a, b):
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.density_matrix() - b.density_matrix()))))
+
+
+def reference_bell_outcome(state, label, pair):
+    """Probability and post-state density matrix of one Bell outcome,
+    by the explicit projector of that outcome alone."""
+    proj = embed_op(np.outer(bell_vector(label), bell_vector(label).conj()), state.n_qubits, pair)
+    rho = proj @ state.density_matrix() @ proj
+    prob = float(np.trace(rho).real)
+    return prob, rho / prob
+
+
+class TestRankSizedSpectra:
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize(
+        "keep, weights, svd_route",
+        [
+            ([0, 1, 2, 3], (0.5, 0.3, 0.2), True),  # 3 x 4 columns < 16 kept dims
+            ([1, 2, 4, 5], (0.6, 0.4), True),
+            ([0, 5], (0.7, 0.3), False),  # 2 x 16 columns >= 4 kept dims
+            ([0, 1, 2, 3], (0.25,) * 4, False),  # 4 x 4 columns = 16 kept dims
+        ],
+    )
+    def test_partial_trace_matches_density_matrix_eigh(self, monkeypatch, real, keep, weights, svd_route):
+        state = random_mixture(np.random.default_rng(len(keep) + len(weights)), 6, weights, real)
+        routed = []
+        original = dense.from_density_matrix
+        monkeypatch.setattr(dense, "from_density_matrix", lambda *a: routed.append(1) or original(*a))
+        reduced = partial_trace(state, keep)
+        assert bool(routed) is not svd_route
+        ref = reference_reduced(state, keep)
+        assert np.max(np.abs(reduced.density_matrix() - ref)) <= 1e-12
+        weights_out = [b.weight for b in reduced.branches]
+        assert weights_out == sorted(weights_out, reverse=True)
+        assert_allclose(weights_out, np.linalg.eigvalsh(ref)[::-1][: len(weights_out)], atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_trace_distance_matches_density_matrix_eigvalsh(self, n):
+        rng = np.random.default_rng(100 + n)
+        # Up to 4 qubits the branches of each state span the whole space.
+        k = 2**n + 1 if n <= 4 else 3
+        a, b = (random_mixture(rng, n, rng.random(k) + 0.1) for _ in range(2))
+        assert trace_distance(a, b) == pytest.approx(reference_trace_distance(a, b), abs=1e-12)
+        assert trace_distance(a, a) <= 1e-12
+        assert trace_distance(b, b) <= 1e-12
+
+    def test_log_negativity_same_on_real_and_complex_partial_transposes(self, monkeypatch):
+        seen = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.dtype) or original(m))
+        state = to_dense(BellEnsemble.uniform_strings(3))
+        cut = Cut.alice_bob(state)
+        # A global phase of i leaves every partial-transpose entry exactly
+        # real; S on one of Alice's qubits, a local unitary, makes them complex.
+        phased = DenseState(tuple(PureBranch(1j * b.amplitudes, b.weight) for b in state.branches), state.qubit_labels)
+        rotated = apply_unitary(state, dense.PHASE_S, (0,))
+        values = [log_negativity(s, cut) for s in (state, phased, rotated)]
+        assert values == pytest.approx([2.0] * 3, abs=1e-12)
+        assert seen == [np.dtype(float), np.dtype(float), np.dtype(complex)]
+
+    @pytest.mark.parametrize("pair", [(0, 3), (4, 1), (2, 3)])
+    def test_batched_bell_measurement_matches_per_outcome(self, pair):
+        state = random_mixture(np.random.default_rng(7), 6, (0.2, 0.5, 0.3))
+        outcomes = bell_measurement(state, pair)
+        assert [label for label, _, _ in outcomes] == list(LABELS)
+        for label, prob, post in outcomes:
+            ref_prob, ref_rho = reference_bell_outcome(state, label, tuple(sorted(pair)))
+            assert prob == pytest.approx(ref_prob, abs=1e-14)
+            assert np.max(np.abs(post.density_matrix() - ref_rho)) <= 1e-13
+
+
+class TestSpectrumShapes:
+    """Which matrices the oracle diagonalizes; no timing is asserted."""
+
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        seen = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
+
+            def record(m, *args, _original=original, _name=name, **kwargs):
+                seen.append((_name, m.shape, m.dtype))
+                return _original(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, record)
+        return seen
+
+    def test_four_state_cloning_never_diagonalizes_the_register(self, spectra):
+        dn = protocols.clone_four_dense(B3, 5)
+        sym, _ = protocols.clone_four_1_to_n(B3, 5)
+        assert trace_distance(to_dense(sym), dn) <= 1e-10
+        assert spectra
+        assert all(shape != (1024, 1024) for _, shape, _ in spectra)
+
+    def test_rho5_log_negativity_is_real(self, spectra):
+        state = to_dense(protocols.prepare_rho_m(5)[0])
+        log_negativity(state, Cut.alice_bob(state))
+        assert spectra == [("eigvalsh", (1024, 1024), np.dtype(float))]

@@ -423,3 +423,13 @@ class TestPrograms:
     def test_dense_limits_raise_before_work(self, run):
         with pytest.raises(protocols.DenseLimitError):
             run()
+
+    def test_four_state_dense_limit_checked_before_preparation(self, monkeypatch):
+        calls = []
+        original = protocols.prepare_rho_m
+        monkeypatch.setattr(protocols, "prepare_rho_m", lambda m: calls.append(m) or original(m))
+        with pytest.raises(protocols.DenseLimitError):
+            clone_four_dense(B1, 6)
+        assert calls == []
+        clone_four_dense(B1, 2)  # a fitting register still prepares rho_3
+        assert calls == [3]
