@@ -19,7 +19,6 @@ merge, prune and check; the bijective rewrites just re-sort.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -316,19 +315,24 @@ def to_dense(e: BellEnsemble, role: str = "source") -> dense.DenseState:
     n_qubits = 2 * e.n_pairs
     if n_qubits > dense.MAX_REGISTER_QUBITS:
         raise ValueError(f"{e.n_pairs} pairs need {n_qubits} qubits; register too large")
-    labels = dense.pair_register(e.n_pairs, role)
-    branches = []
-    for s, p in e.entries.items():
-        vec = np.ones(1, dtype=complex)
-        for label in s:
-            vec = np.kron(vec, dense.bell_vector(label))
-        branches.append(dense.PureBranch(vec, p))
-    return dense.DenseState(tuple(branches), labels)
+    # One pass per pair, pair 0 first: each row times its string's Bell row
+    # on that pair, as np.kron would build it.
+    strings = np.array(list(e._probs), dtype=np.int64)
+    rows = np.ones((len(strings), 1), dtype=complex)
+    for sh in range(2 * e.n_pairs - 2, -1, -2):
+        rows = (rows[:, :, None] * dense._BELL_ROWS[(strings >> sh) & 3][:, None, :]).reshape(len(strings), -1)
+    return dense.DenseState.from_arrays(rows, list(e._probs.values()), dense.pair_register(e.n_pairs, role))
 
 
 def _local_pair(state: dense.DenseState, pair: int, u_alice, u_bob) -> dense.DenseState:
     out = dense.apply_unitary(state, u_alice, (2 * pair,))
     return dense.apply_unitary(out, u_bob, (2 * pair + 1,))
+
+
+#: Teleportation correction per Bell outcome, in LABELS order: B1 -> I,
+#: B2 -> z, B3 -> x, B4 -> y (the Pauli mapping |B1> onto the outcome).
+_CORRECTIONS = np.array([dense.pauli(dense.pauli_for_label(label)) for label in LABELS])
+dense.check_unitary(_CORRECTIONS)
 
 
 def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseState) -> dense.DenseState:
@@ -351,17 +355,26 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
 
     # Register: 0 = input Alice, 1 = input Bob, then channel pairs at
     # (2k+2, 2k+3); receivers are channel pairs 1..n, qubits 4 onwards.
+    # Alice's corrections commute with Bob's measurement, so they come first.
     n = input_state.n_qubits + channel.n_qubits
-    outputs: list[tuple[float, dense.DenseState]] = []
-    for la, pa, state_a in dense.bell_measurement(dense.tensor(input_state, channel), (0, 2)):
-        for lb, pb, out in dense.bell_measurement(state_a, (1, 3)):
-            for first, label in ((4, la), (5, lb)):  # Alice's receivers, then Bob's
-                corr = dense.pauli(dense.pauli_for_label(label))
-                for q in range(first, n, 2):
-                    out = dense.apply_unitary(out, corr, (q,))
-            outputs.append((pa * pb, out))
-    reduced = dense.partial_trace(dense.DenseState.mixture(outputs), range(4, n))
-    return replace(reduced, qubit_labels=dense.pair_register(n_receive))
+    state = _measure_and_correct(dense.tensor(input_state, channel), (0, 2), range(4, n, 2))
+    state = _measure_and_correct(state, (1, 3), range(5, n, 2))
+    reduced = dense.partial_trace(state, range(4, n))
+    return dense.DenseState.from_arrays(reduced.amplitudes, reduced.weights, dense.pair_register(n_receive))
+
+
+def _measure_and_correct(state: dense.DenseState, pair: tuple[int, int], receivers: range) -> dense.DenseState:
+    """Bell-measure ``pair`` and Pauli-correct each receiver qubit by the
+    outcome; the (outcome, branch) rows stay one batch."""
+    outcomes = dense.bell_measurement(state, pair)
+    amps = np.concatenate([post.amplitudes for _, _, post in outcomes])
+    weights = np.concatenate([prob * post.weights for _, prob, post in outcomes])
+    index = np.concatenate([np.full(len(post.weights), label.index - 1) for label, _, post in outcomes])
+    corrections = _CORRECTIONS[index]
+    del outcomes  # frees the per-outcome copies before the corrections copy the batch again
+    for q in receivers:
+        amps = dense._apply_matrix(amps, state.n_qubits, corrections, (q,))
+    return dense.DenseState.from_arrays(amps, weights, state.qubit_labels)
 
 
 def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float, dense.DenseState | None]]:
@@ -369,19 +382,14 @@ def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float
     post-state on the other pairs, or None) per outcome."""
     keep = [q for q in range(state.n_qubits) if q // 2 != pair]
     out = []
+    # x_a ^ x_b of the pair's computational basis state at each amplitude index.
+    index, low = np.arange(2**state.n_qubits), state.n_qubits - 2 - 2 * pair
+    parity = ((index >> low) ^ (index >> (low + 1))) & 1
     for bit in (0, 1):
-        # Projector onto the computational states (x_a, x_b) of the pair with x_a ^ x_b = bit.
-        proj = np.diag([complex((x >> 1) ^ (x & 1) == bit) for x in range(4)])
-        weighted, prob = [], 0.0
-        for b in state.branches:
-            psi = dense._apply_matrix(b.amplitudes, state.n_qubits, proj, (2 * pair, 2 * pair + 1))
-            p_b = float(np.vdot(psi, psi).real)
-            prob += b.weight * p_b
-            if p_b > 1e-14:
-                weighted.append(dense.PureBranch(psi / np.sqrt(p_b), b.weight * p_b))
-        if prob > 1e-14:
-            branches = tuple(dense.PureBranch(br.amplitudes, br.weight / prob) for br in weighted)
-            post = dense.DenseState(branches, state.qubit_labels)
+        outcome = dense.postselect(state.weights, state.amplitudes * (parity == bit))
+        if outcome is not None:
+            prob, amps, weights = outcome
+            post = dense.DenseState.from_arrays(amps, weights, state.qubit_labels)
             out.append((bit, prob, dense.partial_trace(post, keep) if keep else None))
     return out
 

@@ -200,7 +200,7 @@ def cmd_clone(args) -> int:
         td = dense.trace_distance(to_dense(ensemble), dn)
         checks.append(_check("symbolic-dense-agreement", td < 1e-10, td, "trace distance < 1e-10"))
         if len(ensemble.entries) == 1:
-            fid = dense.fidelity(dn, to_dense(ensemble).branches[0].amplitudes)
+            fid = dense.fidelity(dn, to_dense(ensemble).amplitudes[0])
             checks.append(_check("dense-fidelity", abs(1.0 - fid) <= 1e-12, fid, "within 1e-12 of 1"))
     return _finish_run(_protocol_record("clone", args, params, ledger, checks, ensemble=ensemble.to_text()), args)
 

@@ -1,7 +1,9 @@
 """Exact dense-vector oracle for small qubit registers.
 
-States are stored as weighted mixtures of pure branches (never as full
-density matrices), so registers up to 14 qubits stay cheap.  Spectra are
+A state is a weighted mixture of pure branches (never a full density
+matrix), held as one batched (k, 2**n) amplitude array and a weight
+vector, so registers up to 14 qubits stay cheap and every kernel is a
+few array operations over all branches at once.  Spectra are
 taken at the size of the state's rank, not of the register: a partial
 trace diagonalizes its stacked branch columns by a thin SVD, and a trace
 distance works in the joint span of both states' branches.  A density
@@ -99,11 +101,20 @@ class QubitLabel:
 
 def pair_register(n_pairs: int, role: str = "source", start: int = 0) -> tuple[QubitLabel, ...]:
     """Labels for ``n_pairs`` Bell pairs in the standard pair-by-pair order."""
-    out = []
-    for k in range(start, start + n_pairs):
-        out.append(QubitLabel("alice", k, role))
-        out.append(QubitLabel("bob", k, role))
-    return tuple(out)
+    return tuple(QubitLabel(party, k, role) for k in range(start, start + n_pairs) for party in ("alice", "bob"))
+
+
+def _check_unit_norms(norms, what: str) -> None:
+    """Raise unless every norm is within 1e-9 of 1 (NaN fails)."""
+    worst = abs(np.asarray(norms, dtype=float) - 1.0).max()
+    if not worst <= 1e-9:
+        raise ValueError(f"{what} norm is {worst} away from 1")
+
+
+def _squared_row_norms(rows: np.ndarray) -> np.ndarray:
+    """Sum of |amplitude|^2 along the last axis, in real arithmetic."""
+    flat = np.ascontiguousarray(rows).view(np.float64)
+    return np.einsum("...i,...i->...", flat, flat)
 
 
 @dataclass(frozen=True)
@@ -119,15 +130,10 @@ class PureBranch:
         if amp.ndim != 1 or n & (n - 1) or n < 2:
             raise ValueError("amplitudes must be a vector of length 2**n")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"branch vector norm {norm} is not 1")
+        _check_unit_norms(norm, "branch vector")
         if not self.weight > 0:
             raise ValueError("branch weight must be positive")
         object.__setattr__(self, "amplitudes", amp / norm)
-
-    @property
-    def n_qubits(self) -> int:
-        return int(np.asarray(self.amplitudes).shape[0]).bit_length() - 1
 
 
 def bell_state(label: BellLabel) -> PureBranch:
@@ -135,33 +141,61 @@ def bell_state(label: BellLabel) -> PureBranch:
     return PureBranch(bell_vector(label), 1.0)
 
 
-@dataclass(frozen=True)
 class DenseState:
-    """Mixture of pure branches over a labeled qubit register."""
+    """Mixture of pure branches over a labeled qubit register.
 
-    branches: tuple[PureBranch, ...]
-    qubit_labels: tuple[QubitLabel, ...]
+    ``amplitudes`` is a read-only (k, 2**n) array, one unit row per
+    branch, and ``weights`` the k positive weights, summing to 1.
+    """
 
-    def __post_init__(self):
-        branches = tuple(self.branches)
+    __slots__ = ("amplitudes", "weights", "qubit_labels", "_branches")
+
+    def __init__(self, branches: Iterable[PureBranch], qubit_labels: Sequence[QubitLabel]):
+        branches = tuple(branches)
         if not branches:
             raise ValueError("state needs at least one branch")
-        n = branches[0].n_qubits
+        amps = np.array([b.amplitudes for b in branches], dtype=complex)  # ValueError if ragged
+        self._set(amps, np.array([b.weight for b in branches], dtype=float), qubit_labels)
+
+    @classmethod
+    def from_arrays(cls, amplitudes: np.ndarray, weights, qubit_labels: Sequence[QubitLabel]) -> "DenseState":
+        """A state from its (k, 2**n) amplitude rows and k weights."""
+        state = object.__new__(cls)
+        state._set(np.asarray(amplitudes, dtype=complex), np.asarray(weights, dtype=float), qubit_labels)
+        return state
+
+    def _set(self, amps: np.ndarray, weights: np.ndarray, qubit_labels) -> None:
+        """Check every row, weight and the total at once; rows are
+        rescaled to unit norm and weights to sum to exactly 1."""
+        k, dim = amps.shape
+        n = dim.bit_length() - 1
+        if dim & (dim - 1) or dim < 2:
+            raise ValueError("amplitudes must be rows of length 2**n")
         if n > MAX_REGISTER_QUBITS:
             raise ValueError(f"register of {n} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit limit")
-        if any(b.n_qubits != n for b in branches):
-            raise ValueError("branches disagree on register size")
-        if len(self.qubit_labels) != n:
-            raise ValueError(f"expected {n} qubit labels, got {len(self.qubit_labels)}")
-        total = sum(b.weight for b in branches)
-        if abs(total - 1.0) > 1e-9:
+        if len(qubit_labels) != n:
+            raise ValueError(f"expected {n} qubit labels, got {len(qubit_labels)}")
+        if weights.shape != (k,):
+            raise ValueError(f"expected {k} branch weights, got shape {weights.shape}")
+        norms = np.sqrt(_squared_row_norms(amps))
+        _check_unit_norms(norms, "branch vector")
+        if not (weights > 0).all():
+            raise ValueError("branch weight must be positive")
+        total = float(weights.sum())
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"branch weights sum to {total}, not 1")
-        if abs(total - 1.0) > 0:
-            branches = tuple(
-                PureBranch(b.amplitudes, b.weight / total) for b in branches
-            )
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "qubit_labels", tuple(self.qubit_labels))
+        amps, weights = amps / norms[:, None], weights / total  # new arrays, owned by the state
+        amps.flags.writeable = weights.flags.writeable = False
+        self.amplitudes, self.weights, self.qubit_labels, self._branches = amps, weights, tuple(qubit_labels), None
+
+    @property
+    def branches(self) -> tuple[PureBranch, ...]:
+        """The rows as :class:`PureBranch` views, built once and not re-checked."""
+        if self._branches is None:
+            self._branches = tuple(object.__new__(PureBranch) for _ in self.weights)
+            for branch, amp, weight in zip(self._branches, self.amplitudes, self.weights.tolist()):
+                branch.__dict__.update(amplitudes=amp, weight=weight)
+        return self._branches
 
     @property
     def n_qubits(self) -> int:
@@ -169,9 +203,7 @@ class DenseState:
 
     @classmethod
     def pure(cls, amplitudes: np.ndarray | PureBranch, qubit_labels: Sequence[QubitLabel]) -> "DenseState":
-        if isinstance(amplitudes, PureBranch):
-            amplitudes = amplitudes.amplitudes
-        return cls((PureBranch(amplitudes, 1.0),), tuple(qubit_labels))
+        return cls((PureBranch(getattr(amplitudes, "amplitudes", amplitudes), 1.0),), qubit_labels)
 
     @classmethod
     def mixture(
@@ -180,14 +212,11 @@ class DenseState:
         """Convex combination of states over a common register."""
         weighted = list(weighted)
         labels = weighted[0][1].qubit_labels
-        branches = []
-        for w, s in weighted:
-            if s.qubit_labels != labels:
-                raise ValueError("mixture components live on different registers")
-            if w <= 0:
-                continue
-            branches.extend(PureBranch(b.amplitudes, w * b.weight) for b in s.branches)
-        return cls(tuple(branches), labels)
+        if any(s.qubit_labels != labels for _, s in weighted):
+            raise ValueError("mixture components live on different registers")
+        weighted = [(w, s) for w, s in weighted if w > 0]
+        amps = np.concatenate([s.amplitudes for _, s in weighted])  # ValueError if none
+        return cls.from_arrays(amps, np.concatenate([w * s.weights for w, s in weighted]), labels)
 
     def density_matrix(self) -> np.ndarray:
         """Materialize the density operator (registers up to 10 qubits)."""
@@ -195,11 +224,7 @@ class DenseState:
             raise ValueError(
                 f"refusing to materialize a {self.n_qubits}-qubit density matrix"
             )
-        dim = 2**self.n_qubits
-        rho = np.zeros((dim, dim), dtype=complex)
-        for b in self.branches:
-            rho += b.weight * np.outer(b.amplitudes, b.amplitudes.conj())
-        return rho
+        return (self.amplitudes.T * self.weights) @ self.amplitudes.conj()
 
     def qubits_of(self, party: str) -> tuple[int, ...]:
         return tuple(i for i, q in enumerate(self.qubit_labels) if q.party == party)
@@ -207,13 +232,9 @@ class DenseState:
 
 def tensor(left: DenseState, right: DenseState) -> DenseState:
     """Tensor product; the right register is appended after the left."""
-    branches = []
-    for lb in left.branches:
-        for rb in right.branches:
-            branches.append(
-                PureBranch(np.kron(lb.amplitudes, rb.amplitudes), lb.weight * rb.weight)
-            )
-    return DenseState(tuple(branches), left.qubit_labels + right.qubit_labels)
+    amps = left.amplitudes[:, None, :, None] * right.amplitudes[None, :, None, :]
+    weights = np.outer(left.weights, right.weights).reshape(-1)
+    return DenseState.from_arrays(amps.reshape(len(weights), -1), weights, left.qubit_labels + right.qubit_labels)
 
 
 @dataclass(frozen=True)
@@ -246,13 +267,28 @@ class Cut:
         return cls.of(state.n_qubits, (qubit,))
 
 
-def _apply_matrix(vec: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    k = len(targets)
-    psi = vec.reshape((2,) * n)
-    psi = np.moveaxis(psi, targets, range(k))
-    psi = (u @ psi.reshape(2**k, -1)).reshape((2,) * n)
-    psi = np.moveaxis(psi, range(k), targets)
-    return psi.reshape(-1)
+def _split(amps: np.ndarray, n: int, qubits: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """Rows of a (k, 2**n) batch as (k, 2**len(qubits), rest) matrices, and the axis order."""
+    order = [0] + [q + 1 for q in qubits] + [q + 1 for q in range(n) if q not in qubits]
+    return amps.reshape((len(amps),) + (2,) * n).transpose(order).reshape(len(amps), 2 ** len(qubits), -1), order
+
+
+def _join(psi: np.ndarray, order: list[int]) -> np.ndarray:
+    """Inverse of :func:`_split`: back to (k, 2**n) rows in register order."""
+    return psi.reshape((len(psi),) + (2,) * (len(order) - 1)).transpose(np.argsort(order)).reshape(len(psi), -1)
+
+
+def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """``u`` (one matrix, or one per row) on the targets of every row of a (k, 2**n) batch."""
+    psi, order = _split(amps, n, targets)
+    psi = np.matmul(u, psi)  # rebinding frees the split copy before the join copies again
+    return _join(psi, order)
+
+
+def check_unitary(u: np.ndarray) -> None:
+    """Raise unless ``u`` (or each matrix of a stack) is unitary within 1e-12."""
+    if abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max() > ATOL_CIRCUIT:
+        raise ValueError(f"operator is not unitary within {ATOL_CIRCUIT}")
 
 
 def apply_unitary(state: DenseState, u: np.ndarray, targets: Sequence[int]) -> DenseState:
@@ -269,13 +305,20 @@ def apply_unitary(state: DenseState, u: np.ndarray, targets: Sequence[int]) -> D
         raise ValueError("target qubits must be distinct")
     if any(t < 0 or t >= state.n_qubits for t in targets):
         raise ValueError("target qubit out of range")
-    if np.max(np.abs(u @ u.conj().T - np.eye(2**k))) > ATOL_CIRCUIT:
-        raise ValueError(f"operator is not unitary within {ATOL_CIRCUIT}")
-    branches = tuple(
-        PureBranch(_apply_matrix(b.amplitudes, state.n_qubits, u, targets), b.weight)
-        for b in state.branches
-    )
-    return DenseState(branches, state.qubit_labels)
+    check_unitary(u)
+    amps = _apply_matrix(state.amplitudes, state.n_qubits, u, targets)
+    return DenseState.from_arrays(amps, state.weights, state.qubit_labels)
+
+
+def postselect(weights: np.ndarray, projected: np.ndarray):
+    """Outcome of the projected branch rows: (probability, rows above 1e-14 renormalized,
+    their conditional weights), or None when the probability is at most 1e-14."""
+    p = _squared_row_norms(projected)
+    prob = float(weights @ p)
+    if prob <= 1e-14:
+        return None
+    keep = p > 1e-14
+    return prob, projected[keep] / np.sqrt(p[keep])[:, None], weights[keep] * p[keep] / prob
 
 
 def bell_measurement(
@@ -291,29 +334,17 @@ def bell_measurement(
     q1, q2 = sorted(pair)
     if q1 == q2 or q1 < 0 or q2 >= state.n_qubits:
         raise ValueError("measurement needs two distinct register qubits")
-    shape = (2,) * state.n_qubits
-    # subs[b, k]: branch b's amplitudes on the other qubits after <B_k| on the pair.
-    subs = np.array(
-        [
-            _BELL_ROWS.conj() @ np.moveaxis(b.amplitudes.reshape(shape), (q1, q2), (0, 1)).reshape(4, -1)
-            for b in state.branches
-        ]
-    )
+    # subs[b, o]: branch b's amplitudes on the other qubits after <B_o| on the pair.
+    subs, order = _split(state.amplitudes, state.n_qubits, (q1, q2))
+    subs = _BELL_ROWS.conj() @ subs
     out = []
-    for k, label in enumerate(LABELS):
-        prob = 0.0
-        branches = []
-        for b, sub in zip(state.branches, subs[:, k]):
-            p_b = float(np.vdot(sub, sub).real)
-            prob += b.weight * p_b
-            if p_b > 1e-14:
-                full = np.outer(_BELL_ROWS[k], sub / np.sqrt(p_b)).reshape(shape)
-                full = np.moveaxis(full, (0, 1), (q1, q2)).reshape(-1)
-                branches.append(PureBranch(full, b.weight * p_b))
-        if prob <= 1e-14:
+    for o, label in enumerate(LABELS):
+        outcome = postselect(state.weights, subs[:, o])
+        if outcome is None:
             continue
-        branches = tuple(PureBranch(br.amplitudes, br.weight / prob) for br in branches)
-        out.append((label, prob, DenseState(branches, state.qubit_labels)))
+        prob, post, weights = outcome
+        full = _join(_BELL_ROWS[o][:, None] * post[:, None, :], order)
+        out.append((label, prob, DenseState.from_arrays(full, weights, state.qubit_labels)))
     return out
 
 
@@ -323,7 +354,7 @@ def partial_trace(state: DenseState, keep: Iterable[int]) -> DenseState:
     The result is re-expressed as a mixture of eigenbranches of the
     reduced density operator rho = A A^dagger, where A stacks each
     branch's (kept x traced) amplitude matrix scaled by sqrt(weight).
-    When A has fewer columns than the kept dimension, its thin SVD gives
+    When A has fewer nonzero columns than the kept dimension, its thin SVD gives
     the eigenbranches at the size of the rank and no density matrix is
     formed; otherwise rho is materialized and diagonalized, so the kept
     block must stay within the 10-qubit materialization limit.
@@ -339,11 +370,9 @@ def partial_trace(state: DenseState, keep: Iterable[int]) -> DenseState:
     if len(keep) > MAX_DENSE_QUBITS:
         raise ValueError("kept block too large to materialize")
     dim = 2 ** len(keep)
-    cols = [
-        np.sqrt(b.weight) * np.moveaxis(b.amplitudes.reshape((2,) * n), keep, range(len(keep))).reshape(dim, -1)
-        for b in state.branches
-    ]
-    a = _real_if_exact(np.concatenate(cols, axis=1))
+    cols = np.sqrt(state.weights)[:, None, None] * _split(state.amplitudes, n, keep)[0]
+    a = cols.transpose(1, 0, 2).reshape(dim, -1)
+    a = _real_if_exact(a[:, a.any(axis=0)])  # an all-zero column adds nothing to A A^dagger
     labels = tuple(state.qubit_labels[q] for q in keep)
     if a.shape[1] < dim:
         u, s, _ = np.linalg.svd(a, full_matrices=False)
@@ -361,16 +390,10 @@ def _eigenbranch_mixture(
     vals: np.ndarray, vecs: np.ndarray, qubit_labels: Sequence[QubitLabel]
 ) -> DenseState:
     """The mixture of eigenvectors (columns of ``vecs``, descending
-    eigenvalues ``vals``) above 1e-13, checked for unit trace."""
-    branches = []
-    for v, w in zip(vecs.T, vals):
-        if w > 1e-13:
-            branches.append(PureBranch(v / np.linalg.norm(v), float(w)))
-    total = sum(b.weight for b in branches)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"operator trace {total} is not 1")
-    branches = tuple(PureBranch(b.amplitudes, b.weight / total) for b in branches)
-    return DenseState(branches, tuple(qubit_labels))
+    eigenvalues ``vals``) above 1e-13; the eigenvalues kept are the weights,
+    so they must sum to 1 within 1e-9."""
+    above = vals > 1e-13
+    return DenseState.from_arrays(vecs.T[above], vals[above], qubit_labels)
 
 
 def _real_if_exact(m: np.ndarray) -> np.ndarray:
@@ -390,15 +413,10 @@ def partial_transpose(state: DenseState, cut: Cut) -> np.ndarray:
         raise ValueError("cut does not partition this register")
     if n > MAX_DENSE_QUBITS:
         raise ValueError("register too large to materialize a partial transpose")
-    left = sorted(cut.left)
-    dl = 2 ** len(left)
-    dr = 2 ** (n - len(left))
-    pt = np.zeros((dl, dr, dl, dr), dtype=complex)
-    for b in state.branches:
-        psi = np.moveaxis(b.amplitudes.reshape((2,) * n), left, range(len(left)))
-        m = psi.reshape(dl, dr)
-        pt += b.weight * np.einsum("kj,il->ijkl", m, m.conj())
-    return pt.reshape(dl * dr, dl * dr)
+    m = _split(state.amplitudes, n, sorted(cut.left))[0]
+    # einsum sums the branches in order, without fused multiply-adds.
+    pt = np.einsum("bkj,bil->ijkl", state.weights[:, None, None] * m, m.conj())
+    return pt.reshape(2**n, 2**n)
 
 
 def log_negativity(state: DenseState, cut: Cut) -> float:
@@ -413,11 +431,12 @@ def log_negativity(state: DenseState, cut: Cut) -> float:
 
 
 def fidelity(state: DenseState, target: PureBranch | np.ndarray) -> float:
-    """Overlap <target| rho |target> with a pure target state."""
+    """Overlap <target| rho |target> with a unit pure target state."""
     t = target.amplitudes if isinstance(target, PureBranch) else np.asarray(target, dtype=complex)
     if t.shape != (2**state.n_qubits,):
         raise ValueError("target dimension does not match the register")
-    return float(sum(b.weight * abs(np.vdot(t, b.amplitudes)) ** 2 for b in state.branches))
+    _check_unit_norms(float(np.linalg.norm(t)), "target vector")
+    return float(state.weights @ np.abs(state.amplitudes @ t.conj()) ** 2)
 
 
 def trace_distance(state_a: DenseState, state_b: DenseState) -> float:
@@ -430,8 +449,8 @@ def trace_distance(state_a: DenseState, state_b: DenseState) -> float:
     """
     if state_a.n_qubits != state_b.n_qubits:
         raise ValueError("states live on different register sizes")
-    vecs = _real_if_exact(np.array([b.amplitudes for b in state_a.branches + state_b.branches]).T)
-    signed = np.array([b.weight for b in state_a.branches] + [-b.weight for b in state_b.branches])
+    vecs = _real_if_exact(np.concatenate([state_a.amplitudes, state_b.amplitudes]).T)
+    signed = np.concatenate([state_a.weights, -state_b.weights])
     u, s, _ = np.linalg.svd(vecs, full_matrices=False)
     coords = u[:, s > 1e-13].conj().T @ vecs  # branch vectors in an orthonormal basis of their span
     diff = _real_if_exact((coords * signed) @ coords.conj().T)
@@ -478,9 +497,7 @@ def choi_matrix(channel: Callable[[DenseState], DenseState]) -> np.ndarray:
     rng = np.random.default_rng(_CHOI_CHECK_SEED)
     vecs = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    probe = DenseState(
-        (PureBranch(vecs[0], 0.375), PureBranch(vecs[1], 0.625)), _INPUT_LABELS
-    )
+    probe = DenseState.from_arrays(vecs, [0.375, 0.625], _INPUT_LABELS)
     direct = channel(probe).density_matrix()
     predicted = _choi_apply(choi, probe.density_matrix())
     if np.max(np.abs(direct - predicted)) > 1e-8:

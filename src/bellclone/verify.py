@@ -47,7 +47,7 @@ def claim_two_state_cloning() -> ClaimRecord:
                 point_ok &= sym.entries == {target: 1.0}
                 ledger_ok &= ledger.ebits_consumed == n - 1 and not ledger.locc_violations()
                 dn = protocols.clone_pair_dense(inp, pair, n)
-                fid = dense.fidelity(dn, to_dense(sym).branches[0].amplitudes)
+                fid = dense.fidelity(dn, to_dense(sym).amplitudes[0])
                 worst_fid = max(worst_fid, abs(1.0 - fid))
     return ClaimRecord(
         "two-state-cloning",
@@ -164,7 +164,7 @@ def claim_four_state_cloning() -> ClaimRecord:
             sym, ledger = protocols.clone_four_1_to_n(label, n)
             ledger_ok &= ledger.ebits_consumed == 2.0 and not ledger.locc_violations()
             dn = protocols.clone_four_dense(label, n)
-            fid = dense.fidelity(dn, to_dense(sym).branches[0].amplitudes)
+            fid = dense.fidelity(dn, to_dense(sym).amplitudes[0])
             worst_fid = max(worst_fid, abs(1.0 - fid))
             worst_td = max(worst_td, dense.trace_distance(to_dense(sym), dn))
     return ClaimRecord(
