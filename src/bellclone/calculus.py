@@ -339,10 +339,12 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
     """Teleport a shared two-qubit state through a pair-structured channel.
 
     The channel's pair 0 is consumed by the Bell measurements (Alice
-    measures her input qubit with A0, Bob his with B0); the
-    outcome-indexed Pauli corrections are applied independently to every
-    remaining channel pair, and the 16 outcomes are averaged back into
-    one mixture.
+    measures her input qubit with A0, Bob his with B0).  Each measurement
+    drops the two qubits it measured, and its outcome-indexed Pauli
+    correction is applied to that party's qubit of every remaining channel
+    pair, so what is left of the register is the output: one row per
+    (branch, Alice outcome, Bob outcome), up to 16 per branch of the
+    joint input, unmerged.  No partial trace or spectrum is taken.
     """
     n_receive = channel.n_qubits // 2 - 1
     if n_receive < 1:
@@ -354,27 +356,24 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
         raise ValueError("input must hold one Alice qubit then one Bob qubit")
 
     # Register: 0 = input Alice, 1 = input Bob, then channel pairs at
-    # (2k+2, 2k+3); receivers are channel pairs 1..n, qubits 4 onwards.
-    # Alice's corrections commute with Bob's measurement, so they come first.
-    n = input_state.n_qubits + channel.n_qubits
-    state = _measure_and_correct(dense.tensor(input_state, channel), (0, 2), range(4, n, 2))
-    state = _measure_and_correct(state, (1, 3), range(5, n, 2))
-    reduced = dense.partial_trace(state, range(4, n))
-    return dense.DenseState.from_arrays(reduced.amplitudes, reduced.weights, dense.pair_register(n_receive))
+    # (2k+2, 2k+3).  Alice's measurement leaves (input Bob, B0, A1, B1, ...),
+    # Bob's then leaves the receivers (A1, B1, A2, B2, ...).  Alice's
+    # corrections commute with Bob's measurement, so they come first.
+    n = 2 * n_receive
+    state = _measure_and_correct(dense.tensor(input_state, channel), (0, 2), range(2, n + 2, 2))
+    state = _measure_and_correct(state, (0, 1), range(1, n, 2))
+    return dense.DenseState.from_arrays(state.amplitudes, state.weights, dense.pair_register(n_receive))
 
 
 def _measure_and_correct(state: dense.DenseState, pair: tuple[int, int], receivers: range) -> dense.DenseState:
-    """Bell-measure ``pair`` and Pauli-correct each receiver qubit by the
-    outcome; the (outcome, branch) rows stay one batch."""
-    outcomes = dense.bell_measurement(state, pair)
-    amps = np.concatenate([post.amplitudes for _, _, post in outcomes])
-    weights = np.concatenate([prob * post.weights for _, prob, post in outcomes])
-    index = np.concatenate([np.full(len(post.weights), label.index - 1) for label, _, post in outcomes])
-    corrections = _CORRECTIONS[index]
-    del outcomes  # frees the per-outcome copies before the corrections copy the batch again
+    """Bell-measure ``pair``, drop it, and Pauli-correct each receiver qubit
+    (an index into the smaller register) by the row's outcome."""
+    post, outcomes = dense.bell_measurement(state, pair, discard=True)
+    corrections = _CORRECTIONS[outcomes]
+    amps = post.amplitudes
     for q in receivers:
-        amps = dense._apply_matrix(amps, state.n_qubits, corrections, (q,))
-    return dense.DenseState.from_arrays(amps, weights, state.qubit_labels)
+        amps = dense._apply_matrix(amps, post.n_qubits, corrections, (q,))
+    return dense.DenseState.from_arrays(amps, post.weights, post.qubit_labels)
 
 
 def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float, dense.DenseState | None]]:

@@ -3,8 +3,10 @@
 A state is a weighted mixture of pure branches (never a full density
 matrix), held as one batched (k, 2**n) amplitude array and a weight
 vector, so registers up to 14 qubits stay cheap and every kernel is a
-few array operations over all branches at once.  Spectra are
-taken at the size of the state's rank, not of the register: a partial
+few array operations over all branches at once.  A Bell measurement can
+drop the pair it measured (``discard=True``), which is how teleportation
+leaves exactly its output qubits without any trace or spectrum.  Spectra
+are taken at the size of the state's rank, not of the register: a partial
 trace diagonalizes its stacked branch columns by a thin SVD, and a trace
 distance works in the joint span of both states' branches.  A density
 matrix (up to 10 qubits) is materialized only by the partial transpose
@@ -22,6 +24,7 @@ the Alice qubit before the Bob qubit of each pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -286,16 +289,24 @@ def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int
 
 
 def check_unitary(u: np.ndarray) -> None:
-    """Raise unless ``u`` (or each matrix of a stack) is unitary within 1e-12."""
-    if abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max() > ATOL_CIRCUIT:
+    """Raise unless ``u`` (or each matrix of a stack) is unitary within 1e-12 (NaN fails)."""
+    if not abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max() <= ATOL_CIRCUIT:
         raise ValueError(f"operator is not unitary within {ATOL_CIRCUIT}")
+
+
+@lru_cache(maxsize=256)
+def _check_unitary_once(shape: tuple[int, ...], data: bytes) -> None:
+    """:func:`check_unitary` memoised by content; a failed check raises
+    and is not cached, so a non-unitary matrix is rejected on every call."""
+    check_unitary(np.frombuffer(data, dtype=complex).reshape(shape))
 
 
 def apply_unitary(state: DenseState, u: np.ndarray, targets: Sequence[int]) -> DenseState:
     """Apply a unitary to the given target qubits of every branch.
 
     ``u`` must be 2**k x 2**k for k targets (first target is the most
-    significant bit of u's index) and unitary to within 1e-12.
+    significant bit of u's index) and unitary to within 1e-12; each
+    distinct matrix (by content) is checked once.
     """
     u = np.asarray(u, dtype=complex)
     k = len(targets)
@@ -305,7 +316,7 @@ def apply_unitary(state: DenseState, u: np.ndarray, targets: Sequence[int]) -> D
         raise ValueError("target qubits must be distinct")
     if any(t < 0 or t >= state.n_qubits for t in targets):
         raise ValueError("target qubit out of range")
-    check_unitary(u)
+    _check_unitary_once(u.shape, u.tobytes())
     amps = _apply_matrix(state.amplitudes, state.n_qubits, u, targets)
     return DenseState.from_arrays(amps, state.weights, state.qubit_labels)
 
@@ -321,22 +332,36 @@ def postselect(weights: np.ndarray, projected: np.ndarray):
     return prob, projected[keep] / np.sqrt(p[keep])[:, None], weights[keep] * p[keep] / prob
 
 
-def bell_measurement(
-    state: DenseState, pair: tuple[int, int]
-) -> list[tuple[BellLabel, float, DenseState]]:
+def bell_measurement(state: DenseState, pair: tuple[int, int], discard: bool = False):
     """Projective Bell-basis measurement of two qubits.
 
-    Returns one entry per outcome with positive probability: the outcome
-    label, its probability, and the renormalized post-state with the
-    measured qubits left projected onto the outcome's Bell state.
+    By default, returns one entry per outcome with positive probability:
+    the outcome label, its probability, and the renormalized post-state
+    with the measured qubits left projected onto the outcome's Bell state.
     Probabilities sum to 1 up to rounding.
+
+    With ``discard=True`` the measured qubits, whose state the outcome
+    fixes, are dropped instead.  Returns ``(post, outcomes)``: one state
+    on the other qubits (labels in register order) whose rows are every
+    (branch, outcome) pair kept by the default form, branch-major, each
+    weighted by its branch weight times its conditional probability; and
+    each row's outcome index (0..3, in ``LABELS`` order).  The probability
+    of an outcome is the total weight of its rows.
     """
     q1, q2 = sorted(pair)
     if q1 == q2 or q1 < 0 or q2 >= state.n_qubits:
         raise ValueError("measurement needs two distinct register qubits")
+    if discard and state.n_qubits == 2:
+        raise ValueError("discarding the measured pair would leave no qubits")
     # subs[b, o]: branch b's amplitudes on the other qubits after <B_o| on the pair.
     subs, order = _split(state.amplitudes, state.n_qubits, (q1, q2))
     subs = _BELL_ROWS.conj() @ subs
+    if discard:
+        p = _squared_row_norms(subs)  # p[b, o]: conditional probability of outcome o in branch b
+        keep = (p > 1e-14) & (state.weights @ p > 1e-14)
+        rows = subs[keep] / np.sqrt(p[keep])[:, None]
+        labels = tuple(label for q, label in enumerate(state.qubit_labels) if q not in (q1, q2))
+        return DenseState.from_arrays(rows, (state.weights[:, None] * p)[keep], labels), np.nonzero(keep)[1]
     out = []
     for o, label in enumerate(LABELS):
         outcome = postselect(state.weights, subs[:, o])

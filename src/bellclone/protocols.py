@@ -164,12 +164,13 @@ class DenseLimitError(ValueError):
 
 def _check_dense_fit(n: int, kinds: Iterable[str]) -> None:
     """Raise :class:`DenseLimitError` if an ``n``-pair program with steps
-    of these kinds exceeds the dense oracle's register or a measured
-    remainder exceeds its materialization limit."""
+    of these kinds exceeds the dense oracle's register or a parity
+    measurement's remainder exceeds its materialization limit."""
     kinds = set(kinds)
     register = 2 * (n + ("teleport" in kinds))  # teleportation brings its input pair
-    # Both measurements leave the other n - 1 pairs as a density matrix.
-    remainder = 2 * (n - 1) if kinds & {"teleport", "parity_measure"} else 0
+    # A parity measurement's partial trace may leave the other n - 1 pairs
+    # as a density matrix; teleportation drops its measured pairs instead.
+    remainder = 2 * (n - 1) if "parity_measure" in kinds else 0
     if register > dense.MAX_REGISTER_QUBITS or remainder > dense.MAX_DENSE_QUBITS:
         raise DenseLimitError(f"a {n}-pair program exceeds the dense register limits")
 

@@ -3,7 +3,10 @@
 ``bench/tracing.py`` wraps dense kernels by name and patches
 ``PureBranch.__post_init__``; a renamed kernel or a missing attribute
 would only surface in a ``--trace 1`` benchmark run.  This runs the
-tracer around two CLI commands that teleport through the dense oracle.
+tracer around two CLI commands that teleport through the dense oracle
+(Bell measurements that drop the measured pair, with no partial trace)
+and one dense distillation, whose parity measurements reach
+``dense.partial_trace``.
 """
 
 import importlib.util
@@ -41,6 +44,7 @@ def test_tracer_spans_dense_teleportation_and_uninstalls(capsys):
         tracer.start_job(0)
         assert bellclone.cli.main(["teleport", "--channel", "smolin", "--input", "B2"]) == 0
         assert bellclone.cli.main(["clone", "--set", "four", "--input", "B3", "--n", "2", "--engine", "both"]) == 0
+        assert bellclone.cli.main(["distill", "--p", "0.4,0.1,0.3,0.2", "--n", "3", "--engine", "both"]) == 0
         tracer.end_pass(0)
     finally:
         tracer.uninstall()

@@ -136,6 +136,29 @@ class TestApplyUnitary:
         with pytest.raises(ValueError, match="unitary"):
             apply_unitary(state, np.array([[1, 1], [0, 1]], dtype=complex), (0,))
 
+    def test_non_unitary_rejected_on_every_call(self):
+        state = pure_state(BELL_LITERALS[B1], 1)
+        shear = np.array([[1, 1], [0, 1]], dtype=complex)
+        for bad in (shear, np.where(np.eye(2) == 1, np.nan, 0)):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="unitary"):
+                    apply_unitary(state, bad, (0,))
+                with pytest.raises(ValueError, match="unitary"):
+                    apply_unitary(state, bad.copy(), (1,))
+
+    def test_each_distinct_gate_checked_once(self, monkeypatch):
+        checked = []
+        original = dense.check_unitary
+        monkeypatch.setattr(dense, "check_unitary", lambda u: checked.append(u.shape) or original(u))
+        rng = np.random.default_rng(29)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        state = pure_state(np.kron(BELL_LITERALS[B2], BELL_LITERALS[B4]), 2)
+        out = [apply_unitary(state, gate, (0, 3)) for gate in (u, u.copy(), np.array(u))]
+        assert checked == [(4, 4)]
+        assert all(trace_distance(o, out[0]) <= 1e-14 for o in out)
+        apply_unitary(state, u @ u, (1, 2))
+        assert checked == [(4, 4), (4, 4)]
+
     def test_rejects_bad_targets(self):
         state = pure_state(BELL_LITERALS[B1], 1)
         with pytest.raises(ValueError):
@@ -553,6 +576,18 @@ class TestSpectrumShapes:
         assert spectra
         assert all(shape != (1024, 1024) for _, shape, _ in spectra)
 
+    @pytest.mark.parametrize("probe", [0, 4, 28])
+    def test_teleportation_takes_no_trace_or_spectrum(self, spectra, monkeypatch, probe):
+        from bellclone.calculus import _teleport_and_correct
+
+        traced = []
+        original = dense.partial_trace
+        monkeypatch.setattr(dense, "partial_trace", lambda *a: traced.append(1) or original(*a))
+        channel = to_dense(protocols.prepare_rho_m(6)[0])
+        out = _teleport_and_correct(channel, choi_probe_inputs()[probe])
+        assert out.n_qubits == 10
+        assert traced == [] and spectra == []
+
     def test_rho5_log_negativity_is_real(self, spectra):
         state = to_dense(protocols.prepare_rho_m(5)[0])
         log_negativity(state, Cut.alice_bob(state))
@@ -801,6 +836,40 @@ class TestBatchedKernelsMatchPerBranch:
                     assert (post is None) == (ref_post is None)
                     if post is not None:
                         assert_same_state(post, ref_post)
+
+
+class TestDiscardingBellMeasurement:
+    """``bell_measurement(..., discard=True)`` against the default form with
+    the measured pair projected out of each post-state."""
+
+    @staticmethod
+    def without_pair(rows, n, pair, label):
+        """<B_label| on the pair of each n-qubit row; the rest stay in register order."""
+        psi = np.moveaxis(rows.reshape((len(rows),) + (2,) * n), [q + 1 for q in pair], (1, 2))
+        return np.einsum("i,kir->kr", bell_vector(label).conj(), psi.reshape(len(rows), 4, -1))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_rows_are_the_default_post_states_without_the_pair(self, n):
+        rng = np.random.default_rng(900 + n)
+        pairs = [(0, 1), (n - 1, 0)] + ([(3, 0), (1, 3)] if n > 3 else [(2, 0)])
+        for state in (random_mixture(rng, n, (0.2, 0.5, 0.3)), mixed_bell_and_random(rng, n)):
+            for pair in dict.fromkeys(pairs):
+                post, outcomes = bell_measurement(state, pair, discard=True)
+                assert post.qubit_labels == tuple(l for q, l in enumerate(state.qubit_labels) if q not in pair)
+                assert outcomes.shape == post.weights.shape
+                default = bell_measurement(state, pair)
+                assert sorted(set(outcomes.tolist())) == [label.index - 1 for label, _, _ in default]
+                for label, prob, ref in default:
+                    rows = outcomes == label.index - 1
+                    assert post.weights[rows].sum() == pytest.approx(prob, abs=1e-13)
+                    assert np.max(np.abs(post.weights[rows] - prob * ref.weights)) <= 1e-13
+                    expected = self.without_pair(ref.amplitudes, n, sorted(pair), label)
+                    assert np.max(np.abs(post.amplitudes[rows] - expected)) <= 1e-13
+
+    def test_two_qubit_register_leaves_nothing(self):
+        state = random_mixture(np.random.default_rng(902), 2, (0.5, 0.5))
+        with pytest.raises(ValueError, match="no qubits"):
+            bell_measurement(state, (0, 1), discard=True)
 
 
 def choi_probe_inputs():
