@@ -8,10 +8,13 @@ drop the pair it measured (``discard=True``), which is how teleportation
 leaves exactly its output qubits without any trace or spectrum.  Spectra
 are taken at the size of the state's rank, not of the register: a partial
 trace diagonalizes its stacked branch columns by a thin SVD, and a trace
-distance works in the joint span of both states' branches.  A density
-matrix (up to 10 qubits) is materialized only by the partial transpose
-behind log-negativity, by a partial trace whose branches span at least
-the kept space, and on request (``density_matrix``, Choi matrices).
+distance works in the joint span of both states' branches.
+Log-negativity builds only the partial-transpose entries that the
+branches' nonzero amplitudes produce and diagonalizes the matrix's
+connected blocks.  A density matrix (up to 10 qubits) is materialized
+only for the log-negativity of dense rows, by a partial trace whose
+branches span at least the kept space, and on request
+(``density_matrix``, ``partial_transpose``, Choi matrices).
 Matrices with an exactly zero imaginary part are diagonalized in real
 arithmetic.  Global phases are ignored throughout: two states are
 considered equal when their density operators agree.
@@ -427,21 +430,98 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
     return m.real if np.iscomplexobj(m) and not m.imag.any() else m
 
 
+def _check_cut(state: DenseState, cut: Cut) -> None:
+    """Raise unless the cut partitions the register and its partial
+    transpose is small enough to materialize."""
+    if cut.left | cut.right != frozenset(range(state.n_qubits)):
+        raise ValueError("cut does not partition this register")
+    if state.n_qubits > MAX_DENSE_QUBITS:
+        raise ValueError("register too large to materialize a partial transpose")
+
+
 def partial_transpose(state: DenseState, cut: Cut) -> np.ndarray:
     """Density operator transposed on the cut's left side.
 
     The register is reordered to (left..., right...) before reshaping, so
     the returned matrix is indexed by (left bits, right bits).
     """
+    _check_cut(state, cut)
     n = state.n_qubits
-    if cut.left | cut.right != frozenset(range(n)):
-        raise ValueError("cut does not partition this register")
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError("register too large to materialize a partial transpose")
     m = _split(state.amplitudes, n, sorted(cut.left))[0]
     # einsum sums the branches in order, without fused multiply-adds.
     pt = np.einsum("bkj,bil->ijkl", state.weights[:, None, None] * m, m.conj())
     return pt.reshape(2**n, 2**n)
+
+
+def _partial_transpose_blocks(weights: np.ndarray, m: np.ndarray) -> list[np.ndarray] | None:
+    """The partial transpose of sum_b weights[b] |m_b><m_b| (``m``: (k, left,
+    right) branch matrices) as its connected diagonal blocks, one
+    (count, s, s) stack per block size s.
+
+    Entry ((i,j),(k,l)) is w_b m_b[k,j] conj(m_b[i,l]) summed over the
+    branches in order, as in :func:`partial_transpose`, but only over each
+    row's nonzero amplitudes, so every entry has the same value.  Blocks
+    hold the entries on and below the diagonal, the triangle eigvalsh
+    reads, in ascending index order; indices that no nonzero entry touches
+    would each add an eigenvalue 0 and belong to no block.  Returns None
+    when 8 sum_b nnz_b^2 reaches dim^2: the arrays of the terms (about 90
+    bytes each) would then outweigh the dense matrix (32 bytes per entry
+    with its eigvalsh copy).
+    """
+    k, dl, dr = m.shape
+    dim = dl * dr
+    flat = m.reshape(k, dim)
+    branch, pos = np.divmod(np.flatnonzero(flat), dim)  # branch-major
+    nnz = np.bincount(branch, minlength=k)
+    if 8 * (nnz @ nnz) >= dim * dim:
+        return None
+    amp = flat[branch, pos]
+    # Every pair (p, q) of nonzeros of one row, branch-major: p repeats, q runs over p's row.
+    per = nnz[branch]
+    p = np.repeat(np.arange(len(pos)), per)
+    q = np.arange(len(p)) - np.repeat(per.cumsum() - per - (nnz.cumsum() - nnz)[branch], per)
+    right = pos % dr
+    left = pos - right  # the left index times dr
+    row, col = left[q] + right[p], left[p] + right[q]  # ((i,j),(k,l)) for p = (k,j), q = (i,l)
+    lower = row >= col
+    keys = row[lower] * dim + col[lower]
+    a, c = (weights[branch] * amp)[p[lower]], amp[q[lower]]
+    # The terms a * conj(c) in real arithmetic, as einsum forms them; numpy's
+    # complex multiply may fuse multiply-adds and round differently.
+    re = a.real * c.real + a.imag * c.imag
+    im = a.imag * c.real - a.real * c.imag
+    # bincount sums each entry's terms in input (branch) order.
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    entry = np.empty(len(keys), dtype=np.intp)
+    entry[order] = first.cumsum() - 1
+    vals = np.bincount(entry, re) + 1j * np.bincount(entry, im)
+    nonzero = vals != 0  # an entry that cancelled exactly links nothing
+    rows, cols = np.divmod(keys[first][nonzero], dim)
+    vals = vals[nonzero]
+    # Connected components: root[x] is always an index of x's component.
+    root = np.arange(dim)
+    while not (root[rows] == root[cols]).all():
+        np.minimum.at(root, rows, root[cols])
+        np.minimum.at(root, cols, root[rows])
+        root = root[root]
+    touched = np.zeros(dim, dtype=bool)
+    touched[rows] = touched[cols] = True
+    nodes = np.flatnonzero(touched)
+    nodes = nodes[(root[nodes] * dim + nodes).argsort()]  # grouped by block, ascending within it
+    roots = root[nodes]
+    size = np.bincount(roots, minlength=dim)  # block size, indexed by root
+    local = np.empty(dim, dtype=np.intp)
+    local[nodes] = np.arange(len(nodes)) - (size.cumsum() - size)[roots]
+    entry_size = size[root[rows]]
+    stacks = []
+    for s in sorted(set(size[size > 0].tolist())):
+        of_size, sel = size == s, entry_size == s
+        stack = np.zeros((of_size.sum(), s, s), dtype=complex)
+        stack[of_size.cumsum()[root[rows[sel]]] - 1, local[rows[sel]], local[cols[sel]]] = vals[sel]
+        stacks.append(stack)
+    return stacks
 
 
 def log_negativity(state: DenseState, cut: Cut) -> float:
@@ -450,8 +530,21 @@ def log_negativity(state: DenseState, cut: Cut) -> float:
     Zero (within tolerance) exactly when the partial transpose is
     positive semidefinite; upper-bounds distillable entanglement across
     the cut.
+
+    The partial transpose is diagonalized block by block, one batched
+    eigvalsh per block size, and only the entries that the rows' nonzero
+    amplitudes produce are built (:func:`_partial_transpose_blocks`).  The
+    whole matrix is formed and diagonalized at once instead when the rows
+    are dense (8 sum_b nnz_b^2 >= 4^n).
+    Matrices whose entries are exactly real are diagonalized in real
+    arithmetic.
     """
-    eigs = np.linalg.eigvalsh(_real_if_exact(partial_transpose(state, cut)))
+    _check_cut(state, cut)
+    m = _split(state.amplitudes, state.n_qubits, sorted(cut.left))[0]
+    blocks = _partial_transpose_blocks(state.weights, m)
+    if blocks is None:
+        blocks = [partial_transpose(state, cut)]
+    eigs = np.concatenate([np.linalg.eigvalsh(_real_if_exact(b)).ravel() for b in blocks])
     return max(0.0, float(np.log2(np.sum(np.abs(eigs)))))
 
 
