@@ -105,6 +105,10 @@ class BellEnsemble:
             self._entries = {_unpack(x, self.n_pairs): p for x, p in self._probs.items()}
         return self._entries
 
+    def __len__(self) -> int:
+        """Number of strings in the support."""
+        return len(self._probs)
+
     def items(self) -> list[tuple[BellString, float]]:
         return list(self.entries.items())
 
@@ -324,9 +328,21 @@ def to_dense(e: BellEnsemble, role: str = "source") -> dense.DenseState:
     return dense.DenseState.from_arrays(rows, list(e._probs.values()), dense.pair_register(e.n_pairs, role))
 
 
+#: The two parties, in the order each pair lists their qubits.
+PARTIES = ("alice", "bob")
+
+
+def party_qubit(pair: int, party: str) -> int:
+    """Register index of ``party``'s qubit of pair ``pair``: Alice's at 2k,
+    Bob's at 2k+1.  The dense interpreter and the ledger lines that the
+    LOCC audit checks against :func:`~bellclone.dense.pair_register` both
+    read the layout from here."""
+    return 2 * pair + (party == "bob")
+
+
 def _local_pair(state: dense.DenseState, pair: int, u_alice, u_bob) -> dense.DenseState:
-    out = dense.apply_unitary(state, u_alice, (2 * pair,))
-    return dense.apply_unitary(out, u_bob, (2 * pair + 1,))
+    out = dense.apply_unitary(state, u_alice, (party_qubit(pair, "alice"),))
+    return dense.apply_unitary(out, u_bob, (party_qubit(pair, "bob"),))
 
 
 #: Teleportation correction per Bell outcome, in LABELS order: B1 -> I,
@@ -351,21 +367,24 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
         raise ValueError("channel needs at least two pairs")
     if input_state.n_qubits != 2:
         raise ValueError("teleportation input must be a two-qubit state")
-    parties = tuple(q.party for q in input_state.qubit_labels)
-    if parties != ("alice", "bob"):
+    if tuple(q.party for q in input_state.qubit_labels) != PARTIES:
         raise ValueError("input must hold one Alice qubit then one Bob qubit")
 
-    # Register: 0 = input Alice, 1 = input Bob, then channel pairs at
-    # (2k+2, 2k+3).  Alice's measurement leaves (input Bob, B0, A1, B1, ...),
-    # Bob's then leaves the receivers (A1, B1, A2, B2, ...).  Alice's
-    # corrections commute with Bob's measurement, so they come first.
-    n = 2 * n_receive
-    state = _measure_and_correct(dense.tensor(input_state, channel), (0, 2), range(2, n + 2, 2))
-    state = _measure_and_correct(state, (0, 1), range(1, n, 2))
+    # The register holds the input as pair 0 and channel pair k as pair
+    # k + 1; ``left`` lists the register qubits not yet measured away.
+    # Alice's corrections commute with Bob's measurement, so they come first.
+    state = dense.tensor(input_state, channel)
+    left = list(range(state.n_qubits))
+    for party in PARTIES:
+        measured = (party_qubit(0, party), party_qubit(1, party))
+        pair = tuple(left.index(q) for q in measured)
+        left = [q for q in left if q not in measured]
+        receivers = [left.index(party_qubit(k, party)) for k in range(2, n_receive + 2)]
+        state = _measure_and_correct(state, pair, receivers)
     return dense.DenseState.from_arrays(state.amplitudes, state.weights, dense.pair_register(n_receive))
 
 
-def _measure_and_correct(state: dense.DenseState, pair: tuple[int, int], receivers: range) -> dense.DenseState:
+def _measure_and_correct(state: dense.DenseState, pair: tuple[int, int], receivers: list[int]) -> dense.DenseState:
     """Bell-measure ``pair``, drop it, and Pauli-correct each receiver qubit
     (an index into the smaller register) by the row's outcome."""
     post, outcomes = dense.bell_measurement(state, pair, discard=True)
@@ -379,11 +398,13 @@ def _measure_and_correct(state: dense.DenseState, pair: tuple[int, int], receive
 def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float, dense.DenseState | None]]:
     """Dense :func:`discriminate_sets`: (parity bit, probability, reduced
     post-state on the other pairs, or None) per outcome."""
-    keep = [q for q in range(state.n_qubits) if q // 2 != pair]
+    measured = [party_qubit(pair, party) for party in PARTIES]
+    keep = [q for q in range(state.n_qubits) if q not in measured]
     out = []
-    # x_a ^ x_b of the pair's computational basis state at each amplitude index.
-    index, low = np.arange(2**state.n_qubits), state.n_qubits - 2 - 2 * pair
-    parity = ((index >> low) ^ (index >> (low + 1))) & 1
+    # x_a ^ x_b of the pair's computational basis state at each amplitude
+    # index; qubit q is bit n - 1 - q.
+    index, low = np.arange(2**state.n_qubits), [state.n_qubits - 1 - q for q in measured]
+    parity = ((index >> low[0]) ^ (index >> low[1])) & 1
     for bit in (0, 1):
         outcome = dense.postselect(state.weights, state.amplitudes * (parity == bit))
         if outcome is not None:
@@ -395,25 +416,25 @@ def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float
 
 def dense_rewrite_op(state: dense.DenseState, op: tuple):
     """Apply the dense circuit of one step (see :func:`apply_rewrite_op`);
-    pair k occupies qubits (2k, 2k+1), Alice's first.  This is the
+    pair k occupies the qubits :func:`party_qubit` gives it.  This is the
     oracle side of the symbolic/dense equivalence checks."""
     name = op[0]
     if name == "bxor":
         _, s, t = op
-        out = dense.apply_unitary(state, dense.CNOT, (2 * s, 2 * t))
-        return dense.apply_unitary(out, dense.CNOT, (2 * s + 1, 2 * t + 1))
+        for party in PARTIES:
+            state = dense.apply_unitary(state, dense.CNOT, (party_qubit(s, party), party_qubit(t, party)))
+        return state
     if name == "bilateral_hadamard":
         return _local_pair(state, op[1], dense.HADAMARD, dense.HADAMARD)
     if name == "one_sided_pauli":
         _, k, idx, side = op
-        qubit = 2 * k if side == "alice" else 2 * k + 1
-        return dense.apply_unitary(state, dense.pauli(idx), (qubit,))
+        return dense.apply_unitary(state, dense.pauli(idx), (party_qubit(k, side),))
     if name == "local_clifford":
         return _local_pair(state, op[1], op[2].alice_matrix, op[2].bob_matrix)
     if name == "random_pauli_x":
         flipped = state
         for k in range(state.n_qubits // 2):
-            flipped = dense.apply_unitary(flipped, dense.pauli(1), (2 * k + 1,))
+            flipped = dense.apply_unitary(flipped, dense.pauli(1), (party_qubit(k, "bob"),))
         return dense.DenseState.mixture([(0.5, state), (0.5, flipped)])
     if name == "parity_measure":
         return _parity_measure(state, op[1])

@@ -1,5 +1,7 @@
 """Command-line front end: protocol runs, formula curves, claim suite.
 
+A protocol subcommand renders the checks of its one run, picked from the
+check table the ``verify-all`` claims share (:mod:`bellclone.verify`).
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error.
 Output is deterministic; identical invocations produce identical bytes.
 """
@@ -58,10 +60,6 @@ def _parse_m_range(text: str) -> list[int]:
         raise UsageError(f"bad pair count {text!r}") from exc
 
 
-def _check(name: str, passed: bool, measured, tolerance: str) -> dict:
-    return {"name": name, "passed": bool(passed), "measured": measured, "tolerance": tolerance}
-
-
 def _emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
@@ -115,18 +113,7 @@ def _render_run(record: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _locc_check(ledger) -> dict:
-    violations = len(ledger.locc_violations())
-    return _check("locc-audit", not violations, violations, "no cross-cut steps")
-
-
-def _ledger_checks(ledger, expected_ebits: int) -> list[dict]:
-    """The ledger's derived ebits against the paper's formula, and its LOCC audit."""
-    ebits = ledger.ebits_consumed
-    return [_check("ledger-ebits", ebits == expected_ebits, ebits, f"= {expected_ebits}"), _locc_check(ledger)]
-
-
-def _protocol_record(protocol: str, args, params: dict, ledger, checks: list[dict], **output) -> dict:
+def _protocol_record(protocol: str, args, params: dict, ledger, checks: list[verify.Check], **output) -> dict:
     """A protocol run's report; ``output`` is its ensemble or branch table."""
     return {
         "protocol": protocol,
@@ -136,6 +123,14 @@ def _protocol_record(protocol: str, args, params: dict, ledger, checks: list[dic
         "ledger": ledger.to_dict(),
         "checks": checks,
     }
+
+
+def _run_protocol(fn, *args):
+    """Run a protocol; the ValueError it raises for bad parameters is a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _dense_route(engine: str, run):
@@ -149,6 +144,7 @@ def _dense_route(engine: str, run):
 
 
 def _finish_run(record: dict, args) -> int:
+    record["checks"] = [c._asdict() for c in record["checks"]]
     record["passed"] = all(c["passed"] for c in record["checks"])
     _emit(_render_run(record, args.format), args.output)
     return _EXIT_OK if record["passed"] else _EXIT_VERIFY
@@ -158,7 +154,6 @@ def cmd_clone(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
-    checks = []
     if args.set == "two":
         if not args.pair:
             raise UsageError("--set two requires --pair, e.g. --pair B1,B3")
@@ -166,15 +161,11 @@ def cmd_clone(args) -> int:
         if len(pair) != 2 or pair[0] == pair[1]:
             raise UsageError("--pair needs two distinct labels")
         input_label = _parse_label(args.input)
-        try:
-            ensemble, ledger = protocols.clone_pair_1_to_n(input_label, pair, n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        ensemble, ledger = _run_protocol(protocols.clone_pair_1_to_n, input_label, pair, n)
         expected_ebits = n - 1
         params = {"set": "two", "pair": ",".join(l.name for l in pair), "input": input_label.name, "n": n}
         dense_run = lambda: protocols.clone_pair_dense(input_label, pair, n)  # noqa: E731
-        target = (input_label,) * n
-        checks.append(_check("symbolic-target", ensemble.entries == {target: 1.0}, "exact point mass", "exact"))
+        checks = [verify.symbolic_target(ensemble, (input_label,) * n)]
     else:
         if args.pair:
             raise UsageError("--pair applies only to --set two")
@@ -184,24 +175,18 @@ def cmd_clone(args) -> int:
         else:
             input_state = _parse_label(args.input)
             input_name = input_state.name
-        try:
-            ensemble, ledger = protocols.clone_four_1_to_n(input_state, n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        expected_ebits = n if n % 2 == 0 else n - 1
+        ensemble, ledger = _run_protocol(protocols.clone_four_1_to_n, input_state, n)
+        expected_ebits = measures.ed_rho_m(n + 1)
         params = {"set": "four", "input": input_name, "n": n}
         dense_run = lambda: protocols.clone_four_dense(input_state, n)  # noqa: E731
-        correlated = all(len(set(s)) == 1 for s in ensemble.entries)
-        checks.append(_check("symbolic-structure", correlated, "perfectly correlated clones", "exact"))
+        checks = [verify.correlated_clones(ensemble)]
 
-    checks += _ledger_checks(ledger, expected_ebits)
+    checks += [verify.ledger_ebits(ledger, expected_ebits), verify.locc_audit(ledger)]
     dn = _dense_route(args.engine, dense_run)
     if dn is not None:
-        td = dense.trace_distance(to_dense(ensemble), dn)
-        checks.append(_check("symbolic-dense-agreement", td < 1e-10, td, "trace distance < 1e-10"))
+        checks.append(verify.dense_agreement(ensemble, dn))
         if len(ensemble.entries) == 1:
-            fid = dense.fidelity(dn, to_dense(ensemble).amplitudes[0])
-            checks.append(_check("dense-fidelity", abs(1.0 - fid) <= 1e-12, fid, "within 1e-12 of 1"))
+            checks.append(verify.dense_fidelity(dn, ensemble))
     return _finish_run(_protocol_record("clone", args, params, ledger, checks, ensemble=ensemble.to_text()), args)
 
 
@@ -210,20 +195,14 @@ def cmd_prepare(args) -> int:
     if m < 2:
         raise UsageError(f"--m must be >= 2, got {m}")
     ensemble, ledger = protocols.prepare_rho_m(m)
-    expected_ebits = m - 1 if m % 2 else m - 2
     checks = [
-        _check(
-            "uniform-structure",
-            ensemble.allclose(BellEnsemble.uniform_strings(m), tol=0.0),
-            f"{len(ensemble.entries)} strings",
-            "four constant strings at 1/4",
-        ),
-        *_ledger_checks(ledger, expected_ebits),
+        verify.uniform_structure(ensemble),
+        verify.ledger_ebits(ledger, measures.ed_rho_m(m)),
+        verify.locc_audit(ledger),
     ]
     dn = _dense_route(args.engine, lambda: protocols.prepare_rho_m_dense(m))
     if dn is not None:
-        td = dense.trace_distance(to_dense(ensemble), dn)
-        checks.append(_check("symbolic-dense-agreement", td < 1e-12, td, "trace distance < 1e-12"))
+        checks.append(verify.preparation_agreement(ensemble, dn))
     return _finish_run(_protocol_record("prepare", args, {"m": m}, ledger, checks, ensemble=ensemble.to_text()), args)
 
 
@@ -238,21 +217,16 @@ def cmd_teleport(args) -> int:
         omega[[0, 5, 10, 15]] = 0.5
         analytic = np.outer(omega, omega.conj())
     inp = to_dense(BellEnsemble.point((input_label,)), role="input")
-    out = protocols.teleport_two_qubit(channel, inp)
-    fid = dense.fidelity(out, dense.bell_vector(input_label))
+    fidelity = verify.output_fidelity(protocols.teleport_two_qubit(channel, inp), input_label)
     choi = dense.choi_matrix(lambda s: protocols.teleport_two_qubit(channel, s))
-    residual = float(np.max(np.abs(choi - analytic)))
-    checks = [
-        _check("output-fidelity", abs(1.0 - fid) <= 1e-12, fid, "within 1e-12 of 1"),
-        _check("choi-residual", residual < 1e-9, residual, "< 1e-9"),
-    ]
+    residual = verify.choi_residual(choi, analytic)
     record = {
         "protocol": "teleport",
         "parameters": {"channel": args.channel, "input": input_label.name},
-        "output": input_label.name if abs(1.0 - fid) <= 1e-12 else "mixed",
-        "fidelity": fid,
-        "choi_residual": residual,
-        "checks": checks,
+        "output": input_label.name if fidelity.passed else "mixed",
+        "fidelity": fidelity.measured,
+        "choi_residual": residual.measured,
+        "checks": [fidelity, residual],
     }
     return _finish_run(record, args)
 
@@ -260,38 +234,18 @@ def cmd_teleport(args) -> int:
 def cmd_distill(args) -> int:
     p = _parse_distribution(args.p)
     n = args.n
-    try:
-        ensemble, prep_ledger = protocols.prepare_quasi_pure(p, n)
-        branches, ledger = protocols.distill_quasi_pure(ensemble)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    ensemble, prep_ledger = _run_protocol(protocols.prepare_quasi_pure, p, n)
+    branches, ledger = _run_protocol(protocols.distill_quasi_pure, ensemble)
     checks = [
-        _check("preparation-ebits", prep_ledger.ebits_consumed == n - 1, prep_ledger.ebits_consumed, f"= {n - 1}"),
-        _check("distilled-ebits", ledger.ebits_distilled == n - 1, ledger.ebits_distilled, f"= {n - 1}"),
-        _check(
-            "pure-branches",
-            all(len(cond.entries) == 1 for _, _, cond in branches),
-            [len(cond.entries) for _, _, cond in branches],
-            "single string per branch",
-        ),
-        _locc_check(ledger),
+        verify.preparation_ebits(prep_ledger, n - 1),
+        verify.distilled_ebits(ledger, n - 1),
+        verify.pure_branches(branches),
+        verify.locc_audit(ledger),
     ]
     dense_branches = _dense_route(args.engine, lambda: protocols.distill_quasi_pure_dense(ensemble))
     if dense_branches is not None:
-        # Branches are matched by outcome bit; an outcome on one side only
-        # counts as probability 0 on the other and fails both checks.
-        sym = {bit: (prob, cond) for bit, prob, cond in branches}
-        dn = {bit: (prob, state) for bit, prob, state in dense_branches}
-        same_outcomes = sym.keys() == dn.keys()
-        worst_p = max(abs(sym.get(bit, (0.0,))[0] - dn.get(bit, (0.0,))[0]) for bit in sym.keys() | dn.keys())
-        worst_td = max(
-            (dense.trace_distance(to_dense(sym[bit][1]), dn[bit][1]) for bit in sym.keys() & dn.keys()),
-            default=1.0,
-        )
-        checks += [
-            _check("dense-branch-probabilities", same_outcomes and worst_p <= 1e-12, worst_p, "within 1e-12"),
-            _check("symbolic-dense-agreement", same_outcomes and worst_td < 1e-10, worst_td, "trace distance < 1e-10"),
-        ]
+        checks.append(verify.dense_branch_probabilities(branches, dense_branches))
+        checks.append(verify.branch_agreement(branches, dense_branches))
     table = [{"outcome": bit, "probability": prob, "ensemble": cond.to_text()} for bit, prob, cond in branches]
     return _finish_run(_protocol_record("distill", args, {"p": args.p, "n": n}, ledger, checks, branches=table), args)
 
@@ -355,11 +309,8 @@ def cmd_measures(args) -> int:
 
 def cmd_verify_all(args) -> int:
     records = verify.run_all()
-    report = verify.report_json(records)
-    if args.output is None:
-        sys.stdout.write(report)
-    else:
-        _emit(report, args.output)
+    _emit(verify.report_json(records), args.output)
+    if args.output is not None:
         for r in records:
             sys.stdout.write(f"{r.id}: {'pass' if r.passed else 'FAIL'}\n")
     return _EXIT_OK if all(r.passed for r in records) else _EXIT_VERIFY

@@ -102,12 +102,17 @@ class QubitLabel:
 
     @property
     def tag(self) -> str:
-        return ("A" if self.party == "alice" else "B") + str(self.pair)
+        """``A0``, ``B3``, ...; a qubit of the input pair is ``A_in`` or ``B_in``."""
+        return ("A" if self.party == "alice" else "B") + ("_in" if self.role == "input" else str(self.pair))
 
 
 def pair_register(n_pairs: int, role: str = "source", start: int = 0) -> tuple[QubitLabel, ...]:
-    """Labels for ``n_pairs`` Bell pairs in the standard pair-by-pair order."""
-    return tuple(QubitLabel(party, k, role) for k in range(start, start + n_pairs) for party in ("alice", "bob"))
+    """Labels for ``n_pairs`` Bell pairs in the standard pair-by-pair order;
+    each label is built once and shared by every register that holds it."""
+    return tuple(_qubit_label(party, k, role) for k in range(start, start + n_pairs) for party in ("alice", "bob"))
+
+
+_qubit_label = lru_cache(maxsize=None)(QubitLabel)
 
 
 def _check_unit_norms(norms, what: str) -> None:

@@ -7,7 +7,8 @@ steps in the vocabulary of :func:`~bellclone.calculus.apply_rewrite_op`.
 measurements on small registers, the independent verification route.
 The ebit/classical-bit ledger is derived from the list
 (:func:`derive_ledger`), with every step Alice-local, Bob-local, or
-classical communication.
+classical communication; each quantum line keeps the register qubits it
+acts on, which :meth:`ResourceLedger.locc_violations` audits.
 
 Resource accounting: a shared |B1> counts as exactly 1 ebit; two-outcome
 Bell mixtures with maximum probability 1/2 are separable and count as 0.
@@ -16,15 +17,15 @@ The rule is applied to each initial pair that is not an input.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache, reduce
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import dense
+from . import calculus, dense
 from .calculus import (
+    PARTIES,
     BellEnsemble,
     _teleport_and_correct,
     append_b1,
@@ -33,25 +34,24 @@ from .calculus import (
     mix,
     to_dense,
 )
-from .dense import Cut, DenseState, HADAMARD, PHASE_S, pauli
-from .labels import B1, B2, B3, LABELS, BellLabel
+from .dense import Cut, DenseState, HADAMARD, PHASE_S, QubitLabel, pauli
+from .labels import B1, B2, B3, B4, LABELS, BellLabel
 from .measures import MeasureReport, log_negativity_report
 
 
-@dataclass(frozen=True)
-class LedgerStep:
+class LedgerStep(NamedTuple):
+    """One line of a ledger: a party's operation on the register qubits
+    ``qubits`` (none for a classical message) and its further operands."""
+
     party: str  # "alice" | "bob" | "classical"
     operation: str
-    operands: tuple
+    qubits: tuple[QubitLabel, ...] = ()
+    words: tuple = ()
 
-    def violates_locality(self) -> bool:
-        """True if a quantum step names a qubit of the other party."""
-        if self.party == "classical":
-            return False
-        banned = "B" if self.party == "alice" else "A"
-        return any(
-            isinstance(op, str) and op.startswith(banned) for op in self.operands
-        )
+    @property
+    def operands(self) -> tuple:
+        """The qubits' tags, then the further operands (a word, a bit count)."""
+        return tuple(q.tag for q in self.qubits) + self.words
 
 
 @dataclass
@@ -63,13 +63,9 @@ class ResourceLedger:
     classical_bits: int = 0
     steps: list[LedgerStep] = field(default_factory=list)
 
-    def record(self, party: str, operation: str, *operands):
-        if party not in ("alice", "bob", "classical"):
-            raise ValueError(f"unknown step party {party!r}")
-        self.steps.append(LedgerStep(party, operation, tuple(operands)))
-
     def locc_violations(self) -> list[LedgerStep]:
-        return [s for s in self.steps if s.violates_locality()]
+        """The lines acting on a register qubit that the other party holds."""
+        return [s for s in self.steps if any(q.party != s.party for q in s.qubits)]
 
     def to_dict(self) -> dict:
         return {
@@ -108,28 +104,32 @@ def ebit_cost(e: BellEnsemble, pair: int) -> int:
     return 0
 
 
-def _step_lines(op: tuple, n_pairs: int) -> list[LedgerStep]:
-    """Ledger lines of one step on an n-pair register; the teleport step
-    calls its input pair ``in``."""
+def _line(register: tuple[QubitLabel, ...], party: str, operation: str, pairs, *words) -> LedgerStep:
+    """A party's line on its qubits of ``pairs``, at the dense interpreter's indices."""
+    return LedgerStep(party, operation, tuple([register[calculus.party_qubit(k, party)] for k in pairs]), words)
+
+
+def _step_lines(op: tuple, register: tuple[QubitLabel, ...]) -> list[LedgerStep]:
+    """Ledger lines of one step on a pair register.  The teleport step's
+    input pair joins the register in front."""
     name = op[0]
     if name == "bxor":
-        _, s, t = op
-        return [LedgerStep("alice", "cnot", (f"A{s}", f"A{t}")), LedgerStep("bob", "cnot", (f"B{s}", f"B{t}"))]
+        return [_line(register, party, "cnot", op[1:]) for party in PARTIES]
     if name == "local_clifford":
         _, k, red = op
-        alice = LedgerStep("alice", "unitary", (f"A{k}", red.alice_word))
-        return [alice, LedgerStep("bob", "unitary", (f"B{k}", red.bob_word))]
+        words = (red.alice_word, red.bob_word)
+        return [_line(register, party, "unitary", (k,), word) for party, word in zip(PARTIES, words)]
     if name == "random_pauli_x":
-        return [LedgerStep("bob", "random-pauli-x", tuple(f"B{k}" for k in range(n_pairs)))]
+        return [_line(register, "bob", "random-pauli-x", range(len(register) // 2))]
     if name == "parity_measure":
-        k = op[1]
-        measure = [LedgerStep("alice", "measure-z", (f"A{k}",)), LedgerStep("bob", "measure-z", (f"B{k}",))]
-        return measure + [LedgerStep("classical", "compare-parity", (2,))]
+        measure = [_line(register, party, "measure-z", op[1:]) for party in PARTIES]
+        return measure + [LedgerStep("classical", "compare-parity", words=(2,))]
     if name == "teleport":
-        lines = [LedgerStep("alice", "bell-measure", ("A_in", "A0")), LedgerStep("bob", "bell-measure", ("B_in", "B0"))]
-        lines.append(LedgerStep("classical", "broadcast-outcomes", (4,)))
-        for k in range(1, n_pairs):
-            lines += [LedgerStep("alice", "pauli-correct", (f"A{k}",)), LedgerStep("bob", "pauli-correct", (f"B{k}",))]
+        joint = dense.pair_register(1, role="input") + register
+        lines = [_line(joint, party, "bell-measure", (0, 1)) for party in PARTIES]
+        lines.append(LedgerStep("classical", "broadcast-outcomes", words=(4,)))
+        for k in range(2, len(joint) // 2):  # channel pair k - 1
+            lines += [_line(joint, party, "pauli-correct", (k,)) for party in PARTIES]
         return lines
     raise ValueError(f"no ledger rule for step {name!r}")
 
@@ -141,8 +141,9 @@ def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> Res
     ledger = ResourceLedger() if ledger is None else ledger
     e = program.initial
     ledger.ebits_consumed += sum(ebit_cost(e, k) for k in range(program.inputs, e.n_pairs))
-    lines = [line for op in program.steps for line in _step_lines(op, e.n_pairs)]
-    ledger.classical_bits += sum(line.operands[0] for line in lines if line.party == "classical")
+    register = dense.pair_register(e.n_pairs)
+    lines = [line for op in program.steps for line in _step_lines(op, register)]
+    ledger.classical_bits += sum(line.words[0] for line in lines if line.party == "classical")
     ledger.steps += lines
     return ledger
 
@@ -190,52 +191,28 @@ def run_dense(program: Program):
 # Local Clifford factors and pair reductions
 # ---------------------------------------------------------------------------
 
-_FACTOR_GENERATORS = (("H", HADAMARD), ("S", PHASE_S), ("X", pauli(1)), ("Y", pauli(2)), ("Z", pauli(3)))
+#: Alice's word, Bob's word and the images of B1..B4 under the product of
+#: their matrices, carrying each two-label set onto {B1, B3}.  The words
+#: are the first a breadth-first search over the 24 x 24 local Clifford
+#: pairs finds, and each label map is one of the affine maps AGL(2,2) ~ S4
+#: that local Cliffords induce (Dehaene, Van den Nest, De Moor, Verstraete,
+#: PRA 67, 022310, 2003); the tests re-run the search and certify every
+#: map by dense overlaps.
+_REDUCTIONS = {
+    (B1, B2): ("H", "H", (B1, B3, B2, B4)),
+    (B1, B3): ("I", "I", (B1, B2, B3, B4)),
+    (B1, B4): ("S", "SX", (B3, B4, B2, B1)),
+    (B2, B3): ("S", "S", (B2, B1, B3, B4)),
+    (B2, B4): ("I", "Y", (B4, B3, B2, B1)),
+    (B3, B4): ("H", "HX", (B2, B4, B1, B3)),
+}
+
+_GENERATORS = {"I": np.eye(2, dtype=complex), "H": HADAMARD, "S": PHASE_S, "X": pauli(1), "Y": pauli(2)}
 
 
-def _phase_canonical(m: np.ndarray) -> bytes:
-    flat = m.reshape(-1)
-    idx = int(np.argmax(np.abs(flat) > 1e-6))
-    out = m / (flat[idx] / abs(flat[idx]))
-    return (np.round(out, 6) + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0
-
-
-@lru_cache(maxsize=1)
-def clifford_factors() -> tuple[tuple[str, np.ndarray], ...]:
-    """The 24 single-qubit Clifford operators (mod phase), as shortest
-    words over H, S, X, Y, Z in breadth-first order."""
-    identity = np.eye(2, dtype=complex)
-    seen = {_phase_canonical(identity)}
-    order = [("I", identity)]
-    frontier = [("", identity)]
-    while frontier:
-        new = []
-        for word, m in frontier:
-            for g, gm in _FACTOR_GENERATORS:
-                m2 = m @ gm
-                key = _phase_canonical(m2)
-                if key not in seen:
-                    seen.add(key)
-                    order.append((word + g, m2))
-                    new.append((word + g, m2))
-        frontier = new
-    return tuple(order)
-
-
-def _bell_label_map(u_alice: np.ndarray, v_bob: np.ndarray) -> dict[BellLabel, BellLabel] | None:
-    """Label permutation induced by U (x) V, or None if some Bell state
-    leaves the Bell basis (checked by dense overlaps)."""
-    full = np.kron(u_alice, v_bob)
-    mapping = {}
-    for src in LABELS:
-        out = full @ dense.bell_vector(src)
-        for dst in LABELS:
-            if abs(abs(np.vdot(dense.bell_vector(dst), out)) - 1.0) < 1e-9:
-                mapping[src] = dst
-                break
-        else:
-            return None
-    return mapping
+def _word_matrix(word: str) -> np.ndarray:
+    """The product of a word's generator matrices, left to right."""
+    return reduce(lambda m, g: m @ _GENERATORS[g], word, np.eye(2, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +220,7 @@ class PairReduction:
     """Local unitaries carrying a two-label set onto {B1, B3}.
 
     ``label_map`` is the full four-label permutation induced by
-    alice_matrix (x) bob_matrix, dense-verified during the search.
+    alice_matrix (x) bob_matrix.
     """
 
     pair: frozenset[BellLabel]
@@ -265,27 +242,15 @@ class PairReduction:
 
 
 @lru_cache(maxsize=None)
-def _pair_reduction_cached(pair: frozenset[BellLabel]) -> PairReduction:
-    factors = clifford_factors()
-    for (wa, ma), (wb, mb) in itertools.product(factors, factors):
-        mapping = _bell_label_map(ma, mb)
-        if mapping is None:
-            continue
-        if {mapping[l] for l in pair} == {B1, B3}:
-            return PairReduction(pair, wa, wb, ma, mb, mapping)
-    raise AssertionError("no reduction found; Clifford table incomplete")
-
-
 def pair_reduction_table(label_1: BellLabel, label_2: BellLabel) -> PairReduction:
-    """Local Clifford factors mapping {label_1, label_2} onto {B1, B3}.
-
-    Found by breadth-first search over the 24 x 24 table of local
-    Clifford factor pairs, so the returned words are the shortest
-    available; all 6 unordered pairs are covered.
-    """
+    """Local Clifford factors mapping {label_1, label_2} onto {B1, B3};
+    all 6 unordered pairs are covered."""
     if label_1 == label_2:
         raise ValueError("pair reduction needs two distinct labels")
-    return _pair_reduction_cached(frozenset((label_1, label_2)))
+    pair = tuple(sorted((label_1, label_2), key=LABELS.index))
+    alice_word, bob_word, images = _REDUCTIONS[pair]
+    matrices = _word_matrix(alice_word), _word_matrix(bob_word)
+    return PairReduction(frozenset(pair), alice_word, bob_word, *matrices, dict(zip(LABELS, images)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,24 +543,17 @@ def necessity_witness_two() -> list[MeasureReport]:
     """
     rho_sep = mix([BellEnsemble.point((B1,)), BellEnsemble.point((B2,))], [0.5, 0.5])
     cloned, _ = clone_pair_1_to_n(rho_sep, (B1, B2), 2)
-    sep_dense = to_dense(rho_sep)
-    out_dense = to_dense(cloned)
-    return [
-        log_negativity_report(sep_dense, Cut.alice_bob(sep_dense), "(P[B1]+P[B2])/2", "alice:bob"),
-        log_negativity_report(out_dense, Cut.alice_bob(out_dense), "(P[B1 B1]+P[B2 B2])/2", "alice:bob"),
-    ]
+    return [_alice_bob_report(rho_sep, "(P[B1]+P[B2])/2"), _alice_bob_report(cloned, "(P[B1 B1]+P[B2 B2])/2")]
 
 
 def necessity_witness_four() -> list[MeasureReport]:
     """Four-state analogue: the Smolin state is separable across
     Alice:Bob, while its cloned three-pair extension carries at least
     2 ebits of log-negativity there."""
-    smolin = to_dense(smolin_ensemble())
     tripled, _ = clone_four_1_to_n((0.25, 0.25, 0.25, 0.25), 3)
-    tripled_dense = to_dense(tripled)
-    return [
-        log_negativity_report(smolin, Cut.alice_bob(smolin), "smolin", "alice:bob"),
-        log_negativity_report(
-            tripled_dense, Cut.alice_bob(tripled_dense), "uniform-three-pair", "alice:bob"
-        ),
-    ]
+    return [_alice_bob_report(smolin_ensemble(), "smolin"), _alice_bob_report(tripled, "uniform-three-pair")]
+
+
+def _alice_bob_report(e: BellEnsemble, name: str) -> MeasureReport:
+    state = to_dense(e)
+    return log_negativity_report(state, Cut.alice_bob(state), name, "alice:bob")

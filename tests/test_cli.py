@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from bellclone import cli
+from bellclone import calculus, cli, verify
 
 
 def run_cli(capsys, *argv):
@@ -278,3 +278,47 @@ class TestNonFiniteProbabilities:
         assert code == 2
         assert out == ""
         assert "distribution" in err
+
+
+class TestSharedChecks:
+    """The CLI and the verify claims run one check table, and the LOCC
+    audit reads which party holds each register qubit."""
+
+    def test_misplaced_bob_qubit_fails_locc_audit(self, capsys, monkeypatch):
+        # Bob's qubit of every pair lands on Alice's: the ledger lines that
+        # name it now act on the other party's register qubit.
+        monkeypatch.setattr(calculus, "party_qubit", lambda pair, party: 2 * pair)
+        code, out, _ = run_cli(
+            capsys, "clone", "--set", "two", "--pair", "B1,B3", "--input", "B1", "--n", "2", "--engine", "symbolic"
+        )
+        assert code == 1
+        assert "locc-audit: FAIL" in out
+
+    def test_wrong_dense_clone_fails_cli_and_claim(self, capsys, monkeypatch):
+        from bellclone.calculus import BellEnsemble, to_dense
+        from bellclone.labels import B2
+
+        monkeypatch.setattr(
+            cli.protocols, "clone_pair_dense", lambda inp, pair, n: to_dense(BellEnsemble.point((B2,) * n))
+        )
+        code, out, _ = run_cli(
+            capsys, "clone", "--set", "two", "--pair", "B1,B3", "--input", "B1", "--n", "2", "--engine", "both"
+        )
+        assert code == 1
+        assert "dense-fidelity: FAIL" in out
+        assert verify.claim_two_state_cloning().passed is False
+
+    def test_missing_parity_branch_fails_quasi_pure_claim(self, capsys, monkeypatch, tmp_path):
+        real = cli.protocols.distill_quasi_pure
+
+        def one_branch(e):
+            branches, ledger = real(e)
+            return branches[:1], ledger
+
+        monkeypatch.setattr(cli.protocols, "distill_quasi_pure", one_branch)
+        record = verify.claim_quasi_pure_reversibility()
+        assert record.passed is False
+        assert record.measured["branch_probabilities"] == [0.5, 0.0]
+        code, out, _ = run_cli(capsys, "verify-all", "--output", str(tmp_path / "report.json"))
+        assert code == 1
+        assert "quasi-pure-reversibility: FAIL" in out

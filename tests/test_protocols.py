@@ -12,7 +12,6 @@ from bellclone.protocols import (
     LedgerStep,
     ResourceLedger,
     build_sigma_n,
-    clifford_factors,
     clone_four_1_to_n,
     clone_four_dense,
     clone_pair_1_to_n,
@@ -34,7 +33,66 @@ from bellclone.protocols import (
 ALL_PAIRS = list(itertools.combinations(LABELS, 2))
 
 
+def _phase_canonical(m: np.ndarray) -> bytes:
+    flat = m.reshape(-1)
+    idx = int(np.argmax(np.abs(flat) > 1e-6))
+    out = m / (flat[idx] / abs(flat[idx]))
+    return (np.round(out, 6) + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0
+
+
+def clifford_factors() -> list[tuple[str, np.ndarray]]:
+    """The 24 single-qubit Clifford operators (mod phase), as shortest
+    words over H, S, X, Y, Z in breadth-first order."""
+    generators = (("H", dense.HADAMARD), ("S", dense.PHASE_S), ("X", pauli(1)), ("Y", pauli(2)), ("Z", pauli(3)))
+    identity = np.eye(2, dtype=complex)
+    seen = {_phase_canonical(identity)}
+    order = [("I", identity)]
+    frontier = [("", identity)]
+    while frontier:
+        new = []
+        for word, m in frontier:
+            for g, gm in generators:
+                m2 = m @ gm
+                key = _phase_canonical(m2)
+                if key not in seen:
+                    seen.add(key)
+                    order.append((word + g, m2))
+                    new.append((word + g, m2))
+        frontier = new
+    return order
+
+
+def bell_label_map(u_alice: np.ndarray, v_bob: np.ndarray):
+    """Label permutation induced by U (x) V, or None if some Bell state
+    leaves the Bell basis (checked by dense overlaps)."""
+    full = np.kron(u_alice, v_bob)
+    mapping = {}
+    for src in LABELS:
+        out = full @ dense.bell_vector(src)
+        for dst in LABELS:
+            if abs(abs(np.vdot(dense.bell_vector(dst), out)) - 1.0) < 1e-9:
+                mapping[src] = dst
+                break
+        else:
+            return None
+    return mapping
+
+
+def searched_reduction(pair) -> tuple:
+    """The first local Clifford pair, over the 24 x 24 table in
+    breadth-first order, whose label map sends ``pair`` onto {B1, B3}:
+    (alice word, bob word, alice matrix, bob matrix, label map)."""
+    factors = clifford_factors()
+    for (wa, ma), (wb, mb) in itertools.product(factors, factors):
+        mapping = bell_label_map(ma, mb)
+        if mapping is not None and {mapping[l] for l in pair} == {B1, B3}:
+            return wa, wb, ma, mb, mapping
+    raise AssertionError("no reduction found")
+
+
 class TestCliffordFactors:
+    """The breadth-first search that the six-row reduction table records."""
+
     def test_table_has_24_elements(self):
         factors = clifford_factors()
         assert len(factors) == 24
@@ -43,6 +101,14 @@ class TestCliffordFactors:
     def test_all_unitary(self):
         for _, m in clifford_factors():
             assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
+    def test_reduction_table_equals_search(self, pair):
+        red = pair_reduction_table(*pair)
+        wa, wb, ma, mb, mapping = searched_reduction(pair)
+        assert (red.alice_word, red.bob_word) == (wa, wb)
+        assert np.array_equal(red.alice_matrix, ma) and np.array_equal(red.bob_matrix, mb)
+        assert red.label_map == mapping
 
 
 class TestPairReduction:
@@ -360,17 +426,17 @@ class TestNecessityWitnesses:
 
 class TestLedger:
     def test_audit_flags_cross_party_step(self):
-        step = LedgerStep("alice", "cnot", ("A0", "B1"))
-        assert step.violates_locality()
-        clean = LedgerStep("bob", "cnot", ("B0", "B1"))
-        assert not clean.violates_locality()
-        classical = LedgerStep("classical", "broadcast-outcomes", (4,))
-        assert not classical.violates_locality()
+        alice, bob = dense.pair_register(2)[0], dense.pair_register(2)[3]
+        step = LedgerStep("alice", "cnot", (alice, bob))
+        clean = LedgerStep("bob", "cnot", (bob,))
+        classical = LedgerStep("classical", "broadcast-outcomes", words=(4,))
+        assert ResourceLedger(steps=[step, clean, classical]).locc_violations() == [step]
 
-    def test_unknown_party_rejected(self):
-        ledger = ResourceLedger()
-        with pytest.raises(ValueError):
-            ledger.record("charlie", "cnot", "A0")
+    def test_lines_name_the_register_qubits(self):
+        _, ledger = clone_four_1_to_n(B1, 2)
+        measure = next(s for s in ledger.steps if s.operation == "bell-measure")
+        assert [(q.party, q.role) for q in measure.qubits] == [("alice", "input"), ("alice", "source")]
+        assert measure.operands == ("A_in", "A0")
 
     def test_to_dict(self):
         ledger = ResourceLedger(ebits_consumed=2.0, classical_bits=4)
