@@ -381,7 +381,7 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
         left = [q for q in left if q not in measured]
         receivers = [left.index(party_qubit(k, party)) for k in range(2, n_receive + 2)]
         state = _measure_and_correct(state, pair, receivers)
-    return dense.DenseState.from_arrays(state.amplitudes, state.weights, dense.pair_register(n_receive))
+    return dense.DenseState._adopt(state.amplitudes, state.weights, dense.pair_register(n_receive))
 
 
 def _measure_and_correct(state: dense.DenseState, pair: tuple[int, int], receivers: list[int]) -> dense.DenseState:
@@ -392,7 +392,7 @@ def _measure_and_correct(state: dense.DenseState, pair: tuple[int, int], receive
     amps = post.amplitudes
     for q in receivers:
         amps = dense._apply_matrix(amps, post.n_qubits, corrections, (q,))
-    return dense.DenseState.from_arrays(amps, post.weights, post.qubit_labels)
+    return dense.DenseState._adopt(amps, post.weights, post.qubit_labels)
 
 
 def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float, dense.DenseState | None]]:
@@ -409,7 +409,7 @@ def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float
         outcome = dense.postselect(state.weights, state.amplitudes * (parity == bit))
         if outcome is not None:
             prob, amps, weights = outcome
-            post = dense.DenseState.from_arrays(amps, weights, state.qubit_labels)
+            post = dense.DenseState._adopt(amps, weights, state.qubit_labels)
             out.append((bit, prob, dense.partial_trace(post, keep) if keep else None))
     return out
 
@@ -421,21 +421,18 @@ def dense_rewrite_op(state: dense.DenseState, op: tuple):
     name = op[0]
     if name == "bxor":
         _, s, t = op
-        for party in PARTIES:
-            state = dense.apply_unitary(state, dense.CNOT, (party_qubit(s, party), party_qubit(t, party)))
-        return state
+        return dense.apply_flips(state, cnots=[(party_qubit(s, party), party_qubit(t, party)) for party in PARTIES])
     if name == "bilateral_hadamard":
         return _local_pair(state, op[1], dense.HADAMARD, dense.HADAMARD)
     if name == "one_sided_pauli":
         _, k, idx, side = op
+        if side not in PARTIES:
+            raise ValueError(f"unknown side {side!r}")
         return dense.apply_unitary(state, dense.pauli(idx), (party_qubit(k, side),))
     if name == "local_clifford":
         return _local_pair(state, op[1], op[2].alice_matrix, op[2].bob_matrix)
     if name == "random_pauli_x":
-        flipped = state
-        for k in range(state.n_qubits // 2):
-            flipped = dense.apply_unitary(flipped, dense.pauli(1), (party_qubit(k, "bob"),))
-        return dense.DenseState.mixture([(0.5, state), (0.5, flipped)])
+        return dense.mix_flipped(state, [party_qubit(k, "bob") for k in range(state.n_qubits // 2)])
     if name == "parity_measure":
         return _parity_measure(state, op[1])
     if name == "teleport":

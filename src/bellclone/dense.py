@@ -3,7 +3,13 @@
 A state is a weighted mixture of pure branches (never a full density
 matrix), held as one batched (k, 2**n) amplitude array and a weight
 vector, so registers up to 14 qubits stay cheap and every kernel is a
-few array operations over all branches at once.  A Bell measurement can
+few array operations over all branches at once.  Building a state checks
+every row norm and divides a row only when its computed norm is not
+exactly 1.0 (the weights likewise by their total).  X and C-NOT gates,
+and so the bilateral C-NOTs and Bob's random X of the protocols, only
+move amplitudes: :func:`apply_flips` reverses axes of the (k, 2, ..., 2)
+view in one copy, with no arithmetic; every other gate is a matrix
+product (:func:`apply_unitary`).  A Bell measurement can
 drop the pair it measured (``discard=True``), which is how teleportation
 leaves exactly its output qubits without any trace or spectrum.  Spectra
 are taken at the size of the state's rank, not of the register: a partial
@@ -26,6 +32,7 @@ the Alice qubit before the Bob qubit of each pair.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -115,11 +122,13 @@ def pair_register(n_pairs: int, role: str = "source", start: int = 0) -> tuple[Q
 _qubit_label = lru_cache(maxsize=None)(QubitLabel)
 
 
-def _check_unit_norms(norms, what: str) -> None:
-    """Raise unless every norm is within 1e-9 of 1 (NaN fails)."""
+def _check_unit_norms(norms, what: str) -> float:
+    """Raise unless every norm is within 1e-9 of 1 (NaN fails); returns
+    the largest distance, 0.0 exactly when every norm is 1.0."""
     worst = abs(np.asarray(norms, dtype=float) - 1.0).max()
     if not worst <= 1e-9:
         raise ValueError(f"{what} norm is {worst} away from 1")
+    return worst
 
 
 def _squared_row_norms(rows: np.ndarray) -> np.ndarray:
@@ -157,6 +166,14 @@ class DenseState:
 
     ``amplitudes`` is a read-only (k, 2**n) array, one unit row per
     branch, and ``weights`` the k positive weights, summing to 1.
+
+    Every construction checks each row norm and the weight total.  A row
+    is divided by its norm only when that computed norm is not exactly
+    1.0, and the weights by their total only when it is not exactly 1.0;
+    since x / 1.0 == x, the stored values are the same as if every row
+    were divided.  A state owns its arrays: :meth:`from_arrays` copies
+    what it is given, and only the kernels of this package hand over the
+    arrays they have just allocated.
     """
 
     __slots__ = ("amplitudes", "weights", "qubit_labels", "_branches")
@@ -170,14 +187,22 @@ class DenseState:
 
     @classmethod
     def from_arrays(cls, amplitudes: np.ndarray, weights, qubit_labels: Sequence[QubitLabel]) -> "DenseState":
-        """A state from its (k, 2**n) amplitude rows and k weights."""
+        """A state from copies of its (k, 2**n) amplitude rows and k weights."""
+        return cls._adopt(np.array(amplitudes, dtype=complex), np.array(weights, dtype=float), qubit_labels)
+
+    @classmethod
+    def _adopt(cls, amps: np.ndarray, weights: np.ndarray, qubit_labels) -> "DenseState":
+        """A state that takes over ``amps`` and ``weights`` without a copy:
+        arrays the caller has just allocated and drops, or the read-only
+        arrays of another state."""
         state = object.__new__(cls)
-        state._set(np.asarray(amplitudes, dtype=complex), np.asarray(weights, dtype=float), qubit_labels)
+        state._set(amps, weights, qubit_labels)
         return state
 
     def _set(self, amps: np.ndarray, weights: np.ndarray, qubit_labels) -> None:
         """Check every row, weight and the total at once; rows are
-        rescaled to unit norm and weights to sum to exactly 1."""
+        rescaled to unit norm and weights to sum to exactly 1 where they
+        do not already, in place when the array is writeable."""
         k, dim = amps.shape
         n = dim.bit_length() - 1
         if dim & (dim - 1) or dim < 2:
@@ -189,13 +214,16 @@ class DenseState:
         if weights.shape != (k,):
             raise ValueError(f"expected {k} branch weights, got shape {weights.shape}")
         norms = np.sqrt(_squared_row_norms(amps))
-        _check_unit_norms(norms, "branch vector")
+        off_unit = _check_unit_norms(norms, "branch vector")
         if not (weights > 0).all():
             raise ValueError("branch weight must be positive")
         total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"branch weights sum to {total}, not 1")
-        amps, weights = amps / norms[:, None], weights / total  # new arrays, owned by the state
+        if off_unit:
+            amps = np.divide(amps, norms[:, None], out=amps if amps.flags.writeable else None)
+        if total != 1.0:
+            weights = weights / total
         amps.flags.writeable = weights.flags.writeable = False
         self.amplitudes, self.weights, self.qubit_labels, self._branches = amps, weights, tuple(qubit_labels), None
 
@@ -227,7 +255,7 @@ class DenseState:
             raise ValueError("mixture components live on different registers")
         weighted = [(w, s) for w, s in weighted if w > 0]
         amps = np.concatenate([s.amplitudes for _, s in weighted])  # ValueError if none
-        return cls.from_arrays(amps, np.concatenate([w * s.weights for w, s in weighted]), labels)
+        return cls._adopt(amps, np.concatenate([w * s.weights for w, s in weighted]), labels)
 
     def density_matrix(self) -> np.ndarray:
         """Materialize the density operator (registers up to 10 qubits)."""
@@ -245,7 +273,7 @@ def tensor(left: DenseState, right: DenseState) -> DenseState:
     """Tensor product; the right register is appended after the left."""
     amps = left.amplitudes[:, None, :, None] * right.amplitudes[None, :, None, :]
     weights = np.outer(left.weights, right.weights).reshape(-1)
-    return DenseState.from_arrays(amps.reshape(len(weights), -1), weights, left.qubit_labels + right.qubit_labels)
+    return DenseState._adopt(amps.reshape(len(weights), -1), weights, left.qubit_labels + right.qubit_labels)
 
 
 @dataclass(frozen=True)
@@ -326,7 +354,68 @@ def apply_unitary(state: DenseState, u: np.ndarray, targets: Sequence[int]) -> D
         raise ValueError("target qubit out of range")
     _check_unitary_once(u.shape, u.tobytes())
     amps = _apply_matrix(state.amplitudes, state.n_qubits, u, targets)
-    return DenseState.from_arrays(amps, state.weights, state.qubit_labels)
+    return DenseState._adopt(amps, state.weights, state.qubit_labels)
+
+
+def _check_flips(n: int, x_targets: Sequence[int], cnots: Sequence[tuple[int, int]]) -> None:
+    """Raise unless the gates' qubits are distinct register qubits (the
+    checks and messages of :func:`apply_unitary`)."""
+    qubits = [*x_targets, *(q for pair in cnots for q in pair)]
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("target qubits must be distinct")
+    if any(q < 0 or q >= n for q in qubits):
+        raise ValueError("target qubit out of range")
+
+
+def _flip_into(out: np.ndarray, amps: np.ndarray, n: int, x_targets, cnots) -> None:
+    """Write the rows of ``amps`` with X on each of ``x_targets`` and each
+    C-NOT (control, target) of ``cnots`` into the contiguous ``out``.
+
+    X reverses its qubit's axis of the (k, 2, ..., 2) view, and a C-NOT
+    reverses its target's axis on the control = 1 slice: one strided copy
+    per setting of the controls, each amplitude moved once.
+    """
+    shape = (len(amps),) + (2,) * n
+    src, dst = amps.reshape(shape), out.reshape(shape)
+    flipped = [slice(None)] * (n + 1)
+    for q in x_targets:
+        flipped[q + 1] = slice(None, None, -1)
+    for bits in itertools.product((0, 1), repeat=len(cnots)):
+        s, d = list(flipped), [slice(None)] * (n + 1)
+        for (c, t), bit in zip(cnots, bits):
+            s[c + 1] = d[c + 1] = bit
+            if bit:
+                s[t + 1] = slice(None, None, -1)
+        dst[tuple(d)] = src[tuple(s)]
+
+
+def apply_flips(
+    state: DenseState, x_targets: Sequence[int] = (), cnots: Sequence[tuple[int, int]] = ()
+) -> DenseState:
+    """X on each of ``x_targets`` and C-NOT on each (control, target) of
+    ``cnots``, all on distinct qubits, applied to every branch in one pass.
+
+    These gates only permute the computational basis, so amplitudes are
+    moved, never multiplied or added: the rows equal those that
+    :func:`apply_unitary` gives with ``pauli(1)`` and ``CNOT``, gate by gate.
+    """
+    _check_flips(state.n_qubits, x_targets, cnots)
+    amps = np.empty_like(state.amplitudes)
+    _flip_into(amps, state.amplitudes, state.n_qubits, x_targets, cnots)
+    return DenseState._adopt(amps, state.weights, state.qubit_labels)
+
+
+def mix_flipped(state: DenseState, x_targets: Sequence[int]) -> DenseState:
+    """The equal mixture of ``state`` and ``state`` with X on each of
+    ``x_targets``: the rows, then the flipped rows, each at half its
+    weight, as :meth:`DenseState.mixture` orders them."""
+    _check_flips(state.n_qubits, x_targets, ())
+    k = len(state.weights)
+    amps = np.empty((2 * k, 2**state.n_qubits), dtype=complex)
+    amps[:k] = state.amplitudes
+    _flip_into(amps[k:], state.amplitudes, state.n_qubits, x_targets, ())
+    half = 0.5 * state.weights
+    return DenseState._adopt(amps, np.concatenate([half, half]), state.qubit_labels)
 
 
 def postselect(weights: np.ndarray, projected: np.ndarray):
@@ -369,7 +458,7 @@ def bell_measurement(state: DenseState, pair: tuple[int, int], discard: bool = F
         keep = (p > 1e-14) & (state.weights @ p > 1e-14)
         rows = subs[keep] / np.sqrt(p[keep])[:, None]
         labels = tuple(label for q, label in enumerate(state.qubit_labels) if q not in (q1, q2))
-        return DenseState.from_arrays(rows, (state.weights[:, None] * p)[keep], labels), np.nonzero(keep)[1]
+        return DenseState._adopt(rows, (state.weights[:, None] * p)[keep], labels), np.nonzero(keep)[1]
     out = []
     for o, label in enumerate(LABELS):
         outcome = postselect(state.weights, subs[:, o])
@@ -377,7 +466,7 @@ def bell_measurement(state: DenseState, pair: tuple[int, int], discard: bool = F
             continue
         prob, post, weights = outcome
         full = _join(_BELL_ROWS[o][:, None] * post[:, None, :], order)
-        out.append((label, prob, DenseState.from_arrays(full, weights, state.qubit_labels)))
+        out.append((label, prob, DenseState._adopt(full, weights, state.qubit_labels)))
     return out
 
 
@@ -426,7 +515,7 @@ def _eigenbranch_mixture(
     eigenvalues ``vals``) above 1e-13; the eigenvalues kept are the weights,
     so they must sum to 1 within 1e-9."""
     above = vals > 1e-13
-    return DenseState.from_arrays(vecs.T[above], vals[above], qubit_labels)
+    return DenseState._adopt(vecs.T[above], vals[above], qubit_labels)
 
 
 def _real_if_exact(m: np.ndarray) -> np.ndarray:

@@ -533,16 +533,22 @@ def build_sigma_n(p: float, n: int) -> SigmaBuild:
 # ---------------------------------------------------------------------------
 
 
-def necessity_witness_two() -> list[MeasureReport]:
+def separable_two_clone() -> tuple[BellEnsemble, BellEnsemble]:
+    """The separable mixture (P[B1]+P[B2])/2 and its two-pair clone."""
+    rho_sep = mix([BellEnsemble.point((B1,)), BellEnsemble.point((B2,))], [0.5, 0.5])
+    return rho_sep, clone_pair_1_to_n(rho_sep, (B1, B2), 2)[0]
+
+
+def necessity_witness_two(clone: tuple[BellEnsemble, BellEnsemble] | None = None) -> list[MeasureReport]:
     """Entanglement budget of two-state cloning, run on a separable input.
 
     Cloning acts linearly, so the separable mixture (P[B1]+P[B2])/2 maps
     to (P[B1 B1]+P[B2 B2])/2; the reports record the Alice:Bob
     log-negativity before (0) and after (>= 1), exhibiting the 1-ebit
-    ancilla bound numerically.
+    ancilla bound numerically.  ``clone`` is :func:`separable_two_clone`'s
+    result when the caller has it already.
     """
-    rho_sep = mix([BellEnsemble.point((B1,)), BellEnsemble.point((B2,))], [0.5, 0.5])
-    cloned, _ = clone_pair_1_to_n(rho_sep, (B1, B2), 2)
+    rho_sep, cloned = clone or separable_two_clone()
     return [_alice_bob_report(rho_sep, "(P[B1]+P[B2])/2"), _alice_bob_report(cloned, "(P[B1 B1]+P[B2 B2])/2")]
 
 

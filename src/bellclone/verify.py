@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dense, measures, protocols
-from .calculus import BellEnsemble, bxor, dense_rewrite_op, mix, to_dense
+from .calculus import BellEnsemble, bxor, dense_rewrite_op, to_dense
 from .dense import Cut
 from .labels import B1, B2, B3, LABELS
 
@@ -423,10 +423,9 @@ def claim_formula_suite() -> ClaimRecord:
 def claim_linearity_witnesses() -> ClaimRecord:
     """Cloning a separable mixture yields the correlated mixture exactly,
     whose log-negativity certifies the required ancilla entanglement."""
-    rho_sep = mix([BellEnsemble.point((B1,)), BellEnsemble.point((B2,))], [0.5, 0.5])
-    cloned, _ = protocols.clone_pair_1_to_n(rho_sep, (B1, B2), 2)
+    rho_sep, cloned = protocols.separable_two_clone()
     exact_ok = cloned.entries == {(B1, B1): 0.5, (B2, B2): 0.5}
-    two_reports = protocols.necessity_witness_two()
+    two_reports = protocols.necessity_witness_two((rho_sep, cloned))
     four_reports = protocols.necessity_witness_four()
     checks = [ppt(two_reports[0].value), entangled(two_reports[1].value, 1)]
     checks += [ppt(four_reports[0].value), entangled(four_reports[1].value, 2)]

@@ -335,6 +335,34 @@ class TestOracleEquivalence:
         assert dense.trace_distance(to_dense(e), state) < 1e-10
 
 
+class TestDenseStepRoutes:
+    def test_unknown_side_rejected_by_both_routes(self):
+        e = BellEnsemble.point((B1, B2))
+        op = ("one_sided_pauli", 0, 1, "charlie")
+        with pytest.raises(ValueError, match="unknown side 'charlie'"):
+            apply_rewrite_op(e, op)
+        with pytest.raises(ValueError, match="unknown side 'charlie'"):
+            dense_rewrite_op(to_dense(e), op)
+
+    def test_permutation_steps_call_no_general_gate(self, monkeypatch):
+        state = to_dense(BellEnsemble({(B1, B2, B3): 0.25, (B4, B1, B3): 0.75}))
+
+        def refuse(*args):
+            raise AssertionError("apply_unitary called")
+
+        monkeypatch.setattr(dense, "apply_unitary", refuse)
+        for op in [("bxor", 0, 2), ("bxor", 2, 1), ("random_pauli_x",)]:
+            dense_rewrite_op(state, op)
+
+    def test_bxor_pair_errors_unchanged(self):
+        state = to_dense(BellEnsemble.point((B1, B2)))
+        with pytest.raises(ValueError, match="target qubits must be distinct"):
+            dense_rewrite_op(state, ("bxor", 1, 1))
+        for s, t in [(0, 2), (-1, 0), (3, 5)]:
+            with pytest.raises(ValueError, match="target qubit out of range"):
+                dense_rewrite_op(state, ("bxor", s, t))
+
+
 class TestFromTextBoundary:
     def test_duplicate_string_rejected_with_its_line(self):
         text = "0.25 00 01\n0.5 11 11\n\n0.25 00 01\n"

@@ -15,6 +15,7 @@ from bellclone.dense import (
     HADAMARD,
     PureBranch,
     QubitLabel,
+    apply_flips,
     apply_unitary,
     bell_measurement,
     bell_state,
@@ -1066,6 +1067,117 @@ class TestBatchedState:
         with pytest.raises(ValueError, match="norm"):
             fidelity(state, np.full(4, np.nan))
         assert fidelity(state, BELL_LITERALS[B1] * (1 + 5e-10)) == pytest.approx(1.0, abs=1e-8)
+
+
+def random_bell_ensemble(rng, n_pairs):
+    strings = {tuple(LABELS[i] for i in rng.integers(0, 4, size=n_pairs)) for _ in range(int(rng.integers(1, 6)))}
+    probs = rng.random(len(strings)) + 0.1
+    return BellEnsemble(dict(zip(sorted(strings), probs / probs.sum())))
+
+
+def explicit_flips(state, x_targets=(), cnots=()):
+    """apply_flips gate by gate through the explicit matrices."""
+    for q in x_targets:
+        state = apply_unitary(state, pauli(1), (q,))
+    for pair in cnots:
+        state = apply_unitary(state, CNOT, pair)
+    return state
+
+
+class TestAxisFlips:
+    """X and C-NOT as axis reversals against the explicit-matrix route."""
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_ordered_pair_matches_the_matrices(self, n):
+        rng = np.random.default_rng(900 + n)
+        state = random_mixture(rng, n, (0.5, 0.3, 0.2))
+        for s, t in itertools.permutations(range(n), 2):
+            got = apply_flips(state, cnots=[(s, t)])
+            assert np.abs(got.amplitudes - explicit_flips(state, cnots=[(s, t)]).amplitudes).max() <= 1e-15
+            assert got.weights.tolist() == state.weights.tolist() and got.qubit_labels == state.qubit_labels
+        for q in range(n):
+            got = apply_flips(state, x_targets=[q])
+            assert np.abs(got.amplitudes - explicit_flips(state, x_targets=[q]).amplitudes).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_products_of_distinct_gates(self, n):
+        rng = np.random.default_rng(950 + n)
+        state = random_mixture(rng, n, (0.6, 0.4))
+        for _ in range(10):
+            q = [int(x) for x in rng.permutation(n)]
+            x_targets, cnots = q[:1], [(q[1], q[2])] + ([(q[3], q[4])] if n > 4 else [])
+            got = apply_flips(state, x_targets, cnots)
+            assert np.abs(got.amplitudes - explicit_flips(state, x_targets, cnots).amplitudes).max() <= 1e-15
+        bob = list(range(1, n, 2))
+        flipped = explicit_flips(state, x_targets=bob)
+        mixed = DenseState.mixture([(0.5, state), (0.5, flipped)])
+        got = dense.mix_flipped(state, bob)
+        assert np.abs(got.amplitudes - mixed.amplitudes).max() <= 1e-15
+        assert np.abs(got.weights - mixed.weights).max() <= 1e-16
+
+    @pytest.mark.parametrize("n_pairs", [2, 3, 5, 7])
+    def test_bit_identical_on_bell_ensemble_rows(self, n_pairs):
+        rng = np.random.default_rng(970 + n_pairs)
+        n = 2 * n_pairs
+        for _ in range(4):
+            state = to_dense(random_bell_ensemble(rng, n_pairs))
+            s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+            assert np.array_equal(apply_flips(state, cnots=[(s, t)]).amplitudes, apply_unitary(state, CNOT, (s, t)).amplitudes)
+            q = int(rng.integers(n))
+            assert np.array_equal(apply_flips(state, [q]).amplitudes, apply_unitary(state, pauli(1), (q,)).amplitudes)
+
+    def test_checks_and_messages_of_apply_unitary(self):
+        state = random_mixture(np.random.default_rng(5), 4, (1.0,))
+        for x_targets, cnots in [((1,), [(1, 2)]), ((), [(0, 2), (2, 3)]), ((), [(3, 3)]), ((2, 2), ())]:
+            with pytest.raises(ValueError, match="target qubits must be distinct"):
+                apply_flips(state, x_targets, cnots)
+        for x_targets, cnots in [((4,), ()), ((), [(0, -1)]), ((), [(5, 0)])]:
+            with pytest.raises(ValueError, match="target qubit out of range"):
+                apply_flips(state, x_targets, cnots)
+        with pytest.raises(ValueError, match="out of range"):
+            dense.mix_flipped(state, [4])
+
+
+class TestStateConstruction:
+    def test_unit_rows_are_stored_unchanged(self):
+        labels = pair_register(1)
+        rng = np.random.default_rng(12)
+        while True:  # a normalized row whose computed norm is not exactly 1
+            off = rng.normal(size=4) + 1j * rng.normal(size=4)
+            off /= np.linalg.norm(off)
+            if dense._squared_row_norms(off) != 1.0:
+                break
+        rows = np.array([[0, 0, -1j, 0], [0.5, 0.5j, -0.5, 0.5], off, [1 + 1e-12, 0, 0, 0]], dtype=complex)
+        norms = np.sqrt(dense._squared_row_norms(rows))
+        assert norms.tolist()[:2] == [1.0, 1.0] and 1.0 not in norms.tolist()[2:]
+        state = DenseState.from_arrays(rows, [0.25] * 4, labels)
+        assert np.array_equal(state.amplitudes[:2], rows[:2])
+        assert np.array_equal(state.amplitudes[2:], rows[2:] / norms[2:, None])
+        assert state.amplitudes[3].tolist() == [1, 0, 0, 0]
+
+    def test_weights_rescaled_only_off_one(self):
+        rows = np.array([BELL_LITERALS[B1], BELL_LITERALS[B3]], dtype=complex)
+        exact = DenseState.from_arrays(rows, [0.1, 0.9], pair_register(1))
+        assert exact.weights.tolist() == [0.1, 0.9]
+        off = DenseState.from_arrays(rows, [0.1, 0.9 + 1e-12], pair_register(1))
+        assert off.weights.tolist() == (np.array([0.1, 0.9 + 1e-12]) / (0.1 + (0.9 + 1e-12))).tolist()
+
+    def test_from_arrays_does_not_alias_its_inputs(self):
+        # Unit rows and weights summing to exactly 1: nothing is divided.
+        rows = np.array([[0.5, 0.5, 0.5, -0.5], [0, 1j, 0, 0]])
+        weights = np.array([0.5, 0.5])
+        state = DenseState.from_arrays(rows, weights, pair_register(1))
+        rows[:] = 7.0
+        weights[:] = 3.0
+        assert np.array_equal(state.amplitudes, [[0.5, 0.5, 0.5, -0.5], [0, 1j, 0, 0]])
+        assert state.weights.tolist() == [0.5, 0.5]
+        assert not state.amplitudes.flags.writeable and not state.weights.flags.writeable
+
+    def test_kernels_store_read_only_arrays(self):
+        state = to_dense(random_bell_ensemble(np.random.default_rng(3), 3))
+        for out in (apply_flips(state, [1], [(0, 2)]), dense.mix_flipped(state, [1, 3]), apply_unitary(state, HADAMARD, (2,))):
+            assert not out.amplitudes.flags.writeable and not out.weights.flags.writeable
+            assert not np.shares_memory(out.amplitudes, state.amplitudes)
 
 
 class TestMemory:

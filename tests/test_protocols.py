@@ -418,6 +418,16 @@ class TestNecessityWitnesses:
         assert after.value >= 1.0 - 1e-9
         assert before.provenance == after.provenance == "dense-witness"
 
+    def test_linearity_claim_clones_the_mixture_once(self, monkeypatch):
+        from bellclone import verify
+
+        calls = []
+        original = protocols.clone_pair_1_to_n
+        monkeypatch.setattr(protocols, "clone_pair_1_to_n", lambda *a: calls.append(a) or original(*a))
+        record = verify.claim_linearity_witnesses()
+        assert len(calls) == 1 and record.passed
+        assert record.measured["reports"][:2] == [r.to_dict() for r in necessity_witness_two()]
+
     def test_four_state_budget(self):
         before, after = necessity_witness_four()
         assert before.value <= 1e-9

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Compare the observable outputs of this checkout with another one.
+
+    python3 tools/compare_outputs.py OTHER_TREE
+
+``OTHER_TREE`` is the root of another bellclone checkout, the baseline
+(for example a ``git archive`` of the parent commit unpacked into a
+directory).  Both trees run ``verify-all`` (stdout, JSON report, exit
+code) and every CLI run of ``bench/jobs.py::dense_argv_space()``, each
+in a fresh interpreter with its own ``src/`` first on the path and the
+benchmark's BLAS thread count.  For every output that differs, the job
+and the part that differs are printed; for JSON outputs, each leaf that
+moved is printed as ``path: old -> new`` (old is ``OTHER_TREE``), and
+for text the differing lines.  The exit status is 0 when every output
+is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import jobs  # noqa: E402
+import run  # noqa: E402  (for BLAS_THREADS, the benchmark's BLAS thread count)
+
+
+def run_cli(tree: Path, argv: list[str], workdir: Path) -> dict:
+    """One CLI run of ``tree`` in a fresh interpreter: its exit code,
+    stdout, the last stderr line and, for ``verify-all``, the report."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(run.BLAS_THREADS)
+    report = workdir / "report.json"
+    report.unlink(missing_ok=True)
+    extra = ["--output", str(report)] if argv == ["verify-all"] else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "bellclone.cli", *argv, *extra],
+        cwd=workdir, env=env, capture_output=True, text=True, check=False,
+    )
+    lines = proc.stderr.strip().splitlines()
+    out = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": lines[-1] if lines else ""}
+    if extra:
+        out["report"] = report.read_text() if report.exists() else None
+    return out
+
+
+def json_leaves(value, path: str = "") -> dict[str, object]:
+    """Every leaf of a parsed JSON value, by its path (``a.b[2].c``)."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else str(key), v) for key, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return {path: value}
+    return {p: leaf for key, v in items for p, leaf in json_leaves(v, key).items()}
+
+
+def describe(old: str | None, new: str | None) -> list[str]:
+    """Lines that say how one output moved: the JSON leaves that moved,
+    old -> new, or else a line diff."""
+    try:
+        old_leaves, new_leaves = (json_leaves(json.loads(text)) for text in (old, new))
+    except (TypeError, ValueError):  # not JSON, or no output
+        old_leaves = new_leaves = {}
+
+    def show(leaves: dict, path: str) -> str:
+        return repr(leaves[path]) if path in leaves else "(absent)"
+
+    moved = [
+        f"{path}: {show(old_leaves, path)} -> {show(new_leaves, path)}"
+        for path in sorted(old_leaves.keys() | new_leaves.keys())
+        if show(old_leaves, path) != show(new_leaves, path)
+    ]
+    diff = difflib.unified_diff((old or "").splitlines(), (new or "").splitlines(), "old", "new", lineterm="", n=0)
+    return moved or list(diff)[2:]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other_tree", type=Path, help="root of the baseline checkout")
+    args = parser.parse_args(argv)
+    other = args.other_tree.resolve()
+    if not (other / "src" / "bellclone" / "__init__.py").is_file():
+        parser.error(f"no bellclone package under {other / 'src'}")
+    runs = [["verify-all"]] + jobs.dense_argv_space()
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for argv in runs:
+            old, new = run_cli(other, argv, workdir), run_cli(ROOT, argv, workdir)
+            parts = [part for part in new if old[part] != new[part]]
+            if not parts:
+                continue
+            differing += 1
+            print(" ".join(argv))
+            for part in parts:
+                print(f"  {part}:")
+                lines = describe(old[part], new[part]) if isinstance(new[part], str) else [f"{old[part]} -> {new[part]}"]
+                print("\n".join(f"    {line}" for line in lines))
+    print(f"{len(runs) - differing} of {len(runs)} outputs identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
