@@ -354,26 +354,31 @@ dense.check_unitary(_CORRECTIONS)
 def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseState) -> dense.DenseState:
     """Teleport a shared two-qubit state through a pair-structured channel.
 
-    The channel's pair 0 is consumed by the Bell measurements (Alice
-    measures her input qubit with A0, Bob his with B0).  Each measurement
-    drops the two qubits it measured, and its outcome-indexed Pauli
-    correction is applied to that party's qubit of every remaining channel
-    pair, so what is left of the register is the output: one row per
-    (branch, Alice outcome, Bob outcome), up to 16 per branch of the
-    joint input, unmerged.  No partial trace or spectrum is taken.
+    The input's first two qubits (Alice's, then Bob's) are the pair to
+    teleport; any further input qubits, such as the reference of a Choi
+    run, are carried through untouched and end up, with their labels,
+    after the output pairs.  The channel's pair 0 is consumed by the Bell
+    measurements (Alice measures her input qubit with A0, Bob his with
+    B0).  Each measurement drops the two qubits it measured, and its
+    outcome-indexed Pauli correction is applied to that party's qubit of
+    every remaining channel pair, so what is left of the register is the
+    output: one row per (branch, Alice outcome, Bob outcome), up to 16
+    per branch of the joint input, unmerged.  No partial trace or
+    spectrum is taken.
     """
     n_receive = channel.n_qubits // 2 - 1
     if n_receive < 1:
         raise ValueError("channel needs at least two pairs")
-    if input_state.n_qubits != 2:
+    if input_state.n_qubits < 2:
         raise ValueError("teleportation input must be a two-qubit state")
-    if tuple(q.party for q in input_state.qubit_labels) != PARTIES:
+    if tuple(q.party for q in input_state.qubit_labels[:2]) != PARTIES:
         raise ValueError("input must hold one Alice qubit then one Bob qubit")
 
-    # The register holds the input as pair 0 and channel pair k as pair
-    # k + 1; ``left`` lists the register qubits not yet measured away.
-    # Alice's corrections commute with Bob's measurement, so they come first.
-    state = dense.tensor(input_state, channel)
+    # The register holds the input pair as pair 0, channel pair k as pair
+    # k + 1 and the carried input qubits last; ``left`` lists the register
+    # qubits not yet measured away.  Alice's corrections commute with
+    # Bob's measurement, so they come first.
+    state = dense.tensor(input_state, channel, at=2)
     left = list(range(state.n_qubits))
     for party in PARTIES:
         measured = (party_qubit(0, party), party_qubit(1, party))
@@ -381,7 +386,8 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
         left = [q for q in left if q not in measured]
         receivers = [left.index(party_qubit(k, party)) for k in range(2, n_receive + 2)]
         state = _measure_and_correct(state, pair, receivers)
-    return dense.DenseState._adopt(state.amplitudes, state.weights, dense.pair_register(n_receive))
+    labels = dense.pair_register(n_receive) + input_state.qubit_labels[2:]
+    return dense.DenseState._adopt(state.amplitudes, state.weights, labels)
 
 
 def _measure_and_correct(state: dense.DenseState, pair: tuple[int, int], receivers: list[int]) -> dense.DenseState:

@@ -9,6 +9,7 @@ Output is deterministic; identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -64,7 +65,11 @@ def _emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
 
 
@@ -370,9 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of :func:`main`, built on its first call (not at import) and
+#: reused: parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

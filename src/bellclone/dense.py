@@ -20,7 +20,9 @@ branches' nonzero amplitudes produce and diagonalizes the matrix's
 connected blocks.  A density matrix (up to 10 qubits) is materialized
 only for the log-negativity of dense rows, by a partial trace whose
 branches span at least the kept space, and on request
-(``density_matrix``, ``partial_transpose``, Choi matrices).
+(``density_matrix``, ``partial_transpose``, Choi matrices).  A Choi
+matrix takes one channel run, on the input half of a maximally entangled
+input-reference state, plus one run that checks linearity.
 Matrices with an exactly zero imaginary part are diagonalized in real
 arithmetic.  Global phases are ignored throughout: two states are
 considered equal when their density operators agree.
@@ -101,7 +103,7 @@ class QubitLabel:
 
     party: str  # "alice" | "bob"
     pair: int  # 0-based pair index
-    role: str = "source"  # "source" | "ancilla" | "input"
+    role: str = "source"  # "source" | "ancilla" | "input" | "reference"
 
     def __post_init__(self):
         if self.party not in ("alice", "bob"):
@@ -269,11 +271,14 @@ class DenseState:
         return tuple(i for i, q in enumerate(self.qubit_labels) if q.party == party)
 
 
-def tensor(left: DenseState, right: DenseState) -> DenseState:
-    """Tensor product; the right register is appended after the left."""
-    amps = left.amplitudes[:, None, :, None] * right.amplitudes[None, :, None, :]
+def tensor(left: DenseState, right: DenseState, at: int | None = None) -> DenseState:
+    """Tensor product; the right register goes after the first ``at``
+    qubits of the left one (by default after all of them)."""
+    at = left.n_qubits if at is None else at
+    amps = left.amplitudes.reshape(len(left.weights), 1, 2**at, 1, -1) * right.amplitudes[None, :, None, :, None]
     weights = np.outer(left.weights, right.weights).reshape(-1)
-    return DenseState._adopt(amps.reshape(len(weights), -1), weights, left.qubit_labels + right.qubit_labels)
+    labels = left.qubit_labels[:at] + right.qubit_labels + left.qubit_labels[at:]
+    return DenseState._adopt(amps.reshape(len(weights), -1), weights, labels)
 
 
 @dataclass(frozen=True)
@@ -672,6 +677,7 @@ def trace_distance(state_a: DenseState, state_b: DenseState) -> float:
 _CHOI_CHECK_SEED = 202608
 
 _INPUT_LABELS = pair_register(1, role="input")
+_REFERENCE_LABELS = pair_register(1, role="reference")
 
 
 def _choi_apply(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -684,27 +690,22 @@ def choi_matrix(channel: Callable[[DenseState], DenseState]) -> np.ndarray:
     """Choi operator of a two-qubit channel, acting on half of a
     maximally entangled reference.
 
-    The channel is probed on pure two-qubit inputs and extended by
-    linearity; the result is C = (1/4) sum_xy channel(|x><y|) (x) |x><y|
-    with the system factor first.  Raises if the probe reconstruction
-    fails on a fixed pseudo-random input (non-linear channel).
+    The channel runs once on |Phi> = (1/2) sum_x |x>|x>: the input pair
+    (qubits 0-1) followed by a two-qubit reference (qubits 2-3, role
+    ``"reference"``).  The channel must act on qubits 0-1 of whatever
+    register it is given and keep the remaining qubits, unchanged and in
+    order, after its two output qubits; the density matrix of its output
+    is then C = (1/4) sum_xy channel(|x><y|) (x) |x><y|, with the system
+    factor first.  Raises if the output lost or reordered the reference,
+    and if C fails to predict the channel on a fixed pseudo-random
+    two-qubit mixture (non-linear channel).
     """
-    kets = np.eye(4, dtype=complex)
-
-    def run(vec: np.ndarray) -> np.ndarray:
-        return channel(DenseState.pure(vec, _INPUT_LABELS)).density_matrix()
-
-    diag = [run(kets[x]) for x in range(4)]
-    choi = np.zeros((16, 16), dtype=complex)
-    for x in range(4):
-        for y in range(4):
-            if x == y:
-                block = diag[x]
-            else:
-                plus = run((kets[x] + kets[y]) / _SQRT2)
-                phase = run((kets[x] + 1j * kets[y]) / _SQRT2)
-                block = plus + 1j * phase - (1 + 1j) / 2 * (diag[x] + diag[y])
-            choi += 0.25 * np.kron(block, np.outer(kets[x], kets[y].conj()))
+    phi = np.zeros(16, dtype=complex)
+    phi[[0, 5, 10, 15]] = 0.5
+    out = channel(DenseState.pure(phi, _INPUT_LABELS + _REFERENCE_LABELS))
+    if out.n_qubits != 4 or out.qubit_labels[2:] != _REFERENCE_LABELS:
+        raise ValueError("channel output lost or reordered the reference qubits")
+    choi = out.density_matrix()
 
     rng = np.random.default_rng(_CHOI_CHECK_SEED)
     vecs = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))

@@ -354,7 +354,9 @@ def teleport_two_qubit(channel: DenseState, input_state: DenseState) -> DenseSta
     for channel |B1> (corrections B1 -> I, B2 -> z, B3 -> x, B4 -> y) on
     their own halves; the output is averaged over the 16 outcome pairs.
     Through the Smolin state this realizes the Bell-diagonal filter
-    sigma_i (x) sigma_j -> delta_ij sigma_i (x) sigma_j.
+    sigma_i (x) sigma_j -> delta_ij sigma_i (x) sigma_j.  The input's
+    qubits 0-1 are teleported and any further qubits (the reference of
+    :func:`~bellclone.dense.choi_matrix`) are kept, after the output.
     """
     if channel.n_qubits != 4:
         raise ValueError("two-qubit teleportation needs a two-pair channel")

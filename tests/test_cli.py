@@ -199,6 +199,53 @@ class TestDeterminism:
         assert first == second
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [("prepare", "--m", "3"), ("verify-all",)])
+    def test_usage_error_without_traceback(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "report"
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+        assert not path.exists()
+
+
+class TestParserReuse:
+    ARGVS = (
+        ("prepare",),  # argparse usage error: --m is required
+        ("prepare", "--m", "3"),
+        ("clone", "--set", "two", "--pair", "B1,B3", "--input", "B2", "--n", "2"),  # usage error
+        ("teleport", "--channel", "ideal", "--input", "B2", "--format", "json"),
+        ("measures", "--state", "rhoM", "--m", "2..4"),
+    )
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_matches_fresh_ones(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        cli._parser.cache_clear()
+        reused = [self.outcome(capsys, argv) for argv in self.ARGVS * 2]
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(self.ARGVS) - 1)
+        assert reused == fresh * 2
+        assert [code for code, _, _ in fresh] == [2, 0, 2, 0, 0]
+
+    def test_parser_is_not_built_at_import(self):
+        code = "import bellclone.cli as c; print(c._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.stdout == "0\n"
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

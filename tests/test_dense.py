@@ -376,6 +376,16 @@ class TestFidelity:
             fidelity(state, np.ones(8) / np.sqrt(8))
 
 
+def pauli_filter(state):
+    """Apply sigma_k (x) sigma_k with probability 1/4 each, on qubits 0-1
+    of any register: (sigma_k (x) sigma_k) (x) I."""
+    rest = np.eye(2 ** (state.n_qubits - 2))
+    kraus = [np.kron(np.kron(pauli(k), pauli(k)), rest) for k in range(4)]
+    rho = state.density_matrix()
+    out = sum(k @ rho @ k.conj().T for k in kraus) / 4.0
+    return from_density_matrix(out, state.qubit_labels)
+
+
 class TestChoiMatrix:
     def test_identity_channel_is_rank_one_projector(self):
         choi = choi_matrix(lambda s: s)
@@ -384,15 +394,7 @@ class TestChoiMatrix:
         assert_allclose(choi, np.outer(omega, omega.conj()), atol=1e-12)
 
     def test_pauli_filter_channel_matches_term_sum(self):
-        # Channel: apply sigma_k (x) sigma_k with probability 1/4 each.
-        kraus = [np.kron(pauli(k), pauli(k)) for k in range(4)]
-
-        def channel(state):
-            rho = state.density_matrix()
-            out = sum(k @ rho @ k.conj().T for k in kraus) / 4.0
-            return from_density_matrix(out, state.qubit_labels)
-
-        choi = choi_matrix(channel)
+        choi = choi_matrix(pauli_filter)
         expected = np.zeros((16, 16), dtype=complex)
         for k in range(4):
             op = np.kron(pauli(k), pauli(k))
@@ -885,8 +887,9 @@ class TestDiscardingBellMeasurement:
 
 
 def choi_probe_inputs():
-    """Every input ``choi_matrix`` feeds a channel: the basis kets, the
-    (|x> + |y>) and (|x> + i|y>) superpositions, and the seeded mixture."""
+    """The inputs of the probe reconstruction :func:`ref_choi_matrix`: the
+    basis kets, the (|x> + |y>) and (|x> + i|y>) superpositions, and the
+    seeded mixture of ``choi_matrix``'s linearity check."""
     kets = np.eye(4, dtype=complex)
     labels = pair_register(1, role="input")
     vecs = list(kets)
@@ -915,6 +918,122 @@ class TestBatchedTeleportation:
         assert len(inputs) == 29
         for inp in inputs:
             assert_same_state(_teleport_and_correct(channel, inp), ref_teleport(channel, inp))
+
+
+# ---------------------------------------------------------------------------
+# One-run Choi matrices against the probe reconstruction
+# ---------------------------------------------------------------------------
+
+
+def ref_choi_matrix(channel):
+    """Choi matrix rebuilt by linearity from the 28 pure probe inputs of
+    :func:`choi_probe_inputs`, each run through the channel on its own."""
+    kets = np.eye(4, dtype=complex)
+    outputs = iter(channel(inp).density_matrix() for inp in choi_probe_inputs()[:28])
+    diag = [next(outputs) for _ in range(4)]
+    choi = np.zeros((16, 16), dtype=complex)
+    for x, y in itertools.permutations(range(4), 2):
+        plus, phase = next(outputs), next(outputs)
+        block = plus + 1j * phase - (1 + 1j) / 2 * (diag[x] + diag[y])
+        choi += 0.25 * np.kron(block, np.outer(kets[x], kets[y]))
+    for x in range(4):
+        choi += 0.25 * np.kron(diag[x], np.outer(kets[x], kets[x]))
+    return choi
+
+
+def first_output_pair(channel):
+    """Teleportation through ``channel`` keeping output pair 0 and every
+    carried qubit: a two-qubit channel in the sense of ``choi_matrix``."""
+    from bellclone.calculus import _teleport_and_correct
+
+    def run(state):
+        out = _teleport_and_correct(channel, state)
+        return partial_trace(out, [0, 1] + list(range(out.n_qubits - state.n_qubits + 2, out.n_qubits)))
+
+    return run
+
+
+def choi_channels():
+    yield "identity", lambda s: s
+    yield "pauli-filter", pauli_filter
+    for name, channel in teleport_channels():
+        if channel.n_qubits == 4:
+            yield name, lambda s, channel=channel: protocols.teleport_two_qubit(channel, s)
+        elif channel.n_qubits + 4 <= dense.MAX_REGISTER_QUBITS:
+            yield name, first_output_pair(channel)
+
+
+REFERENCE = pair_register(1, role="reference")
+
+
+def random_pure(rng, labels):
+    vec = rng.normal(size=2 ** len(labels)) + 1j * rng.normal(size=2 ** len(labels))
+    return DenseState.pure(vec / np.linalg.norm(vec), labels)
+
+
+class TestOneRunChoi:
+    @pytest.mark.parametrize("name, channel", list(choi_channels()))
+    def test_matches_probe_reconstruction(self, name, channel):
+        assert np.max(np.abs(choi_matrix(channel) - ref_choi_matrix(channel))) <= 1e-13
+
+    def test_rho6_input_and_reference_exceed_the_register(self):
+        # 4 input and reference qubits next to rho_6's 12 make 16 > 14.
+        channel = first_output_pair(rho(6))
+        assert ref_choi_matrix(channel).shape == (16, 16)
+        with pytest.raises(ValueError, match="exceeds"):
+            choi_matrix(channel)
+
+    def test_channel_runs_once_then_on_the_probe(self):
+        seen = []
+        choi_matrix(lambda s: seen.append(s.qubit_labels) or s)
+        assert seen == [pair_register(1, role="input") + REFERENCE, pair_register(1, role="input")]
+
+    def test_dropped_reference_raises(self):
+        with pytest.raises(ValueError, match="reference"):
+            choi_matrix(lambda s: partial_trace(s, [0, 1]))
+
+    def test_reordered_reference_raises(self):
+        def swap_halves(state):
+            amps = state.amplitudes.reshape(-1, 4, 4).transpose(0, 2, 1).reshape(len(state.weights), -1)
+            return DenseState.from_arrays(amps, state.weights, state.qubit_labels[2:] + state.qubit_labels[:2])
+
+        with pytest.raises(ValueError, match="reference"):
+            choi_matrix(swap_halves)
+
+    @pytest.mark.parametrize("name, channel", [c for c in teleport_channels() if c[1].n_qubits <= 8])
+    def test_product_input_keeps_its_reference(self, name, channel):
+        from bellclone.calculus import _teleport_and_correct
+
+        rng = np.random.default_rng(77)
+        inp = random_mixture(rng, 2, (0.4, 0.6))
+        inp = DenseState.from_arrays(inp.amplitudes, inp.weights, pair_register(1, role="input"))
+        for reference in (random_pure(rng, REFERENCE), random_pure(rng, REFERENCE[:1])):
+            out = _teleport_and_correct(channel, tensor(inp, reference))
+            assert_same_state(out, tensor(_teleport_and_correct(channel, inp), reference))
+
+    @pytest.mark.parametrize("at", [0, 1, 2, 3, None])
+    def test_tensor_inserts_after_the_first_at_qubits(self, at):
+        rng = np.random.default_rng(79)
+        left, right = random_mixture(rng, 3, (0.5, 0.5)), random_mixture(rng, 2, (0.25, 0.75))
+        out = tensor(left, right, at=at)
+        ref = ref_tensor(left, right)  # left's qubits 0-2, then right's 3-4
+        order = list(range(3 if at is None else at)) + [3, 4] + list(range(3 if at is None else at, 3))
+        amps = ref.amplitudes.reshape((-1,) + (2,) * 5).transpose([0] + [q + 1 for q in order])
+        assert np.max(np.abs(out.amplitudes - amps.reshape(len(ref.weights), -1))) <= 1e-15
+        assert np.array_equal(out.weights, ref.weights)
+        assert out.qubit_labels == tuple(ref.qubit_labels[q] for q in order)
+
+    def test_teleport_input_checks(self):
+        from bellclone.calculus import _teleport_and_correct
+
+        channel = protocols.ideal_channel()
+        rng = np.random.default_rng(78)
+        with pytest.raises(ValueError, match="two-qubit state"):
+            _teleport_and_correct(channel, random_pure(rng, pair_register(1, role="input")[:1]))
+        swapped = pair_register(1, role="input")[::-1]
+        for labels in (swapped, swapped + REFERENCE):
+            with pytest.raises(ValueError, match="one Alice qubit then one Bob qubit"):
+                _teleport_and_correct(channel, random_pure(rng, labels))
 
 
 # ---------------------------------------------------------------------------
