@@ -10,16 +10,23 @@ against the dense oracle (:func:`to_dense` bridges the two).
 Packed layout: a string of n labels is one Python ``int`` of 2n bits.
 Pair 0 holds the most significant two-bit field and each field holds
 ``a`` above ``b`` (label index - 1), so integer order is lexicographic
-label order.  A rewrite is a few shifts and XORs per string, O(support x
-pairs / word) per step.  Only the constructor, :meth:`~BellEnsemble.from_text`,
+label order.  Only the constructor, :meth:`~BellEnsemble.from_text`,
 :func:`mix`, :func:`teleport` and the conditionals of :func:`discriminate_sets`
 merge, prune and check; the bijective rewrites just re-sort.
+
+Column layout: :func:`apply_steps` runs each maximal run of affine steps
+(bilateral C-NOT and Hadamard, one-sided Pauli, local Clifford) on the
+support transposed into 2n column ints, bit i of column 2k (2k + 1) being
+pair k's a (b) bit in string i.  Each step is one to three whole-column
+XORs, so s steps on k strings of n pairs cost O(k n) for the two
+transpositions (byte translations, in C) and a sort, plus O(s) column ops.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -176,11 +183,102 @@ def _permuted(e: BellEnsemble, strings) -> BellEnsemble:
     return BellEnsemble._make(e.n_pairs, dict(sorted(zip(strings, e._probs.values()))))
 
 
-def _relabel(e: BellEnsemble, pair: int, table) -> BellEnsemble:
-    """Apply the label permutation ``table`` (old field value -> new) on one pair."""
-    sh = _check_pair(e, pair)
-    delta = [new ^ old for old, new in enumerate(table)]
-    return _permuted(e, [x ^ (delta[(x >> sh) & 3] << sh) for x in e._probs])
+#: Byte translations between ``format(x, "b")`` digits and 0/1 bytes: one
+#: table to read a string's bits, and per lane bit i one that maps a byte
+#: to the digit of its bit i, to write them back.
+_DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_LANE_DIGITS = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
+
+
+def _columns(strings: list[int], n_pairs: int) -> list[int]:
+    """The strings transposed: bit i of column 2k (2k + 1) is pair k's a
+    (b) bit in ``strings[i]``; eight strings share a byte per column."""
+    width = 2 * n_pairs
+    for g in range(0, len(strings), 8):
+        lanes = 0
+        for i, x in enumerate(strings[g : g + 8]):
+            lanes |= int.from_bytes(format(x, "b").zfill(width).encode().translate(_DIGIT_BIT), "big") << i
+        lane = lanes.to_bytes(width, "big")
+        cols = [c | v << g for c, v in zip(cols, lane)] if g else list(lane)
+    return cols
+
+
+def _strings(cols: list[int], k: int) -> list[int]:
+    """Inverse of :func:`_columns` for ``k`` strings."""
+    strings = []
+    for g in range(0, k, 8):
+        lane = bytes(cols) if k <= 8 else bytes([c >> g & 255 for c in cols])
+        strings += [int(lane.translate(_LANE_DIGITS[i]), 2) for i in range(min(8, k - g))]
+    return strings
+
+
+def _rewrite(e: BellEnsemble, run: list[tuple]) -> BellEnsemble:
+    """Apply a run of :func:`_step_columns` steps to the transposed
+    support, as whole-column XORs, then transpose back and re-sort."""
+    if not run:
+        return e
+    k = len(e._probs)
+    ones = (1 << k) - 1
+    cols = _columns(list(e._probs), e.n_pairs)
+    for op in run:
+        if len(op) == 4:  # bilateral C-NOT
+            b_s, b_t, a_t, a_s = op
+            cols[b_s] ^= cols[b_t]
+            cols[a_t] ^= cols[a_s]
+        else:  # an affine map of one pair's (a, b) columns
+            ia, ib, aa, ab, ac, ba, bb, bc = op
+            a, b = cols[ia], cols[ib]
+            cols[ia] = (a & aa) ^ (b & ab) ^ (ones & ac)
+            cols[ib] = (a & ba) ^ (b & bb) ^ (ones & bc)
+    return _permuted(e, _strings(cols, k))
+
+
+def _affine(table) -> tuple[int, ...]:
+    """The label permutation ``table`` (old field value -> new) as an affine
+    map of a pair's bits (S4 ~ AGL(2,2)): new = M (a, b) + c with c = table[0]
+    and M's columns table[2] ^ c and table[1] ^ c, held as masks 0 or -1."""
+    c, ma, mb = table[0], table[2] ^ table[0], table[1] ^ table[0]
+    return -(ma >> 1), -(mb >> 1), -(c >> 1), -(ma & 1), -(mb & 1), -(c & 1)
+
+
+#: The bilateral Hadamard, (a, b) -> (b, a), and the Paulis x, y, z.
+_HADAMARD = _affine((0b00, 0b10, 0b01, 0b11))
+_PAULIS = [_affine([v ^ flip for v in range(4)]) for flip in (0b10, 0b11, 0b01)]
+
+
+def _pair_columns(e: BellEnsemble, pair: int, mapping: dict[BellLabel, BellLabel]) -> tuple:
+    table = [mapping[l].index - 1 for l in LABELS]
+    if sorted(table) != [0, 1, 2, 3]:
+        raise ValueError("label map must be a permutation of the four labels")
+    _check_pair(e, pair)
+    return (2 * pair, 2 * pair + 1) + _affine(table)
+
+
+def _step_columns(e: BellEnsemble, op: tuple) -> tuple | None:
+    """The validated column step of an affine step (a bilateral C-NOT or
+    Hadamard, a one-sided Pauli or a local Clifford); None for any other."""
+    name = op[0]
+    if name == "bxor":
+        _, source, target = op
+        _check_pair(e, source)
+        _check_pair(e, target)
+        if source == target:
+            raise ValueError("source and target pair must differ")
+        return 2 * source + 1, 2 * target + 1, 2 * target, 2 * source
+    if name == "bilateral_hadamard":
+        _check_pair(e, op[1])
+        return (2 * op[1], 2 * op[1] + 1) + _HADAMARD
+    if name == "one_sided_pauli":
+        _, pair, pauli_index, side = op
+        _check_pair(e, pair)
+        if pauli_index not in (1, 2, 3):
+            raise ValueError("Pauli index must be 1 (x), 2 (y) or 3 (z)")
+        if side not in ("alice", "bob"):
+            raise ValueError(f"unknown side {side!r}")
+        return (2 * pair, 2 * pair + 1) + _PAULIS[pauli_index - 1]
+    if name == "local_clifford":
+        return _pair_columns(e, op[1], op[2].label_map)
+    return None
 
 
 def bxor(e: BellEnsemble, source: int, target: int) -> BellEnsemble:
@@ -194,19 +292,12 @@ def bxor(e: BellEnsemble, source: int, target: int) -> BellEnsemble:
 
     an involution certified gate-by-gate against the dense oracle.
     """
-    b_s = _check_pair(e, source)
-    b_t = _check_pair(e, target)
-    if source == target:
-        raise ValueError("source and target pair must differ")
-    a_s, a_t = b_s + 1, b_t + 1
-    return _permuted(
-        e, [x ^ (((x >> a_s) & 1) << a_t) ^ (((x >> b_t) & 1) << b_s) for x in e._probs]
-    )
+    return _rewrite(e, [_step_columns(e, ("bxor", source, target))])
 
 
 def bilateral_hadamard(e: BellEnsemble, pair: int) -> BellEnsemble:
     """Hadamard on both halves of a pair: swaps the label bits (a,b) -> (b,a)."""
-    return _relabel(e, pair, (0b00, 0b10, 0b01, 0b11))
+    return _rewrite(e, [_step_columns(e, ("bilateral_hadamard", pair))])
 
 
 def one_sided_pauli(e: BellEnsemble, pair: int, pauli_index: int, side: str) -> BellEnsemble:
@@ -215,22 +306,13 @@ def one_sided_pauli(e: BellEnsemble, pair: int, pauli_index: int, side: str) -> 
     x flips the a bit, z flips the b bit, y flips both; the action is the
     same from either side.
     """
-    sh = _check_pair(e, pair)
-    if pauli_index not in (1, 2, 3):
-        raise ValueError("Pauli index must be 1 (x), 2 (y) or 3 (z)")
-    if side not in ("alice", "bob"):
-        raise ValueError(f"unknown side {side!r}")
-    flip = (0b10, 0b11, 0b01)[pauli_index - 1] << sh
-    return _permuted(e, [x ^ flip for x in e._probs])
+    return _rewrite(e, [_step_columns(e, ("one_sided_pauli", pair, pauli_index, side))])
 
 
 def relabel_pair(e: BellEnsemble, pair: int, mapping: dict[BellLabel, BellLabel]) -> BellEnsemble:
     """Apply a label permutation (such as the one a product of local
     Cliffords induces) to one pair."""
-    table = [mapping[l].index - 1 for l in LABELS]
-    if sorted(table) != [0, 1, 2, 3]:
-        raise ValueError("label map must be a permutation of the four labels")
-    return _relabel(e, pair, table)
+    return _rewrite(e, [_pair_columns(e, pair, mapping)])
 
 
 def append_b1(e: BellEnsemble, count: int) -> BellEnsemble:
@@ -436,7 +518,7 @@ def dense_rewrite_op(state: dense.DenseState, op: tuple):
             raise ValueError(f"unknown side {side!r}")
         return dense.apply_unitary(state, dense.pauli(idx), (party_qubit(k, side),))
     if name == "local_clifford":
-        return _local_pair(state, op[1], op[2].alice_matrix, op[2].bob_matrix)
+        return dense.apply_unitary(state, op[2].pair_matrix, [party_qubit(op[1], party) for party in PARTIES])
     if name == "random_pauli_x":
         return dense.mix_flipped(state, [party_qubit(k, "bob") for k in range(state.n_qubits // 2)])
     if name == "parity_measure":
@@ -453,22 +535,27 @@ def apply_rewrite_op(e: BellEnsemble, op: tuple):
     :class:`~bellclone.protocols.PairReduction`, ("random_pauli_x",) for
     Bob's sigma_x on all his qubits with probability 1/2, ("teleport",
     source) and ("parity_measure", pair), whose branch list ends a list."""
-    name = op[0]
-    if name == "bxor":
-        return bxor(e, op[1], op[2])
-    if name == "bilateral_hadamard":
-        return bilateral_hadamard(e, op[1])
-    if name == "one_sided_pauli":
-        return one_sided_pauli(e, op[1], op[2], op[3])
-    if name == "local_clifford":
-        return relabel_pair(e, op[1], op[2].label_map)
-    if name == "random_pauli_x":
-        flipped = e
-        for k in range(e.n_pairs):
-            flipped = one_sided_pauli(flipped, k, 1, "bob")
-        return mix([e, flipped], [0.5, 0.5])
-    if name == "parity_measure":
-        return discriminate_sets(e, op[1])
-    if name == "teleport":
-        return teleport(e, op[1])
-    raise ValueError(f"unknown rewrite step {name!r}")
+    return apply_steps(e, (op,))
+
+
+def apply_steps(e: BellEnsemble, steps: Iterable[tuple]):
+    """Run a step list symbolically (the branch list if it ends in a measurement),
+    each run of affine steps in one :func:`_rewrite` once all its steps are valid."""
+    run: list[tuple] = []
+    for op in steps:
+        columns = _step_columns(e, op)
+        if columns is not None:
+            run.append(columns)
+            continue
+        e, run = _rewrite(e, run), []
+        name = op[0]
+        if name == "random_pauli_x":
+            mask = int("10" * e.n_pairs, 2)  # x on every pair: each a bit flips
+            e = mix([e, _permuted(e, [x ^ mask for x in e._probs])], [0.5, 0.5])
+        elif name == "parity_measure":
+            e = discriminate_sets(e, op[1])
+        elif name == "teleport":
+            e = teleport(e, op[1])
+        else:
+            raise ValueError(f"unknown rewrite step {name!r}")
+    return _rewrite(e, run)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -61,16 +62,25 @@ def _parse_m_range(text: str) -> list[int]:
         raise UsageError(f"bad pair count {text!r}") from exc
 
 
-def _emit(text: str, path: str | None):
+def _emit(text: str, path: str | None, mode: str = "w"):
     if path is None:
         sys.stdout.write(text)
     else:
         try:
-            fh = open(path, "w", encoding="utf-8", newline="\n")
+            fh = open(path, mode, encoding="utf-8", newline="\n")
         except OSError as exc:
             raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
         with fh:
             fh.write(text)
+
+
+def _check_output(path: str) -> None:
+    """Raise :func:`_emit`'s usage error for ``path`` before any run, and
+    change nothing: append nothing, and remove a file the check created."""
+    existed = os.path.exists(path)
+    _emit("", path, "a")
+    if not existed:
+        os.remove(os.path.realpath(path))  # the file itself, also behind a dangling link
 
 
 def _fmt(value) -> str:
@@ -383,6 +393,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.output is not None:
+            _check_output(args.output)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ The rule is applied to each initial pair that is not an input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .calculus import (
     BellEnsemble,
     _teleport_and_correct,
     append_b1,
-    apply_rewrite_op,
+    apply_steps,
     dense_rewrite_op,
     mix,
     to_dense,
@@ -37,6 +38,9 @@ from .calculus import (
 from .dense import Cut, DenseState, HADAMARD, PHASE_S, QubitLabel, pauli
 from .labels import B1, B2, B3, B4, LABELS, BellLabel
 from .measures import MeasureReport, log_negativity_report
+
+
+_PARTY = attrgetter("party")
 
 
 class LedgerStep(NamedTuple):
@@ -65,7 +69,7 @@ class ResourceLedger:
 
     def locc_violations(self) -> list[LedgerStep]:
         """The lines acting on a register qubit that the other party holds."""
-        return [s for s in self.steps if any(q.party != s.party for q in s.qubits)]
+        return [s for s in self.steps if len({s.party, *map(_PARTY, s.qubits)}) > 1]
 
     def to_dict(self) -> dict:
         return {
@@ -91,47 +95,28 @@ class Program:
     inputs: int = 0
 
 
-def ebit_cost(e: BellEnsemble, pair: int) -> int:
-    """The accounting rule on one pair of a product ensemble: 1 for a
-    shared |B1>, 0 for a separable two-label mixture at most 1/2 each."""
-    marginal: dict[BellLabel, float] = {}
-    for s, p in e.entries.items():
-        marginal[s[pair]] = marginal.get(s[pair], 0.0) + p
-    if set(marginal) == {B1}:
-        return 1
-    if len(marginal) != 2 or max(marginal.values()) > 0.5 + 1e-12:
-        raise ValueError(f"no ebit rule for pair {pair}: neither |B1> nor a separable two-label mixture")
-    return 0
+def ebit_cost(e: BellEnsemble, *pairs: int) -> int:
+    """The accounting rule, summed over ``pairs`` of a product ensemble: 1
+    for a shared |B1>, 0 for a separable two-label mixture at most 1/2 each."""
+    probs = list(e.entries.values())
+    columns = list(zip(*e.entries))  # each pair's labels, string by string
+    cost = 0
+    for pair in pairs:
+        if set(columns[pair]) == {B1}:
+            cost += 1
+            continue
+        marginal: dict[BellLabel, float] = {}
+        for label, p in zip(columns[pair], probs):
+            marginal[label] = marginal.get(label, 0.0) + p
+        if len(marginal) != 2 or max(marginal.values()) > 0.5 + 1e-12:
+            raise ValueError(f"no ebit rule for pair {pair}: neither |B1> nor a separable two-label mixture")
+    return cost
 
 
-def _line(register: tuple[QubitLabel, ...], party: str, operation: str, pairs, *words) -> LedgerStep:
-    """A party's line on its qubits of ``pairs``, at the dense interpreter's indices."""
-    return LedgerStep(party, operation, tuple([register[calculus.party_qubit(k, party)] for k in pairs]), words)
-
-
-def _step_lines(op: tuple, register: tuple[QubitLabel, ...]) -> list[LedgerStep]:
-    """Ledger lines of one step on a pair register.  The teleport step's
-    input pair joins the register in front."""
-    name = op[0]
-    if name == "bxor":
-        return [_line(register, party, "cnot", op[1:]) for party in PARTIES]
-    if name == "local_clifford":
-        _, k, red = op
-        words = (red.alice_word, red.bob_word)
-        return [_line(register, party, "unitary", (k,), word) for party, word in zip(PARTIES, words)]
-    if name == "random_pauli_x":
-        return [_line(register, "bob", "random-pauli-x", range(len(register) // 2))]
-    if name == "parity_measure":
-        measure = [_line(register, party, "measure-z", op[1:]) for party in PARTIES]
-        return measure + [LedgerStep("classical", "compare-parity", words=(2,))]
-    if name == "teleport":
-        joint = dense.pair_register(1, role="input") + register
-        lines = [_line(joint, party, "bell-measure", (0, 1)) for party in PARTIES]
-        lines.append(LedgerStep("classical", "broadcast-outcomes", words=(4,)))
-        for k in range(2, len(joint) // 2):  # channel pair k - 1
-            lines += [_line(joint, party, "pauli-correct", (k,)) for party in PARTIES]
-        return lines
-    raise ValueError(f"no ledger rule for step {name!r}")
+def _qubits(register: tuple[QubitLabel, ...]) -> list[tuple[str, list[QubitLabel]]]:
+    """Each party with its qubit of every pair of a pair register, read once
+    through :func:`~bellclone.calculus.party_qubit`, as the dense route reads it."""
+    return [(party, [register[calculus.party_qubit(k, party)] for k in range(len(register) // 2)]) for party in PARTIES]
 
 
 def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> ResourceLedger:
@@ -140,19 +125,38 @@ def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> Res
     each classical line sends."""
     ledger = ResourceLedger() if ledger is None else ledger
     e = program.initial
-    ledger.ebits_consumed += sum(ebit_cost(e, k) for k in range(program.inputs, e.n_pairs))
+    ledger.ebits_consumed += ebit_cost(e, *range(program.inputs, e.n_pairs))
     register = dense.pair_register(e.n_pairs)
-    lines = [line for op in program.steps for line in _step_lines(op, register)]
-    ledger.classical_bits += sum(line.words[0] for line in lines if line.party == "classical")
+    (_, qa), (_, qb) = q = _qubits(register)
+    lines: list[LedgerStep] = []
+    bits = 0
+    for op in program.steps:
+        name = op[0]
+        if name == "bxor":
+            _, s, t = op
+            lines += (LedgerStep("alice", "cnot", (qa[s], qa[t])), LedgerStep("bob", "cnot", (qb[s], qb[t])))
+        elif name == "local_clifford":
+            _, k, red = op
+            words = (red.alice_word, red.bob_word)
+            lines += [LedgerStep(party, "unitary", (qp[k],), (w,)) for (party, qp), w in zip(q, words)]
+        elif name == "random_pauli_x":
+            lines.append(LedgerStep("bob", "random-pauli-x", tuple(qb)))
+        elif name == "parity_measure":
+            lines += [LedgerStep(party, "measure-z", (qp[op[1]],)) for party, qp in q]
+            lines.append(LedgerStep("classical", "compare-parity", (), (2,)))
+            bits += 2
+        elif name == "teleport":  # the input pair joins the register in front
+            joint = _qubits(dense.pair_register(1, role="input") + register)
+            lines += [LedgerStep(party, "bell-measure", (qp[0], qp[1])) for party, qp in joint]
+            lines.append(LedgerStep("classical", "broadcast-outcomes", (), (4,)))
+            bits += 4
+            # channel pair k - 1 is pair k of the joint register
+            lines += [LedgerStep(p, "pauli-correct", (qp[k],)) for k in range(2, e.n_pairs + 1) for p, qp in joint]
+        else:
+            raise ValueError(f"no ledger rule for step {name!r}")
+    ledger.classical_bits += bits
     ledger.steps += lines
     return ledger
-
-
-def apply_steps(e: BellEnsemble, steps: Iterable[tuple]):
-    """Run a step list symbolically (the branch list if it ends in a measurement)."""
-    for op in steps:
-        e = apply_rewrite_op(e, op)
-    return e
 
 
 def _run(program: Program, ledger: ResourceLedger | None = None):
@@ -229,6 +233,12 @@ class PairReduction:
     alice_matrix: np.ndarray
     bob_matrix: np.ndarray
     label_map: dict[BellLabel, BellLabel]
+
+    @cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """alice_matrix (x) bob_matrix, the 4x4 gate on the pair's (Alice, Bob)
+        qubits: np.kron's entries, by one broadcast product on first use."""
+        return (self.alice_matrix[:, None, :, None] * self.bob_matrix[None, :, None, :]).reshape(4, 4)
 
     @property
     def inverse_map(self) -> dict[BellLabel, BellLabel]:

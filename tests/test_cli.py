@@ -209,6 +209,43 @@ class TestUnwritableOutput:
         assert err == f"error: cannot write {path}: No such file or directory\n"
         assert not path.exists()
 
+    def test_checked_before_the_claim_suite_runs(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "run_all", lambda: calls.append(1) or [])
+        path = tmp_path / "missing" / "report"
+        code, out, err = run_cli(capsys, "verify-all", "--output", str(path))
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_checked_before_a_protocol_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.protocols, "prepare_rho_m", lambda m: pytest.fail("protocol ran"))
+        code, _, err = run_cli(capsys, "prepare", "--m", "3", "--output", str(tmp_path))
+        assert code == 2
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("clone", "--set", "two", "--pair", "B1,B3", "--input", "B2", "--n", "2"),  # rejected by the protocol
+            ("distill", "--p", "0.7,0.1,0.1,0.1", "--n", "3"),
+            ("prepare", "--m", "1"),  # rejected by the command
+        ],
+    )
+    def test_usage_error_leaves_the_output_as_it_was(self, capsys, tmp_path, argv):
+        existing, new = tmp_path / "existing", tmp_path / "new"
+        existing.write_bytes(b"earlier report\n")
+        for path in (existing, new):
+            code, out, _ = run_cli(capsys, *argv, "--output", str(path))
+            assert (code, out) == (2, "")
+        assert existing.read_bytes() == b"earlier report\n"
+        assert not new.exists()
+
+    def test_existing_file_is_overwritten_by_a_run(self, capsys, tmp_path):
+        path = tmp_path / "report"
+        path.write_text("a longer earlier report than the new one\n" * 50)
+        assert run_cli(capsys, "measures", "--state", "rhoM", "--m", "2", "--output", str(path))[0] == 0
+        assert path.read_text() == "m,ed_rhoM\n2,0\n"
+
 
 class TestParserReuse:
     ARGVS = (

@@ -19,14 +19,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bellclone import dense
+from bellclone import calculus, dense
 from bellclone.calculus import (
     PRUNE_EPS,
     BellEnsemble,
+    _unpack,
     append_b1,
     apply_rewrite_op,
+    apply_steps,
+    bilateral_hadamard,
+    bxor,
     dense_rewrite_op,
     discriminate_sets,
+    mix,
+    one_sided_pauli,
     relabel_pair,
     to_dense,
 )
@@ -356,3 +362,196 @@ def test_teleport_needs_a_receiving_pair():
         apply_rewrite_op(BellEnsemble.point((B1,)), ("teleport", BellEnsemble.point((B2,))))
     with pytest.raises(ValueError, match="one-pair input"):
         apply_rewrite_op(BellEnsemble.point((B1, B1)), ("teleport", BellEnsemble.point((B2, B2))))
+
+
+# ---------------------------------------------------------------------------
+# The column kernel against the per-string formulas it replaced
+# ---------------------------------------------------------------------------
+
+REDUCTIONS = [pair_reduction_table(*p) for p in itertools.combinations(LABELS, 2)]
+REDUCTIONS += [r.inverse() for r in REDUCTIONS]
+
+
+def _ref_shift(n: int, pair: int) -> int:
+    if pair < 0 or pair >= n:
+        raise ValueError(f"pair index {pair} out of range for {n} pairs")
+    return 2 * (n - 1 - pair)
+
+
+def _ref_relabel(strings: list[int], n: int, pair: int, table) -> list[int]:
+    sh = _ref_shift(n, pair)
+    delta = [new ^ old for old, new in enumerate(table)]
+    return [x ^ (delta[(x >> sh) & 3] << sh) for x in strings]
+
+
+def ref_packed_step(strings: list[int], n: int, op: tuple) -> list[int]:
+    """One step on packed strings by the per-string formulas (and the
+    validation order) of the one-step rewrites before the column kernel."""
+    name = op[0]
+    if name == "bxor":
+        _, source, target = op
+        b_s, b_t = _ref_shift(n, source), _ref_shift(n, target)
+        if source == target:
+            raise ValueError("source and target pair must differ")
+        a_s, a_t = b_s + 1, b_t + 1
+        return [x ^ (((x >> a_s) & 1) << a_t) ^ (((x >> b_t) & 1) << b_s) for x in strings]
+    if name == "bilateral_hadamard":
+        return _ref_relabel(strings, n, op[1], (0b00, 0b10, 0b01, 0b11))
+    if name == "one_sided_pauli":
+        _, pair, index, side = op
+        sh = _ref_shift(n, pair)
+        if index not in (1, 2, 3):
+            raise ValueError("Pauli index must be 1 (x), 2 (y) or 3 (z)")
+        if side not in ("alice", "bob"):
+            raise ValueError(f"unknown side {side!r}")
+        flip = (0b10, 0b11, 0b01)[index - 1] << sh
+        return [x ^ flip for x in strings]
+    if name == "local_clifford":
+        table = [op[2].label_map[l].index - 1 for l in LABELS]
+        if sorted(table) != [0, 1, 2, 3]:
+            raise ValueError("label map must be a permutation of the four labels")
+        return _ref_relabel(strings, n, op[1], table)
+    raise AssertionError(f"not an affine step: {name}")
+
+
+def ref_packed_steps(e: BellEnsemble, ops) -> BellEnsemble:
+    """The step list, one step and one re-sort at a time."""
+    for op in ops:
+        strings = ref_packed_step(list(e._probs), e.n_pairs, op)
+        e = BellEnsemble._make(e.n_pairs, dict(sorted(zip(strings, e._probs.values()))))
+    return e
+
+
+def _packed(n: int) -> st.SearchStrategy:
+    return st.integers(0, 4**n - 1)
+
+
+@st.composite
+def packed_ensembles(draw, max_pairs: int = 9, max_strings: int = 16):
+    n = draw(st.integers(1, max_pairs))
+    strings = draw(st.sets(_packed(n), min_size=1, max_size=min(max_strings, 4**n)))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(strings), max_size=len(strings)))
+    total = sum(weights)
+    return BellEnsemble({_unpack(x, n): w / total for x, w in zip(strings, weights)})
+
+
+def affine_steps(n: int) -> st.SearchStrategy:
+    pair = st.integers(0, n - 1)
+    kinds = [
+        st.tuples(st.just("bilateral_hadamard"), pair),
+        st.tuples(st.just("one_sided_pauli"), pair, st.integers(1, 3), st.sampled_from(("alice", "bob"))),
+        st.tuples(st.just("local_clifford"), pair, st.sampled_from(REDUCTIONS)),
+    ]
+    if n >= 2:
+        kinds.append(st.tuples(st.just("bxor"), pair, pair).filter(lambda op: op[1] != op[2]))
+    return st.one_of(kinds)
+
+
+@st.composite
+def affine_programs(draw):
+    e = draw(packed_ensembles())
+    return e, draw(st.lists(affine_steps(e.n_pairs), max_size=24))
+
+
+class _Unpermuted:
+    """A label map that is not a permutation."""
+
+    label_map = {B1: B1, B2: B1, B3: B3, B4: B4}
+
+
+def invalid_steps(n: int) -> st.SearchStrategy:
+    bad_pair = st.one_of(st.integers(-3, -1), st.integers(n, n + 3))
+    good_pair = st.integers(0, n - 1)
+    return st.one_of(
+        st.tuples(st.just("bxor"), bad_pair, good_pair),
+        st.tuples(st.just("bxor"), good_pair, bad_pair),
+        good_pair.map(lambda k: ("bxor", k, k)),
+        st.tuples(st.just("bilateral_hadamard"), bad_pair),
+        st.tuples(st.just("one_sided_pauli"), bad_pair, st.integers(1, 3), st.just("bob")),
+        st.tuples(st.just("one_sided_pauli"), good_pair, st.sampled_from((0, 4)), st.just("alice")),
+        st.tuples(st.just("one_sided_pauli"), good_pair, st.integers(1, 3), st.just("charlie")),
+        st.tuples(st.just("local_clifford"), bad_pair, st.sampled_from(REDUCTIONS)),
+        st.tuples(st.just("local_clifford"), st.one_of(good_pair, bad_pair), st.just(_Unpermuted())),
+    )
+
+
+KERNEL_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestColumnKernel:
+    """apply_steps transposes each run of affine steps into columns once;
+    it must equal the per-string formulas step by step."""
+
+    @KERNEL_SETTINGS
+    @given(affine_programs())
+    def test_runs_match_per_string_formulas(self, case):
+        e, ops = case
+        want = ref_packed_steps(e, ops)
+        got = apply_steps(e, ops)
+        assert got == want
+        assert list(got.entries.items()) == list(want.entries.items())
+
+    @KERNEL_SETTINGS
+    @given(affine_programs())
+    def test_one_step_functions_match_per_string_formulas(self, case):
+        e, ops = case
+        public = {
+            "bxor": lambda e, op: bxor(e, op[1], op[2]),
+            "bilateral_hadamard": lambda e, op: bilateral_hadamard(e, op[1]),
+            "one_sided_pauli": lambda e, op: one_sided_pauli(e, *op[1:]),
+            "local_clifford": lambda e, op: relabel_pair(e, op[1], op[2].label_map),
+        }
+        for op in ops:
+            want = ref_packed_steps(e, [op])
+            assert public[op[0]](e, op) == want
+            assert apply_rewrite_op(e, op) == want
+            e = want
+
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_invalid_step_raises_its_own_error_before_any_work(self, data):
+        e, ops = data.draw(affine_programs())
+        bad = data.draw(invalid_steps(e.n_pairs))
+        at = data.draw(st.integers(0, len(ops)))
+        later = data.draw(st.lists(st.one_of(affine_steps(e.n_pairs), invalid_steps(e.n_pairs)), max_size=4))
+        program = ops[:at] + [bad] + ops[at:] + later
+        with pytest.raises(ValueError) as want:
+            ref_packed_steps(e, program)
+        with pytest.raises(ValueError) as got:
+            apply_steps(e, program)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError) as alone:
+            apply_rewrite_op(e, bad)
+        assert str(alone.value) == str(got.value)
+
+    def test_validation_precedes_the_transposition(self, monkeypatch):
+        e = BellEnsemble({(B1, B2, B3): 0.5, (B4, B4, B1): 0.5})
+        calls = []
+        original = calculus._columns
+        monkeypatch.setattr(calculus, "_columns", lambda *a: calls.append(a) or original(*a))
+        with pytest.raises(ValueError, match="out of range"):
+            apply_steps(e, [("bxor", 0, 1), ("bilateral_hadamard", 2), ("one_sided_pauli", 3, 1, "bob")])
+        assert calls == []
+        apply_steps(e, [("bxor", 0, 1), ("bilateral_hadamard", 2), ("random_pauli_x",), ("bxor", 2, 0)])
+        assert len(calls) == 2  # one transposition per run on each side of the mixing step
+
+    @KERNEL_SETTINGS
+    @given(packed_ensembles())
+    def test_random_pauli_x_mask_equals_the_per_pair_loop(self, e):
+        flipped = ref_packed_steps(e, [("one_sided_pauli", k, 1, "bob") for k in range(e.n_pairs)])
+        want = mix([e, flipped], [0.5, 0.5])
+        got = apply_rewrite_op(e, ("random_pauli_x",))
+        assert got == want
+        assert list(got.entries.items()) == list(want.entries.items())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(packed_ensembles(max_pairs=40, max_strings=70))
+    def test_transposition_round_trips(self, e):
+        strings = list(e._probs)
+        cols = calculus._columns(strings, e.n_pairs)
+        assert len(cols) == 2 * e.n_pairs
+        for k in range(e.n_pairs):
+            sh = 2 * (e.n_pairs - 1 - k)
+            for i, x in enumerate(strings):
+                assert (cols[2 * k] >> i & 1, cols[2 * k + 1] >> i & 1) == (x >> sh + 1 & 1, x >> sh & 1)
+        assert calculus._strings(cols, len(strings)) == strings

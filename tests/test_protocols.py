@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bellclone import dense, protocols
-from bellclone.calculus import BellEnsemble, mix, to_dense
+from bellclone import calculus, dense, protocols
+from bellclone.calculus import PARTIES, BellEnsemble, mix, to_dense
 from bellclone.dense import DenseState, pauli
 from bellclone.labels import B1, B2, B3, B4, LABELS
 from bellclone.protocols import (
@@ -509,3 +509,124 @@ class TestPrograms:
         assert calls == []
         clone_four_dense(B1, 2)  # a fitting register still prepares rho_3
         assert calls == [3]
+
+
+# ---------------------------------------------------------------------------
+# The derived ledger against the line-by-line derivation it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_ebit_cost(e: BellEnsemble, pair: int) -> int:
+    marginal = {}
+    for s, p in e.entries.items():
+        marginal[s[pair]] = marginal.get(s[pair], 0.0) + p
+    if set(marginal) == {B1}:
+        return 1
+    if len(marginal) != 2 or max(marginal.values()) > 0.5 + 1e-12:
+        raise ValueError(f"no ebit rule for pair {pair}: neither |B1> nor a separable two-label mixture")
+    return 0
+
+
+def ref_line(register, party, operation, pairs, *words) -> LedgerStep:
+    return LedgerStep(party, operation, tuple([register[calculus.party_qubit(k, party)] for k in pairs]), words)
+
+
+def ref_step_lines(op: tuple, register) -> list[LedgerStep]:
+    name = op[0]
+    if name == "bxor":
+        return [ref_line(register, party, "cnot", op[1:]) for party in PARTIES]
+    if name == "local_clifford":
+        _, k, red = op
+        words = (red.alice_word, red.bob_word)
+        return [ref_line(register, party, "unitary", (k,), word) for party, word in zip(PARTIES, words)]
+    if name == "random_pauli_x":
+        return [ref_line(register, "bob", "random-pauli-x", range(len(register) // 2))]
+    if name == "parity_measure":
+        measure = [ref_line(register, party, "measure-z", op[1:]) for party in PARTIES]
+        return measure + [LedgerStep("classical", "compare-parity", words=(2,))]
+    if name == "teleport":
+        joint = dense.pair_register(1, role="input") + register
+        lines = [ref_line(joint, party, "bell-measure", (0, 1)) for party in PARTIES]
+        lines.append(LedgerStep("classical", "broadcast-outcomes", words=(4,)))
+        for k in range(2, len(joint) // 2):
+            lines += [ref_line(joint, party, "pauli-correct", (k,)) for party in PARTIES]
+        return lines
+    raise ValueError(f"no ledger rule for step {name!r}")
+
+
+def ref_derive_ledger(program: protocols.Program) -> ResourceLedger:
+    ledger = ResourceLedger()
+    e = program.initial
+    ledger.ebits_consumed += sum(ref_ebit_cost(e, k) for k in range(program.inputs, e.n_pairs))
+    register = dense.pair_register(e.n_pairs)
+    lines = [line for op in program.steps for line in ref_step_lines(op, register)]
+    ledger.classical_bits += sum(line.words[0] for line in lines if line.party == "classical")
+    ledger.steps += lines
+    return ledger
+
+
+def _ledger_programs():
+    for pair in ALL_PAIRS:
+        for n in range(1, 7):
+            yield f"clone_pair-{pair[0]}{pair[1]}-{n}", protocols._clone_pair_program(pair[1], pair, n)
+    for m in range(2, 41):
+        yield f"rho_{m}", protocols._rho_m_program(m)
+    for n in range(1, 6):
+        yield f"clone_four-{n}", protocols._clone_four_program((0.25, 0.25, 0.25, 0.25), n)[0]
+    for n in (3, 5, 7):
+        quasi_pure, _ = prepare_quasi_pure((0.4, 0.1, 0.3, 0.2), n)
+        yield f"distill-{n}", protocols._distill_program(quasi_pure)
+
+
+LEDGER_PROGRAMS = dict(_ledger_programs())
+
+
+class TestDerivedLedger:
+    @pytest.mark.parametrize("name", list(LEDGER_PROGRAMS))
+    def test_matches_line_by_line_derivation(self, name):
+        program = LEDGER_PROGRAMS[name]
+        got, want = protocols.derive_ledger(program), ref_derive_ledger(program)
+        assert got.to_dict() == want.to_dict()
+        assert got.steps == want.steps
+        for line, ref in zip(got.steps, want.steps):
+            assert type(line) is LedgerStep
+            assert all(q is r for q, r in zip(line.qubits, ref.qubits))
+        assert got.locc_violations() == []
+
+    @pytest.mark.parametrize("inputs", [0, 1])
+    def test_sigma_round_trip_fails_as_before(self, inputs):
+        build = build_sigma_n(0.3, 4)
+        program = protocols.Program(build.start, build.steps + build.inverse_steps, inputs=inputs)
+        with pytest.raises(ValueError) as want:
+            ref_derive_ledger(program)
+        with pytest.raises(ValueError) as got:
+            protocols.derive_ledger(program)
+        assert str(got.value) == str(want.value)
+
+    def test_appends_to_a_given_ledger(self):
+        ledger = ResourceLedger(ebits_consumed=1.0, classical_bits=3, steps=[LedgerStep("classical", "x", (), (3,))])
+        program = LEDGER_PROGRAMS["distill-3"]
+        protocols.derive_ledger(program, ledger)
+        want = ref_derive_ledger(program)
+        assert (ledger.ebits_consumed, ledger.classical_bits) == (1.0 + want.ebits_consumed, 3 + want.classical_bits)
+        assert ledger.steps[1:] == want.steps
+
+    def test_ebit_rule_over_many_pairs(self):
+        e = BellEnsemble({(B1, B1, B3, B1, B2): 0.5, (B1, B2, B3, B1, B4): 0.5})
+        assert protocols.ebit_cost(e) == 0
+        assert protocols.ebit_cost(e, 0, 1, 3) == 2
+        with pytest.raises(ValueError, match="no ebit rule for pair 2"):
+            protocols.ebit_cost(e, 0, 2, 4)
+        assert protocols.ebit_cost(e, 4, 1) == 0
+
+    def test_audit_flags_each_crossing_line_once(self):
+        a0, b0, a1, b1 = dense.pair_register(2)
+        lines = [
+            LedgerStep("alice", "cnot", (a0, a1)),
+            LedgerStep("alice", "cnot", (b0, b1)),
+            LedgerStep("bob", "cnot", (b0, a1)),
+            LedgerStep("bob", "random-pauli-x", (b0, b1)),
+            LedgerStep("classical", "compare-parity", (), (2,)),
+            LedgerStep("classical", "oops", (a0,)),
+        ]
+        assert ResourceLedger(steps=lines).locc_violations() == [lines[1], lines[2], lines[5]]
