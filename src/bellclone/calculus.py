@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -246,14 +247,6 @@ _HADAMARD = _affine((0b00, 0b10, 0b01, 0b11))
 _PAULIS = [_affine([v ^ flip for v in range(4)]) for flip in (0b10, 0b11, 0b01)]
 
 
-def _pair_columns(e: BellEnsemble, pair: int, mapping: dict[BellLabel, BellLabel]) -> tuple:
-    table = [mapping[l].index - 1 for l in LABELS]
-    if sorted(table) != [0, 1, 2, 3]:
-        raise ValueError("label map must be a permutation of the four labels")
-    _check_pair(e, pair)
-    return (2 * pair, 2 * pair + 1) + _affine(table)
-
-
 def _step_columns(e: BellEnsemble, op: tuple) -> tuple | None:
     """The validated column step of an affine step (a bilateral C-NOT or
     Hadamard, a one-sided Pauli or a local Clifford); None for any other."""
@@ -277,7 +270,11 @@ def _step_columns(e: BellEnsemble, op: tuple) -> tuple | None:
             raise ValueError(f"unknown side {side!r}")
         return (2 * pair, 2 * pair + 1) + _PAULIS[pauli_index - 1]
     if name == "local_clifford":
-        return _pair_columns(e, op[1], op[2].label_map)
+        table = [op[2].label_map[l].index - 1 for l in LABELS]
+        if sorted(table) != [0, 1, 2, 3]:
+            raise ValueError("label map must be a permutation of the four labels")
+        _check_pair(e, op[1])
+        return (2 * op[1], 2 * op[1] + 1) + _affine(table)
     return None
 
 
@@ -312,7 +309,7 @@ def one_sided_pauli(e: BellEnsemble, pair: int, pauli_index: int, side: str) -> 
 def relabel_pair(e: BellEnsemble, pair: int, mapping: dict[BellLabel, BellLabel]) -> BellEnsemble:
     """Apply a label permutation (such as the one a product of local
     Cliffords induces) to one pair."""
-    return _rewrite(e, [_pair_columns(e, pair, mapping)])
+    return _rewrite(e, [_step_columns(e, ("local_clifford", pair, SimpleNamespace(label_map=mapping)))])
 
 
 def append_b1(e: BellEnsemble, count: int) -> BellEnsemble:
@@ -422,10 +419,8 @@ def party_qubit(pair: int, party: str) -> int:
     return 2 * pair + (party == "bob")
 
 
-def _local_pair(state: dense.DenseState, pair: int, u_alice, u_bob) -> dense.DenseState:
-    out = dense.apply_unitary(state, u_alice, (party_qubit(pair, "alice"),))
-    return dense.apply_unitary(out, u_bob, (party_qubit(pair, "bob"),))
-
+#: H (x) H, the bilateral Hadamard as one gate on a pair's (Alice, Bob) qubits.
+_BILATERAL_HADAMARD = (dense.HADAMARD[:, None, :, None] * dense.HADAMARD[None, :, None, :]).reshape(4, 4)
 
 #: Teleportation correction per Bell outcome, in LABELS order: B1 -> I,
 #: B2 -> z, B3 -> x, B4 -> y (the Pauli mapping |B1> onto the outcome).
@@ -510,15 +505,14 @@ def dense_rewrite_op(state: dense.DenseState, op: tuple):
     if name == "bxor":
         _, s, t = op
         return dense.apply_flips(state, cnots=[(party_qubit(s, party), party_qubit(t, party)) for party in PARTIES])
-    if name == "bilateral_hadamard":
-        return _local_pair(state, op[1], dense.HADAMARD, dense.HADAMARD)
     if name == "one_sided_pauli":
         _, k, idx, side = op
         if side not in PARTIES:
             raise ValueError(f"unknown side {side!r}")
         return dense.apply_unitary(state, dense.pauli(idx), (party_qubit(k, side),))
-    if name == "local_clifford":
-        return dense.apply_unitary(state, op[2].pair_matrix, [party_qubit(op[1], party) for party in PARTIES])
+    if name in ("bilateral_hadamard", "local_clifford"):
+        u = _BILATERAL_HADAMARD if name == "bilateral_hadamard" else op[2].pair_matrix
+        return dense.apply_unitary(state, u, [party_qubit(op[1], party) for party in PARTIES])
     if name == "random_pauli_x":
         return dense.mix_flipped(state, [party_qubit(k, "bob") for k in range(state.n_qubits // 2)])
     if name == "parity_measure":

@@ -9,14 +9,12 @@ exactly 1.0 (the weights likewise by their total).  X and C-NOT gates,
 and so the bilateral C-NOTs and Bob's random X of the protocols, only
 move amplitudes: :func:`apply_flips` reverses axes of the (k, 2, ..., 2)
 view in one copy, with no arithmetic; every other gate is a matrix
-product (:func:`apply_unitary`), on a reshaped view of the batch when its
-qubits are adjacent, ascending and early in the register.  A Bell
-measurement can drop the pair it measured (``discard=True``), which is
-how teleportation leaves exactly its output qubits without any trace or
-spectrum.  Spectra are taken at the size of the state's rank, not of the
-register: a partial trace diagonalizes its stacked branch columns by a
-thin SVD, and a trace distance works in the joint span of both states'
-branches.
+product (:func:`apply_unitary`).  A Bell measurement can
+drop the pair it measured (``discard=True``), which is how teleportation
+leaves exactly its output qubits without any trace or spectrum.  Spectra
+are taken at the size of the state's rank, not of the register: a partial
+trace diagonalizes its stacked branch columns by a thin SVD, and a trace
+distance works in the joint span of both states' branches.
 Log-negativity builds only the partial-transpose entries that the
 branches' nonzero amplitudes produce and diagonalizes the matrix's
 connected blocks.  A density matrix (up to 10 qubits) is materialized
@@ -325,14 +323,7 @@ def _join(psi: np.ndarray, order: list[int]) -> np.ndarray:
 
 
 def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    """``u`` (one matrix, or one per row) on the targets of every row of a (k, 2**n) batch.
-    One matrix on ascending adjacent targets is one product on a reshaped view
-    (k * 2**first, 2**len, rest), with no transposes, while that takes at most
-    ``rest`` matrix products: numpy's cost per product then exceeds two copies."""
-    first = targets[0]
-    batch, rest = len(amps) << first, 2 ** (n - first - len(targets))
-    if u.ndim == 2 and list(targets) == list(range(first, first + len(targets))) and batch <= rest:
-        return np.matmul(u, amps.reshape(batch, len(u), rest)).reshape(len(amps), -1)
+    """``u`` (one matrix, or one per row) on the targets of every row of a (k, 2**n) batch."""
     psi, order = _split(amps, n, targets)
     psi = np.matmul(u, psi)  # rebinding frees the split copy before the join copies again
     return _join(psi, order)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,9 +37,6 @@ from .calculus import (
 from .dense import Cut, DenseState, HADAMARD, PHASE_S, QubitLabel, pauli
 from .labels import B1, B2, B3, B4, LABELS, BellLabel
 from .measures import MeasureReport, log_negativity_report
-
-
-_PARTY = attrgetter("party")
 
 
 class LedgerStep(NamedTuple):
@@ -69,7 +65,7 @@ class ResourceLedger:
 
     def locc_violations(self) -> list[LedgerStep]:
         """The lines acting on a register qubit that the other party holds."""
-        return [s for s in self.steps if len({s.party, *map(_PARTY, s.qubits)}) > 1]
+        return [s for s in self.steps if any(q.party != s.party for q in s.qubits)]
 
     def to_dict(self) -> dict:
         return {
@@ -102,13 +98,12 @@ def ebit_cost(e: BellEnsemble, *pairs: int) -> int:
     columns = list(zip(*e.entries))  # each pair's labels, string by string
     cost = 0
     for pair in pairs:
-        if set(columns[pair]) == {B1}:
-            cost += 1
-            continue
         marginal: dict[BellLabel, float] = {}
         for label, p in zip(columns[pair], probs):
             marginal[label] = marginal.get(label, 0.0) + p
-        if len(marginal) != 2 or max(marginal.values()) > 0.5 + 1e-12:
+        if set(marginal) == {B1}:
+            cost += 1
+        elif len(marginal) != 2 or max(marginal.values()) > 0.5 + 1e-12:
             raise ValueError(f"no ebit rule for pair {pair}: neither |B1> nor a separable two-label mixture")
     return cost
 
@@ -129,7 +124,6 @@ def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> Res
     register = dense.pair_register(e.n_pairs)
     (_, qa), (_, qb) = q = _qubits(register)
     lines: list[LedgerStep] = []
-    bits = 0
     for op in program.steps:
         name = op[0]
         if name == "bxor":
@@ -144,17 +138,15 @@ def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> Res
         elif name == "parity_measure":
             lines += [LedgerStep(party, "measure-z", (qp[op[1]],)) for party, qp in q]
             lines.append(LedgerStep("classical", "compare-parity", (), (2,)))
-            bits += 2
         elif name == "teleport":  # the input pair joins the register in front
             joint = _qubits(dense.pair_register(1, role="input") + register)
             lines += [LedgerStep(party, "bell-measure", (qp[0], qp[1])) for party, qp in joint]
             lines.append(LedgerStep("classical", "broadcast-outcomes", (), (4,)))
-            bits += 4
             # channel pair k - 1 is pair k of the joint register
             lines += [LedgerStep(p, "pauli-correct", (qp[k],)) for k in range(2, e.n_pairs + 1) for p, qp in joint]
         else:
             raise ValueError(f"no ledger rule for step {name!r}")
-    ledger.classical_bits += bits
+    ledger.classical_bits += sum(line.words[0] for line in lines if line.party == "classical")
     ledger.steps += lines
     return ledger
 

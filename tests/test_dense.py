@@ -1337,13 +1337,8 @@ def _random_rows(rng, k: int, n_qubits: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def _random_unitary(rng, dim: int) -> np.ndarray:
-    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return u
-
-
 class TestPairGates:
-    """One matrix on adjacent ascending targets is a reshape and one matmul."""
+    """A step on both qubits of one pair is one 4x4 gate."""
 
     REDUCTIONS = [protocols.pair_reduction_table(a, b) for a, b in itertools.combinations(LABELS, 2)]
 
@@ -1364,44 +1359,22 @@ class TestPairGates:
             assert np.array_equal(got.weights, state.weights)
         assert calls == [(4, 4)] * 5
 
-    @pytest.mark.parametrize("rows", [1, 3])
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    @pytest.mark.parametrize("where", ["start", "middle", "end"])
-    def test_adjacent_targets_match_split_and_join(self, rows, width, where, monkeypatch):
-        n = 9
-        first = {"start": 0, "middle": (n - width) // 2, "end": n - width}[where]
-        targets = list(range(first, first + width))
-        rng = np.random.default_rng(100 * width + first)
-        amps, u = _random_rows(rng, rows, n), _random_unitary(rng, 2**width)
-        psi, order = dense._split(amps, n, targets)
-        want = dense._join(np.matmul(u, psi), order)
-        splits = []
-        monkeypatch.setattr(dense, "_split", lambda *a: splits.append(a[2]) or dense_split(*a))
-        got = dense._apply_matrix(amps, n, u, targets)
-        assert got.shape == amps.shape
-        assert abs(got - want).max() <= 1e-15
-        # The reshaped route takes at most as many products as each has columns.
-        batch, rest = rows << first, 2 ** (n - first - width)
-        assert splits == ([] if batch <= rest else [targets])
+    def test_bilateral_hadamard_is_one_pair_gate(self, monkeypatch):
+        from bellclone.calculus import dense_rewrite_op
 
-    def test_whole_register_gate_is_one_product(self):
-        rng = np.random.default_rng(8)
-        amps, u = _random_rows(rng, 1, 3), _random_unitary(rng, 8)
-        assert np.array_equal(dense._apply_matrix(amps, 3, u, [0, 1, 2]), amps @ u.T)
+        rng = np.random.default_rng(43)
+        state = DenseState.from_arrays(_random_rows(rng, 3, 10), [0.5, 0.3, 0.2], pair_register(5))
+        calls = []
+        monkeypatch.setattr(dense, "apply_unitary", lambda s, u, t: calls.append(u.shape) or apply_unitary(s, u, t))
+        for k in range(5):
+            got = dense_rewrite_op(state, ("bilateral_hadamard", k))
+            want = apply_unitary(apply_unitary(state, HADAMARD, (2 * k,)), HADAMARD, (2 * k + 1,))
+            assert abs(got.amplitudes - want.amplitudes).max() <= 1e-15
+        assert calls == [(4, 4)] * 5
 
-    def test_other_targets_and_row_stacks_keep_the_split_path(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        amps = _random_rows(rng, 2, 5)
-        splits = []
-        monkeypatch.setattr(dense, "_split", lambda *a: splits.append(a[2]) or dense_split(*a))
-        u = _random_unitary(rng, 4)
-        stack = np.stack([pauli(1), pauli(3)])
-        for targets in [(1, 0), (0, 2), (4, 3)]:
-            want = embed_op(u, 5, targets) @ amps.T
-            assert_allclose(dense._apply_matrix(amps, 5, u, targets), want.T, atol=1e-14)
-        dense._apply_matrix(amps, 5, stack, (0,))
-        dense._apply_matrix(amps, 5, u, (0, 1))
-        assert splits == [(1, 0), (0, 2), (4, 3), (0,)]
+    def test_no_targets_is_a_global_phase(self):
+        rng = np.random.default_rng(9)
+        state = DenseState.from_arrays(_random_rows(rng, 2, 4), [0.5, 0.5], pair_register(2))
+        out = apply_unitary(state, np.array([[1j]]), [])
+        assert np.array_equal(out.amplitudes, 1j * state.amplitudes)
 
-
-dense_split = dense._split
