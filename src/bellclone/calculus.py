@@ -41,8 +41,12 @@ PRUNE_EPS = 1e-15
 _BYTE_LABELS = [tuple(LABELS[(byte >> sh) & 3] for sh in (6, 4, 2, 0)) for byte in range(256)]
 
 
+#: Each label's two bits as binary digits, ``a`` then ``b``.
+_LABEL_DIGITS = {label: f"{label.a}{label.b}" for label in LABELS}
+
+
 def _pack(string: BellString) -> int:
-    return int("".join(f"{l.a}{l.b}" for l in string), 2)
+    return int("".join([_LABEL_DIGITS[label] for label in string]), 2)
 
 
 def _unpack(x: int, n_pairs: int) -> BellString:
@@ -422,10 +426,9 @@ def party_qubit(pair: int, party: str) -> int:
 #: H (x) H, the bilateral Hadamard as one gate on a pair's (Alice, Bob) qubits.
 _BILATERAL_HADAMARD = (dense.HADAMARD[:, None, :, None] * dense.HADAMARD[None, :, None, :]).reshape(4, 4)
 
-#: Teleportation correction per Bell outcome, in LABELS order: B1 -> I,
-#: B2 -> z, B3 -> x, B4 -> y (the Pauli mapping |B1> onto the outcome).
-_CORRECTIONS = np.array([dense.pauli(dense.pauli_for_label(label)) for label in LABELS])
-dense.check_unitary(_CORRECTIONS)
+#: The (x, z) bits of the teleportation correction X^x Z^z per Bell outcome,
+#: in LABELS order: B1 -> I, B2 -> z, B3 -> x, B4 -> y = i x z.
+_FRAME_X, _FRAME_Z = np.array([[p in (1, 2), p in (2, 3)] for p in map(dense.pauli_for_label, LABELS)]).T
 
 
 def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseState) -> dense.DenseState:
@@ -469,12 +472,21 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
 
 def _measure_and_correct(state: dense.DenseState, pair: tuple[int, int], receivers: list[int]) -> dense.DenseState:
     """Bell-measure ``pair``, drop it, and Pauli-correct each receiver qubit
-    (an index into the smaller register) by the row's outcome."""
+    (an index into the smaller register) by the row's outcome, as one Pauli
+    frame: the z rows times the receivers' (-1)^parity, the y rows also
+    times i^r (Y = i X Z on r receivers), the x rows flipped.  Each factor
+    is +-1 or +-i, so the rows equal one 2x2 product per receiver, bit for bit."""
     post, outcomes = dense.bell_measurement(state, pair, discard=True)
-    corrections = _CORRECTIONS[outcomes]
-    amps = post.amplitudes
+    x, z, n = _FRAME_X[outcomes], _FRAME_Z[outcomes], post.n_qubits
+    amps = post.amplitudes.copy()
+    signs = np.ones((2,) * n)  # Z on every receiver: -1 where an odd number of them hold 1
     for q in receivers:
-        amps = dense._apply_matrix(amps, post.n_qubits, corrections, (q,))
+        signs[(slice(None),) * q + (1,)] *= -1
+    amps[z] *= signs.reshape(-1)
+    amps[x & z] *= (1, 1j, -1, -1j)[len(receivers) % 4]
+    flipped = np.empty((np.count_nonzero(x), amps.shape[1]), dtype=complex)
+    dense._flip_into(flipped, amps[x], n, receivers, ())
+    amps[x] = flipped
     return dense.DenseState._adopt(amps, post.weights, post.qubit_labels)
 
 

@@ -6,15 +6,17 @@ vector, so registers up to 14 qubits stay cheap and every kernel is a
 few array operations over all branches at once.  Building a state checks
 every row norm and divides a row only when its computed norm is not
 exactly 1.0 (the weights likewise by their total).  X and C-NOT gates,
-and so the bilateral C-NOTs and Bob's random X of the protocols, only
-move amplitudes: :func:`apply_flips` reverses axes of the (k, 2, ..., 2)
-view in one copy, with no arithmetic; every other gate is a matrix
-product (:func:`apply_unitary`).  A Bell measurement can
+and so the bilateral C-NOTs, Bob's random X of the protocols and the X
+part of teleportation's Pauli corrections, only move amplitudes:
+:func:`apply_flips` reverses axes of the (k, 2, ..., 2) view in one
+copy, with no arithmetic; every other gate is a matrix product
+(:func:`apply_unitary`).  A Bell measurement can
 drop the pair it measured (``discard=True``), which is how teleportation
 leaves exactly its output qubits without any trace or spectrum.  Spectra
 are taken at the size of the state's rank, not of the register: a partial
 trace diagonalizes its stacked branch columns by a thin SVD, and a trace
-distance works in the joint span of both states' branches.
+distance works in the joint span of both states' branches, on the
+basis indices at which some branch is nonzero.
 Log-negativity builds only the partial-transpose entries that the
 branches' nonzero amplitudes produce and diagonalizes the matrix's
 connected blocks.  A density matrix (up to 10 qubits) is materialized
@@ -115,9 +117,10 @@ class QubitLabel:
         return ("A" if self.party == "alice" else "B") + ("_in" if self.role == "input" else str(self.pair))
 
 
+@lru_cache(maxsize=None)
 def pair_register(n_pairs: int, role: str = "source", start: int = 0) -> tuple[QubitLabel, ...]:
     """Labels for ``n_pairs`` Bell pairs in the standard pair-by-pair order;
-    each label is built once and shared by every register that holds it."""
+    each label, and each register, is built once and shared."""
     return tuple(_qubit_label(party, k, role) for k in range(start, start + n_pairs) for party in ("alice", "bob"))
 
 
@@ -323,7 +326,7 @@ def _join(psi: np.ndarray, order: list[int]) -> np.ndarray:
 
 
 def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    """``u`` (one matrix, or one per row) on the targets of every row of a (k, 2**n) batch."""
+    """The one matrix ``u`` on the targets of every row of a (k, 2**n) batch."""
     psi, order = _split(amps, n, targets)
     psi = np.matmul(u, psi)  # rebinding frees the split copy before the join copies again
     return _join(psi, order)
@@ -662,11 +665,15 @@ def trace_distance(state_a: DenseState, state_b: DenseState) -> float:
     The operators are projected onto the (exact) joint span of their
     branch vectors, which preserves the trace distance, so the
     eigenproblem is the size of that span's rank; no register-sized
-    density matrix is formed.
+    density matrix is formed.  The vectors are first cut to their joint
+    support, the indices at which some row is exactly nonzero: the dropped
+    coordinates are zero in every vector and change no singular value or
+    span coordinate.  A Bell-product row on 2n qubits has 2^n of 4^n nonzero.
     """
     if state_a.n_qubits != state_b.n_qubits:
         raise ValueError("states live on different register sizes")
-    vecs = _real_if_exact(np.concatenate([state_a.amplitudes, state_b.amplitudes]).T)
+    support = state_a.amplitudes.any(axis=0) | state_b.amplitudes.any(axis=0)
+    vecs = _real_if_exact(np.concatenate([state_a.amplitudes[:, support], state_b.amplitudes[:, support]]).T)
     signed = np.concatenate([state_a.weights, -state_b.weights])
     u, s, _ = np.linalg.svd(vecs, full_matrices=False)
     coords = u[:, s > 1e-13].conj().T @ vecs  # branch vectors in an orthonormal basis of their span

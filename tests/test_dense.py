@@ -1378,3 +1378,133 @@ class TestPairGates:
         out = apply_unitary(state, np.array([[1j]]), [])
         assert np.array_equal(out.amplitudes, 1j * state.amplitudes)
 
+
+
+# ---------------------------------------------------------------------------
+# Teleportation corrections as one Pauli frame, against one 2x2 product per receiver
+# ---------------------------------------------------------------------------
+
+#: The correction per Bell outcome, in LABELS order: B1 -> I, B2 -> z, B3 -> x, B4 -> y.
+REF_CORRECTIONS = np.array([pauli(0), pauli(3), pauli(1), pauli(2)])
+
+
+def ref_measure_and_correct(state, pair, receivers):
+    """Bell-measure ``pair``, drop it, and correct each receiver in turn by
+    the stacked 2x2 product of every row's outcome matrix."""
+    post, outcomes = bell_measurement(state, pair, discard=True)
+    amps, k, n = post.amplitudes, len(post.weights), post.n_qubits
+    for q in receivers:
+        psi = np.moveaxis(amps.reshape((k,) + (2,) * n), q + 1, 1).reshape(k, 2, -1)
+        psi = REF_CORRECTIONS[outcomes] @ psi
+        amps = np.moveaxis(psi.reshape((k,) + (2,) * n), 1, q + 1).reshape(k, -1)
+    return DenseState._adopt(amps, post.weights, post.qubit_labels)
+
+
+def assert_identical_states(got, want):
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.qubit_labels == want.qubit_labels
+
+
+class TestPauliFrameCorrections:
+    """The frame's rows are bit-identical to per-receiver products: every
+    factor is +-1 or +-i, so a row phase left out (which no density
+    matrix shows) fails here."""
+
+    @pytest.mark.parametrize(
+        "pair, receivers",
+        [
+            ((0, 1), [0]),  # first qubit of what is left
+            ((2, 5), [3]),  # middle
+            ((0, 7), [5]),  # last
+            ((1, 2), [0, 5]),  # i^2 on the y rows
+            ((3, 4), [0, 2, 5]),  # i^3
+            ((0, 1), [0, 1, 2, 3]),  # i^4 = 1
+            ((6, 7), [0, 1, 2, 4, 5]),  # i^5 = i
+        ],
+    )
+    def test_rows_equal_per_receiver_products(self, pair, receivers):
+        from bellclone.calculus import _measure_and_correct
+
+        rng = np.random.default_rng(1300 + len(receivers) + 10 * pair[0])
+        for state in (random_mixture(rng, 8, (0.4, 0.35, 0.25)), mixed_bell_and_random(rng, 8)):
+            outcomes = bell_measurement(state, pair, discard=True)[1]
+            assert sorted(set(outcomes.tolist())) == [0, 1, 2, 3]  # rows of all four outcomes, mixed
+            assert_identical_states(_measure_and_correct(state, pair, receivers), ref_measure_and_correct(state, pair, receivers))
+
+    @pytest.mark.parametrize("name, channel", list(teleport_channels()))
+    def test_teleportation_with_carried_reference(self, name, channel, monkeypatch):
+        from bellclone import calculus
+
+        rng = np.random.default_rng(1310 + channel.n_qubits)
+        inputs = [random_pure(rng, pair_register(1, role="input"))]
+        if channel.n_qubits + 4 <= dense.MAX_REGISTER_QUBITS:
+            inputs.append(random_pure(rng, pair_register(1, role="input") + REFERENCE))
+        got = [calculus._teleport_and_correct(channel, inp) for inp in inputs]
+        monkeypatch.setattr(calculus, "_measure_and_correct", ref_measure_and_correct)
+        for out, inp in zip(got, inputs):
+            assert_identical_states(out, calculus._teleport_and_correct(channel, inp))
+
+
+# ---------------------------------------------------------------------------
+# Trace distance on the rows' joint support, against the whole register
+# ---------------------------------------------------------------------------
+
+
+def full_register_trace_distance(a, b):
+    """The joint-span trace distance with every register index kept."""
+
+    def real_if_exact(m):
+        return m.real if np.iscomplexobj(m) and not m.imag.any() else m
+
+    vecs = real_if_exact(np.concatenate([a.amplitudes, b.amplitudes]).T)
+    signed = np.concatenate([a.weights, -b.weights])
+    u, s, _ = np.linalg.svd(vecs, full_matrices=False)
+    coords = u[:, s > 1e-13].conj().T @ vecs
+    diff = real_if_exact((coords * signed) @ coords.conj().T)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def bell_products(strings, weights):
+    return to_dense(BellEnsemble({tuple(s): w for s, w in zip(strings, weights)}))
+
+
+def with_residues(state, size=1e-18):
+    """Every amplitude moved by ``size``, as rounding leaves it after H gates."""
+    return DenseState.from_arrays(state.amplitudes + size, state.weights, state.qubit_labels)
+
+
+class TestSupportTraceDistance:
+    def pairs(self):
+        rng = np.random.default_rng(1320)
+        rho_5 = to_dense(protocols.prepare_rho_m(5)[0])
+        yield "rho_5 dense", rho_5, protocols.prepare_rho_m_dense(5)
+        yield "rho_7 vs uniform", to_dense(protocols.prepare_rho_m(7)[0]), to_dense(BellEnsemble.uniform_strings(7))
+        mixed = bell_products([(B1, B3, B4, B2, B1), (B2, B2, B3, B4, B1), (B4, B3, B3, B1, B2)], (0.5, 0.3, 0.2))
+        yield "sparse mixtures", rho_5, mixed
+        yield "dense rows", random_mixture(rng, 10, (0.5, 0.3, 0.2)), random_mixture(rng, 10, (0.6, 0.4))
+        yield "sparse vs dense", mixed, random_mixture(rng, 10, (0.7, 0.3))
+        yield "residues", with_residues(rho_5), rho_5
+        yield "both with residues", with_residues(mixed), with_residues(rho_5, 3e-18)
+
+    def test_equals_the_full_register(self):
+        for name, a, b in self.pairs():
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert abs(trace_distance(x, y) - full_register_trace_distance(x, y)) <= 1e-15, name
+
+    @pytest.mark.parametrize("n_pairs", [1, 4, 7])
+    def test_disjoint_supports(self, n_pairs):
+        # B1/B2 live on |00>, |11> of each pair and B3/B4 on |01>, |10>.
+        a = bell_products([(B1,) * n_pairs], [1.0])
+        b = bell_products([(B4,) * n_pairs, (B3,) * n_pairs], [0.5, 0.5])
+        assert abs(trace_distance(a, b) - 1.0) <= 1e-15
+        assert abs(full_register_trace_distance(a, b) - 1.0) <= 1e-15
+
+    def test_svd_has_one_row_per_support_index(self, monkeypatch):
+        shapes = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: shapes.append(m.shape) or original(m, **kw))
+        rho_7 = to_dense(protocols.prepare_rho_m(7)[0])
+        trace_distance(rho_7, rho_7)
+        trace_distance(with_residues(rho_7), rho_7)
+        assert shapes == [(2**8, 8), (2**14, 8)]

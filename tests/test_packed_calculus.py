@@ -291,6 +291,14 @@ class TestInternedLabels:
         assert {BellLabel(a, b) for a in (0, 1) for b in (0, 1)} == set(LABELS)
         assert hash(BellLabel(0, 1)) == hash(B2)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(LABELS), min_size=1, max_size=70))
+    def test_pack_equals_the_digit_string_formula(self, labels):
+        string = tuple(labels)
+        packed = calculus._pack(string)
+        assert packed == int("".join(f"{l.a}{l.b}" for l in string), 2)
+        assert _unpack(packed, len(string)) == string
+
 
 # ---------------------------------------------------------------------------
 # The protocol step kinds: symbolic against dense on every string

@@ -11,8 +11,13 @@ in a fresh interpreter with its own ``src/`` first on the path and the
 benchmark's BLAS thread count.  For every output that differs, the job
 and the part that differs are printed; for JSON outputs, each leaf that
 moved is printed as ``path: old -> new`` (old is ``OTHER_TREE``), and
-for text the differing lines.  The exit status is 0 when every output
-is identical and 1 otherwise.
+for text the differing lines.  Last, every moved output is checked
+against the baseline by the benchmark's correctness gate
+(``jobs.mismatches``, which compares dense-derived values within their
+pinned tolerances and everything else exactly); the tool prints either
+that the moved leaves lie within the gate's tolerances or each leaf
+that does not.  The exit status is 0 when every output is identical and
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -84,6 +89,23 @@ def describe(old: str | None, new: str | None) -> list[str]:
     return moved or list(diff)[2:]
 
 
+def beyond_gate(old: dict, new: dict) -> list[str]:
+    """The parts of one run's outputs (as :func:`run_cli` returns them)
+    that the benchmark's gate rejects with ``old`` as the reference: JSON
+    leaves outside their tolerance, and any other part that differs."""
+    out = []
+    for part in new:
+        if old[part] == new[part]:
+            continue
+        try:
+            ref, actual = json.loads(old[part]), json.loads(new[part])
+        except (TypeError, ValueError):  # not JSON (text, an exit code, no report): only identical passes
+            out.append(f"{part}: {old[part]!r} -> {new[part]!r}")
+            continue
+        out += [f"{part} {line}" for line in jobs.mismatches(actual, ref)]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_tree", type=Path, help="root of the baseline checkout")
@@ -92,7 +114,7 @@ def main(argv=None) -> int:
     if not (other / "src" / "bellclone" / "__init__.py").is_file():
         parser.error(f"no bellclone package under {other / 'src'}")
     runs = [["verify-all"]] + jobs.dense_argv_space()
-    differing = 0
+    differing, beyond = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for argv in runs:
@@ -106,7 +128,13 @@ def main(argv=None) -> int:
                 print(f"  {part}:")
                 lines = describe(old[part], new[part]) if isinstance(new[part], str) else [f"{old[part]} -> {new[part]}"]
                 print("\n".join(f"    {line}" for line in lines))
+            beyond += [f"{' '.join(argv)}: {line}" for line in beyond_gate(old, new)]
     print(f"{len(runs) - differing} of {len(runs)} outputs identical")
+    if beyond:
+        print("leaves beyond the gate's tolerances:")
+        print("\n".join(f"  {line}" for line in beyond))
+    elif differing:
+        print("moved leaves within the gate's tolerances")
     return 1 if differing else 0
 
 
