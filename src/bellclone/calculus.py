@@ -423,12 +423,9 @@ def party_qubit(pair: int, party: str) -> int:
     return 2 * pair + (party == "bob")
 
 
-#: H (x) H, the bilateral Hadamard as one gate on a pair's (Alice, Bob) qubits.
-_BILATERAL_HADAMARD = (dense.HADAMARD[:, None, :, None] * dense.HADAMARD[None, :, None, :]).reshape(4, 4)
-
-#: The (x, z) bits of the teleportation correction X^x Z^z per Bell outcome,
-#: in LABELS order: B1 -> I, B2 -> z, B3 -> x, B4 -> y = i x z.
-_FRAME_X, _FRAME_Z = np.array([[p in (1, 2), p in (2, 3)] for p in map(dense.pauli_for_label, LABELS)]).T
+#: H (x) H, the bilateral Hadamard as one gate on a pair's (Alice, Bob)
+#: qubits, with exact entries +-1/2 (not two rounded 1/sqrt(2) multiplied).
+_BILATERAL_HADAMARD = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2 + 0j
 
 
 def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseState) -> dense.DenseState:
@@ -439,12 +436,13 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
     run, are carried through untouched and end up, with their labels,
     after the output pairs.  The channel's pair 0 is consumed by the Bell
     measurements (Alice measures her input qubit with A0, Bob his with
-    B0).  Each measurement drops the two qubits it measured, and its
-    outcome-indexed Pauli correction is applied to that party's qubit of
-    every remaining channel pair, so what is left of the register is the
-    output: one row per (branch, Alice outcome, Bob outcome), up to 16
-    per branch of the joint input, unmerged.  No partial trace or
-    spectrum is taken.
+    B0), qubits 0-3 of the joint register: one Bell measurement projects
+    and drops both pairs and applies each party's outcome-indexed Pauli
+    correction to its qubit of every remaining channel pair as one frame.
+    What is left is the output: one row per (branch, Alice outcome, Bob
+    outcome), up to 16 per branch of the joint input, unmerged, each
+    divided once by the square root of its probability and then only
+    checked.  No partial trace or spectrum is taken.
     """
     n_receive = channel.n_qubits // 2 - 1
     if n_receive < 1:
@@ -455,39 +453,14 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
         raise ValueError("input must hold one Alice qubit then one Bob qubit")
 
     # The register holds the input pair as pair 0, channel pair k as pair
-    # k + 1 and the carried input qubits last; ``left`` lists the register
-    # qubits not yet measured away.  Alice's corrections commute with
-    # Bob's measurement, so they come first.
+    # k + 1 and the carried input qubits last; once pairs 0 and 1 are
+    # dropped, channel pair k + 1 is pair k of what is left.
     state = dense.tensor(input_state, channel, at=2)
-    left = list(range(state.n_qubits))
-    for party in PARTIES:
-        measured = (party_qubit(0, party), party_qubit(1, party))
-        pair = tuple(left.index(q) for q in measured)
-        left = [q for q in left if q not in measured]
-        receivers = [left.index(party_qubit(k, party)) for k in range(2, n_receive + 2)]
-        state = _measure_and_correct(state, pair, receivers)
+    measured = [(party_qubit(0, party), party_qubit(1, party)) for party in PARTIES]
+    receivers = [[party_qubit(k, party) for k in range(n_receive)] for party in PARTIES]
+    post, _ = dense.bell_measurement(state, *measured, discard=True, receivers=receivers)
     labels = dense.pair_register(n_receive) + input_state.qubit_labels[2:]
-    return dense.DenseState._adopt(state.amplitudes, state.weights, labels)
-
-
-def _measure_and_correct(state: dense.DenseState, pair: tuple[int, int], receivers: list[int]) -> dense.DenseState:
-    """Bell-measure ``pair``, drop it, and Pauli-correct each receiver qubit
-    (an index into the smaller register) by the row's outcome, as one Pauli
-    frame: the z rows times the receivers' (-1)^parity, the y rows also
-    times i^r (Y = i X Z on r receivers), the x rows flipped.  Each factor
-    is +-1 or +-i, so the rows equal one 2x2 product per receiver, bit for bit."""
-    post, outcomes = dense.bell_measurement(state, pair, discard=True)
-    x, z, n = _FRAME_X[outcomes], _FRAME_Z[outcomes], post.n_qubits
-    amps = post.amplitudes.copy()
-    signs = np.ones((2,) * n)  # Z on every receiver: -1 where an odd number of them hold 1
-    for q in receivers:
-        signs[(slice(None),) * q + (1,)] *= -1
-    amps[z] *= signs.reshape(-1)
-    amps[x & z] *= (1, 1j, -1, -1j)[len(receivers) % 4]
-    flipped = np.empty((np.count_nonzero(x), amps.shape[1]), dtype=complex)
-    dense._flip_into(flipped, amps[x], n, receivers, ())
-    amps[x] = flipped
-    return dense.DenseState._adopt(amps, post.weights, post.qubit_labels)
+    return dense.DenseState._from_kernel(post.amplitudes, post.weights, labels)
 
 
 def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float, dense.DenseState | None]]:
@@ -504,9 +477,15 @@ def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float
         outcome = dense.postselect(state.weights, state.amplitudes * (parity == bit))
         if outcome is not None:
             prob, amps, weights = outcome
-            post = dense.DenseState._adopt(amps, weights, state.qubit_labels)
+            post = dense.DenseState._from_kernel(amps, weights, state.qubit_labels)
             out.append((bit, prob, dense.partial_trace(post, keep) if keep else None))
     return out
+
+
+def bxor_cnots(op: tuple) -> list[tuple[int, int]]:
+    """The (control, target) qubits of a ("bxor", source, target) step's C-NOTs."""
+    _, s, t = op
+    return [(party_qubit(s, party), party_qubit(t, party)) for party in PARTIES]
 
 
 def dense_rewrite_op(state: dense.DenseState, op: tuple):
@@ -515,8 +494,7 @@ def dense_rewrite_op(state: dense.DenseState, op: tuple):
     oracle side of the symbolic/dense equivalence checks."""
     name = op[0]
     if name == "bxor":
-        _, s, t = op
-        return dense.apply_flips(state, cnots=[(party_qubit(s, party), party_qubit(t, party)) for party in PARTIES])
+        return dense.apply_flips(state, cnots=bxor_cnots(op))
     if name == "one_sided_pauli":
         _, k, idx, side = op
         if side not in PARTIES:

@@ -3,15 +3,17 @@
 A state is a weighted mixture of pure branches (never a full density
 matrix), held as one batched (k, 2**n) amplitude array and a weight
 vector, so registers up to 14 qubits stay cheap and every kernel is a
-few array operations over all branches at once.  Building a state checks
-every row norm and divides a row only when its computed norm is not
-exactly 1.0 (the weights likewise by their total).  X and C-NOT gates,
-and so the bilateral C-NOTs, Bob's random X of the protocols and the X
-part of teleportation's Pauli corrections, only move amplitudes:
-:func:`apply_flips` reverses axes of the (k, 2, ..., 2) view in one
-copy, with no arithmetic; every other gate is a matrix product
-(:func:`apply_unitary`).  A Bell measurement can
-drop the pair it measured (``discard=True``), which is how teleportation
+few array operations over all branches at once.  Every state checks each
+row norm (within 1e-9) and its weight total.  One built from outside
+arrays divides a row only when its computed norm is not exactly 1.0 (the
+weights likewise); a kernel's output is never rescaled, since moves,
+checked unitaries, products and +-1/+-i phases keep unit rows unit, and a
+measurement divides each kept row once by the root of its probability.
+X and C-NOT gates only move amplitudes: :func:`apply_flips` reverses axes
+of the (k, 2, ..., 2) view, and :func:`apply_cnot_layers` gathers a whole
+C-NOT run once through a composed index row; every other gate is a matrix
+product.  A Bell measurement can drop the pairs it measured, several at
+once with a Pauli frame on receivers, which is how teleportation
 leaves exactly its output qubits without any trace or spectrum.  Spectra
 are taken at the size of the state's rank, not of the register: a partial
 trace diagonalizes its stacked branch columns by a thin SVD, and a trace
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -172,11 +174,12 @@ class DenseState:
     ``amplitudes`` is a read-only (k, 2**n) array, one unit row per
     branch, and ``weights`` the k positive weights, summing to 1.
 
-    Every construction checks each row norm and the weight total.  A row
-    is divided by its norm only when that computed norm is not exactly
-    1.0, and the weights by their total only when it is not exactly 1.0;
-    since x / 1.0 == x, the stored values are the same as if every row
-    were divided.  A state owns its arrays: :meth:`from_arrays` copies
+    Every construction checks each row norm (within 1e-9) and the weight
+    total.  Public constructors and eigenbranch mixtures divide a row by its
+    norm only when that computed norm is not exactly 1.0, and the weights by
+    their total only when it is not exactly 1.0 (x / 1.0 == x, so the stored
+    values are those of dividing every row); kernel outputs are stored as
+    computed (:meth:`_from_kernel`).  A state owns its arrays: :meth:`from_arrays` copies
     what it is given, and only the kernels of this package hand over the
     arrays they have just allocated.
     """
@@ -204,10 +207,17 @@ class DenseState:
         state._set(amps, weights, qubit_labels)
         return state
 
-    def _set(self, amps: np.ndarray, weights: np.ndarray, qubit_labels) -> None:
-        """Check every row, weight and the total at once; rows are
-        rescaled to unit norm and weights to sum to exactly 1 where they
-        do not already, in place when the array is writeable."""
+    @classmethod
+    def _from_kernel(cls, amps: np.ndarray, weights: np.ndarray, qubit_labels) -> "DenseState":
+        """:meth:`_adopt`'s checks, no rescale: for rows kept or just made unit."""
+        state = object.__new__(cls)
+        state._set(amps, weights, qubit_labels, rescale=False)
+        return state
+
+    def _set(self, amps: np.ndarray, weights: np.ndarray, qubit_labels, rescale: bool = True) -> None:
+        """Check every row, weight and the total at once; with ``rescale``,
+        rows are rescaled to unit norm and weights to sum to exactly 1
+        where they do not already, in place when the array is writeable."""
         k, dim = amps.shape
         n = dim.bit_length() - 1
         if dim & (dim - 1) or dim < 2:
@@ -225,9 +235,9 @@ class DenseState:
         total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"branch weights sum to {total}, not 1")
-        if off_unit:
+        if off_unit and rescale:
             amps = np.divide(amps, norms[:, None], out=amps if amps.flags.writeable else None)
-        if total != 1.0:
+        if total != 1.0 and rescale:
             weights = weights / total
         amps.flags.writeable = weights.flags.writeable = False
         self.amplitudes, self.weights, self.qubit_labels, self._branches = amps, weights, tuple(qubit_labels), None
@@ -260,7 +270,7 @@ class DenseState:
             raise ValueError("mixture components live on different registers")
         weighted = [(w, s) for w, s in weighted if w > 0]
         amps = np.concatenate([s.amplitudes for _, s in weighted])  # ValueError if none
-        return cls._adopt(amps, np.concatenate([w * s.weights for w, s in weighted]), labels)
+        return cls._from_kernel(amps, np.concatenate([w * s.weights for w, s in weighted]), labels)
 
     def density_matrix(self) -> np.ndarray:
         """Materialize the density operator (registers up to 10 qubits)."""
@@ -281,7 +291,7 @@ def tensor(left: DenseState, right: DenseState, at: int | None = None) -> DenseS
     amps = left.amplitudes.reshape(len(left.weights), 1, 2**at, 1, -1) * right.amplitudes[None, :, None, :, None]
     weights = np.outer(left.weights, right.weights).reshape(-1)
     labels = left.qubit_labels[:at] + right.qubit_labels + left.qubit_labels[at:]
-    return DenseState._adopt(amps.reshape(len(weights), -1), weights, labels)
+    return DenseState._from_kernel(amps.reshape(len(weights), -1), weights, labels)
 
 
 @dataclass(frozen=True)
@@ -362,7 +372,7 @@ def apply_unitary(state: DenseState, u: np.ndarray, targets: Sequence[int]) -> D
         raise ValueError("target qubit out of range")
     _check_unitary_once(u.shape, u.tobytes())
     amps = _apply_matrix(state.amplitudes, state.n_qubits, u, targets)
-    return DenseState._adopt(amps, state.weights, state.qubit_labels)
+    return DenseState._from_kernel(amps, state.weights, state.qubit_labels)
 
 
 def _check_flips(n: int, x_targets: Sequence[int], cnots: Sequence[tuple[int, int]]) -> None:
@@ -410,7 +420,19 @@ def apply_flips(
     _check_flips(state.n_qubits, x_targets, cnots)
     amps = np.empty_like(state.amplitudes)
     _flip_into(amps, state.amplitudes, state.n_qubits, x_targets, cnots)
-    return DenseState._adopt(amps, state.weights, state.qubit_labels)
+    return DenseState._from_kernel(amps, state.weights, state.qubit_labels)
+
+
+def apply_cnot_layers(state: DenseState, layers: Sequence[Sequence[tuple[int, int]]]) -> DenseState:
+    """Each layer of C-NOTs (:func:`apply_flips`'s ``cnots``) in turn, as one
+    permutation: a 2**n index row goes through every layer, then the
+    amplitudes are gathered once, bit for bit those of the layers in turn."""
+    index = np.arange(2**state.n_qubits)
+    for cnots in layers:
+        _check_flips(state.n_qubits, (), cnots)
+        index, moved = np.empty_like(index), index
+        _flip_into(index[None], moved[None], state.n_qubits, (), cnots)
+    return DenseState._from_kernel(np.take(state.amplitudes, index, axis=1), state.weights, state.qubit_labels)
 
 
 def mix_flipped(state: DenseState, x_targets: Sequence[int]) -> DenseState:
@@ -423,7 +445,7 @@ def mix_flipped(state: DenseState, x_targets: Sequence[int]) -> DenseState:
     amps[:k] = state.amplitudes
     _flip_into(amps[k:], state.amplitudes, state.n_qubits, x_targets, ())
     half = 0.5 * state.weights
-    return DenseState._adopt(amps, np.concatenate([half, half]), state.qubit_labels)
+    return DenseState._from_kernel(amps, np.concatenate([half, half]), state.qubit_labels)
 
 
 def postselect(weights: np.ndarray, projected: np.ndarray):
@@ -437,8 +459,34 @@ def postselect(weights: np.ndarray, projected: np.ndarray):
     return prob, projected[keep] / np.sqrt(p[keep])[:, None], weights[keep] * p[keep] / prob
 
 
-def bell_measurement(state: DenseState, pair: tuple[int, int], discard: bool = False):
-    """Projective Bell-basis measurement of two qubits.
+@lru_cache(maxsize=None)
+def _bell_projector(pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """<B_o| on m pairs at once, from their qubits in ascending order to o
+    (base-4 digits, the first pair's first): real entries 0 and +-2^(-m/2)."""
+    m, qubits = len(pairs), [q for pair in pairs for q in pair]
+    signs = reduce(np.kron, [np.sign(_BELL_ROWS.real)] * m).reshape((4**m,) + (2,) * 2 * m)
+    order = [0] + [1 + qubits.index(q) for q in sorted(qubits)]
+    return signs.transpose(order).reshape(4**m, 4**m) * (0.5 ** (m // 2) / (_SQRT2 if m % 2 else 1.0))
+
+
+def _pauli_frame(v: np.ndarray, receivers: Sequence[Sequence[int]]) -> None:
+    """Each pair's correction X^a Z^b for outcome B(a, b) = 2a + b on its receivers, in place on
+    the projected rows ``v`` (axes: branch, an outcome per pair, kept qubits): b = 1 rows times
+    (-1)^parity, B4's also i^r (Y = iXZ), a = 1 rows with the receivers' axes reversed."""
+    m, r = len(receivers), v.ndim - 1 - len(receivers)
+    for i, qubits in enumerate(receivers):
+        outcome = (slice(None),) * (1 + i)
+        signs = np.ones((2,) * r)
+        for q in qubits:
+            signs[(slice(None),) * q + (1,)] *= -1
+        v[outcome + (1,)] *= signs
+        v[outcome + (3,)] *= signs * (1, 1j, -1, -1j)[len(qubits) % 4]
+        axes = [slice(None, None, -1) if q in qubits else slice(None) for q in range(r)]
+        v[outcome + (slice(2, None),)] = v[outcome + (slice(2, None),) + (slice(None),) * (m - 1 - i) + tuple(axes)]
+
+
+def bell_measurement(state: DenseState, *pairs: tuple[int, int], discard: bool = False, receivers=None):
+    """Projective Bell-basis measurement of a pair of qubits.
 
     By default, returns one entry per outcome with positive probability:
     the outcome label, its probability, and the renormalized post-state
@@ -451,22 +499,35 @@ def bell_measurement(state: DenseState, pair: tuple[int, int], discard: bool = F
     (branch, outcome) pair kept by the default form, branch-major, each
     weighted by its branch weight times its conditional probability; and
     each row's outcome index (0..3, in ``LABELS`` order).  The probability
-    of an outcome is the total weight of its rows.
+    of an outcome is the total weight of its rows.  Several pairs may then
+    be measured by one product (outcome digits base 4, first pair first),
+    and ``receivers`` lists, per pair, kept qubits that take its
+    teleportation correction (:func:`_pauli_frame`) before rows are picked.
     """
-    q1, q2 = sorted(pair)
-    if q1 == q2 or q1 < 0 or q2 >= state.n_qubits:
+    pairs = tuple(tuple(sorted(pair)) for pair in pairs)
+    measured = sorted(q for pair in pairs for q in pair)
+    n = state.n_qubits
+    if not pairs or len(set(measured)) != 2 * len(pairs) or measured[0] < 0 or measured[-1] >= n:
         raise ValueError("measurement needs two distinct register qubits")
-    if discard and state.n_qubits == 2:
+    if len(pairs) > 1 and not discard:
+        raise ValueError("only a discarding measurement takes several pairs")
+    if discard and n == len(measured):
         raise ValueError("discarding the measured pair would leave no qubits")
-    # subs[b, o]: branch b's amplitudes on the other qubits after <B_o| on the pair.
-    subs, order = _split(state.amplitudes, state.n_qubits, (q1, q2))
-    subs = _BELL_ROWS.conj() @ subs
+    # subs[b, o]: branch b's amplitudes on the other qubits after <B_o| on the pairs.
+    subs, order = _split(state.amplitudes, n, measured)
+    # One real product for the real and imaginary parts alike.
+    subs = (_bell_projector(pairs) @ np.ascontiguousarray(subs).view(np.float64)).view(complex)
     if discard:
         p = _squared_row_norms(subs)  # p[b, o]: conditional probability of outcome o in branch b
+        if receivers is not None:
+            if len(receivers) != len(pairs) or not all(0 <= q < n - len(measured) for r in receivers for q in r):
+                raise ValueError("receivers must name kept qubits, one list per measured pair")
+            _pauli_frame(subs.reshape(subs.shape[:1] + (4,) * len(pairs) + (2,) * (n - len(measured))), receivers)
         keep = (p > 1e-14) & (state.weights @ p > 1e-14)
         rows = subs[keep] / np.sqrt(p[keep])[:, None]
-        labels = tuple(label for q, label in enumerate(state.qubit_labels) if q not in (q1, q2))
-        return DenseState._adopt(rows, (state.weights[:, None] * p)[keep], labels), np.nonzero(keep)[1]
+        weights = (state.weights[:, None] * p)[keep]
+        labels = tuple(label for q, label in enumerate(state.qubit_labels) if q not in measured)
+        return DenseState._from_kernel(rows, weights / weights.sum(), labels), np.nonzero(keep)[1]
     out = []
     for o, label in enumerate(LABELS):
         outcome = postselect(state.weights, subs[:, o])
@@ -474,7 +535,7 @@ def bell_measurement(state: DenseState, pair: tuple[int, int], discard: bool = F
             continue
         prob, post, weights = outcome
         full = _join(_BELL_ROWS[o][:, None] * post[:, None, :], order)
-        out.append((label, prob, DenseState._adopt(full, weights, state.qubit_labels)))
+        out.append((label, prob, DenseState._from_kernel(full, weights, state.qubit_labels)))
     return out
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -173,13 +174,17 @@ def _check_dense_fit(n: int, kinds: Iterable[str]) -> None:
 
 
 def run_dense(program: Program):
-    """Run a program's steps on explicit state vectors; raises
-    :class:`DenseLimitError` up front if it does not fit (see
-    :func:`_check_dense_fit`)."""
+    """Run a program's steps on explicit state vectors, each run of bxor steps
+    as one permutation; raises :class:`DenseLimitError` up front if it does
+    not fit (see :func:`_check_dense_fit`)."""
     _check_dense_fit(program.initial.n_pairs, (op[0] for op in program.steps))
     state = to_dense(program.initial)
-    for op in program.steps:
-        state = dense_rewrite_op(state, op)
+    for is_bxor, ops in groupby(program.steps, key=lambda op: op[0] == "bxor"):
+        if is_bxor:
+            state = dense.apply_cnot_layers(state, [calculus.bxor_cnots(op) for op in ops])
+        else:
+            for op in ops:
+                state = dense_rewrite_op(state, op)
     return state
 
 
@@ -229,8 +234,9 @@ class PairReduction:
     @cached_property
     def pair_matrix(self) -> np.ndarray:
         """alice_matrix (x) bob_matrix, the 4x4 gate on the pair's (Alice, Bob)
-        qubits: np.kron's entries, by one broadcast product on first use."""
-        return (self.alice_matrix[:, None, :, None] * self.bob_matrix[None, :, None, :]).reshape(4, 4)
+        qubits, exact: a table row's words hold an even number of H, so each
+        part of each entry is the multiple of 1/2 nearest np.kron's."""
+        return np.round(2 * np.kron(self.alice_matrix, self.bob_matrix)) / 2
 
     @property
     def inverse_map(self) -> dict[BellLabel, BellLabel]:

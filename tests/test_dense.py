@@ -1346,7 +1346,11 @@ class TestPairGates:
     def test_local_clifford_is_one_pair_gate(self, reduction, monkeypatch):
         from bellclone.calculus import dense_rewrite_op
 
-        assert np.array_equal(reduction.pair_matrix, np.kron(reduction.alice_matrix, reduction.bob_matrix))
+        # The exact product: parts in {0, +-1/2, +-1}, within an ulp of np.kron's
+        # entries, which round (1/sqrt(2))^2 off 1/2.
+        parts = np.concatenate([reduction.pair_matrix.real.ravel(), reduction.pair_matrix.imag.ravel()])
+        assert set(parts.tolist()) <= {0.0, 0.5, -0.5, 1.0, -1.0}
+        assert abs(reduction.pair_matrix - np.kron(reduction.alice_matrix, reduction.bob_matrix)).max() <= 2**-53
         assert reduction.pair_matrix is reduction.pair_matrix  # built once per reduction
         rng = np.random.default_rng(41)
         state = DenseState.from_arrays(_random_rows(rng, 3, 10), [0.5, 0.3, 0.2], pair_register(5))
@@ -1360,8 +1364,9 @@ class TestPairGates:
         assert calls == [(4, 4)] * 5
 
     def test_bilateral_hadamard_is_one_pair_gate(self, monkeypatch):
-        from bellclone.calculus import dense_rewrite_op
+        from bellclone.calculus import _BILATERAL_HADAMARD, dense_rewrite_op
 
+        assert np.array_equal(_BILATERAL_HADAMARD * 2, np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]))  # exact halves
         rng = np.random.default_rng(43)
         state = DenseState.from_arrays(_random_rows(rng, 3, 10), [0.5, 0.3, 0.2], pair_register(5))
         calls = []
@@ -1388,16 +1393,20 @@ class TestPairGates:
 REF_CORRECTIONS = np.array([pauli(0), pauli(3), pauli(1), pauli(2)])
 
 
-def ref_measure_and_correct(state, pair, receivers):
-    """Bell-measure ``pair``, drop it, and correct each receiver in turn by
-    the stacked 2x2 product of every row's outcome matrix."""
-    post, outcomes = bell_measurement(state, pair, discard=True)
+def ref_corrected_rows(state, pairs, receivers):
+    """Bell-measure ``pairs`` at once and drop them, then correct each
+    receiver of each pair in turn by the stacked 2x2 product of every
+    row's outcome matrix for that pair, with no rescale.  Returns the
+    corrected rows and the uncorrected measurement's post-state."""
+    post, outcomes = bell_measurement(state, *pairs, discard=True)
     amps, k, n = post.amplitudes, len(post.weights), post.n_qubits
-    for q in receivers:
-        psi = np.moveaxis(amps.reshape((k,) + (2,) * n), q + 1, 1).reshape(k, 2, -1)
-        psi = REF_CORRECTIONS[outcomes] @ psi
-        amps = np.moveaxis(psi.reshape((k,) + (2,) * n), 1, q + 1).reshape(k, -1)
-    return DenseState._adopt(amps, post.weights, post.qubit_labels)
+    for i, qubits in enumerate(receivers):
+        digit = (outcomes >> 2 * (len(pairs) - 1 - i)) & 3  # pair i's outcome, first pair most significant
+        for q in qubits:
+            psi = np.moveaxis(amps.reshape((k,) + (2,) * n), q + 1, 1).reshape(k, 2, -1)
+            psi = REF_CORRECTIONS[digit] @ psi
+            amps = np.moveaxis(psi.reshape((k,) + (2,) * n), 1, q + 1).reshape(k, -1)
+    return amps, post
 
 
 def assert_identical_states(got, want):
@@ -1412,38 +1421,55 @@ class TestPauliFrameCorrections:
     matrix shows) fails here."""
 
     @pytest.mark.parametrize(
-        "pair, receivers",
+        "pairs, receivers",
         [
-            ((0, 1), [0]),  # first qubit of what is left
-            ((2, 5), [3]),  # middle
-            ((0, 7), [5]),  # last
-            ((1, 2), [0, 5]),  # i^2 on the y rows
-            ((3, 4), [0, 2, 5]),  # i^3
-            ((0, 1), [0, 1, 2, 3]),  # i^4 = 1
-            ((6, 7), [0, 1, 2, 4, 5]),  # i^5 = i
+            (((0, 1),), [[0]]),  # first qubit of what is left
+            (((2, 5),), [[3]]),  # middle
+            (((0, 7),), [[5]]),  # last
+            (((1, 2),), [[0, 5]]),  # i^2 on the y rows
+            (((3, 4),), [[0, 2, 5]]),  # i^3
+            (((0, 1),), [[0, 1, 2, 3]]),  # i^4 = 1
+            (((6, 7),), [[0, 1, 2, 4, 5]]),  # i^5 = i
+            (((0, 2), (1, 3)), [[0, 2], [1, 3]]),  # the teleport's joint measurement
+            (((0, 2), (1, 3)), [[1, 2, 3], []]),  # i^3 for the first pair only
+            (((5, 1), (2, 7)), [[3], [0, 2, 1]]),  # pairs apart, listed out of order
         ],
     )
-    def test_rows_equal_per_receiver_products(self, pair, receivers):
-        from bellclone.calculus import _measure_and_correct
-
-        rng = np.random.default_rng(1300 + len(receivers) + 10 * pair[0])
+    def test_rows_equal_per_receiver_products(self, pairs, receivers):
+        rng = np.random.default_rng(1300 + sum(map(len, receivers)) + 10 * pairs[0][0])
         for state in (random_mixture(rng, 8, (0.4, 0.35, 0.25)), mixed_bell_and_random(rng, 8)):
-            outcomes = bell_measurement(state, pair, discard=True)[1]
-            assert sorted(set(outcomes.tolist())) == [0, 1, 2, 3]  # rows of all four outcomes, mixed
-            assert_identical_states(_measure_and_correct(state, pair, receivers), ref_measure_and_correct(state, pair, receivers))
+            got, outcomes = bell_measurement(state, *pairs, discard=True, receivers=receivers)
+            assert sorted(set(outcomes.tolist())) == list(range(4 ** len(pairs)))  # rows of every outcome, mixed
+            amps, plain = ref_corrected_rows(state, pairs, receivers)
+            assert np.array_equal(outcomes, bell_measurement(state, *pairs, discard=True)[1])
+            assert np.array_equal(got.amplitudes, amps)
+            assert np.array_equal(got.weights, plain.weights) and got.qubit_labels == plain.qubit_labels
 
     @pytest.mark.parametrize("name, channel", list(teleport_channels()))
-    def test_teleportation_with_carried_reference(self, name, channel, monkeypatch):
+    def test_teleportation_with_carried_reference(self, name, channel):
         from bellclone import calculus
 
         rng = np.random.default_rng(1310 + channel.n_qubits)
         inputs = [random_pure(rng, pair_register(1, role="input"))]
         if channel.n_qubits + 4 <= dense.MAX_REGISTER_QUBITS:
             inputs.append(random_pure(rng, pair_register(1, role="input") + REFERENCE))
-        got = [calculus._teleport_and_correct(channel, inp) for inp in inputs]
-        monkeypatch.setattr(calculus, "_measure_and_correct", ref_measure_and_correct)
-        for out, inp in zip(got, inputs):
-            assert_identical_states(out, calculus._teleport_and_correct(channel, inp))
+        n_receive = channel.n_qubits // 2 - 1
+        receivers = [list(range(0, 2 * n_receive, 2)), list(range(1, 2 * n_receive, 2))]  # Alice's, Bob's
+        for inp in inputs:
+            amps, plain = ref_corrected_rows(tensor(inp, channel, at=2), ((0, 2), (1, 3)), receivers)
+            want = DenseState._from_kernel(amps, plain.weights, pair_register(n_receive) + inp.qubit_labels[2:])
+            assert_identical_states(calculus._teleport_and_correct(channel, inp), want)
+
+    def test_bad_pairs_and_receivers_are_rejected(self):
+        state = random_mixture(np.random.default_rng(1330), 6, (1.0,))
+        for receivers in ([[0]], [[0], [2]], [[-1], [0]]):
+            with pytest.raises(ValueError, match="receivers"):
+                bell_measurement(state, (0, 2), (1, 3), discard=True, receivers=receivers)
+        with pytest.raises(ValueError, match="several pairs"):
+            bell_measurement(state, (0, 2), (1, 3))
+        for pairs in ((), ((0, 1, 2),), ((0, 2), (2, 3)), ((4, 6),)):
+            with pytest.raises(ValueError, match="two distinct register qubits"):
+                bell_measurement(state, *pairs, discard=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1508,3 +1534,114 @@ class TestSupportTraceDistance:
         trace_distance(rho_7, rho_7)
         trace_distance(with_residues(rho_7), rho_7)
         assert shapes == [(2**8, 8), (2**14, 8)]
+
+
+# ---------------------------------------------------------------------------
+# Norm-preserving kernels store their rows unrescaled; composed C-NOT runs
+# ---------------------------------------------------------------------------
+
+
+def random_cnot_layers(rng, n, count):
+    """``count`` layers of one to three C-NOTs on distinct qubits each."""
+    layers = []
+    for _ in range(count):
+        q = [int(x) for x in rng.permutation(n)]
+        layers.append([(q[2 * i], q[2 * i + 1]) for i in range(int(rng.integers(1, min(3, n // 2) + 1)))])
+    return layers
+
+
+def max_norm_error(state):
+    return abs(np.sqrt(dense._squared_row_norms(state.amplitudes)) - 1.0).max()
+
+
+class TestUnscaledKernelRows:
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_composed_cnot_run_equals_the_steps(self, n):
+        rng = np.random.default_rng(1400 + n)
+        k = (n - 4) % 8 + 1  # 1..8 rows over the range
+        state = random_mixture(rng, n, rng.random(k) + 0.1)
+        for count in (1, 2, 8):
+            layers = random_cnot_layers(rng, n, count)
+            want = state
+            for cnots in layers:
+                want = apply_flips(want, cnots=cnots)
+            got = dense.apply_cnot_layers(state, layers)
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+            assert np.array_equal(got.weights, want.weights) and got.qubit_labels == want.qubit_labels
+            assert not got.amplitudes.flags.writeable
+
+    def test_cnot_run_errors_are_those_of_apply_flips(self):
+        state = random_mixture(np.random.default_rng(1415), 4, (1.0,))
+        with pytest.raises(ValueError, match="target qubits must be distinct"):
+            dense.apply_cnot_layers(state, [[(0, 1)], [(2, 2)]])
+        with pytest.raises(ValueError, match="target qubit out of range"):
+            dense.apply_cnot_layers(state, [[(0, 4)]])
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            protocols._rho_m_program(6),
+            protocols._rho_m_program(7),  # random_pauli_x, then a run of six
+            protocols._clone_pair_program(B2, (B2, B4), 6),
+            protocols._distill_program(BellEnsemble({(B1,) * 5: 0.5, (B4,) * 5: 0.5})),
+        ],
+    )
+    def test_run_dense_equals_step_by_step(self, program):
+        from bellclone.calculus import dense_rewrite_op
+
+        want = to_dense(program.initial)
+        for op in program.steps:
+            want = dense_rewrite_op(want, op)
+        got = protocols.run_dense(program)
+        if isinstance(want, list):  # a parity measurement's (bit, probability, post-state) branches
+            assert [(b, p) for b, p, _ in got] == [(b, p) for b, p, _ in want]
+            got, want = [s for _, _, s in got], [s for _, _, s in want]
+        else:
+            got, want = [got], [want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.amplitudes, w.amplitudes) and np.array_equal(g.weights, w.weights)
+
+    def test_long_chain_keeps_rows_unit(self):
+        rng = np.random.default_rng(1420)
+        n = 6
+        state = random_mixture(rng, n, (0.5, 0.3, 0.2))
+        for step in range(240):
+            kind = step % 4
+            if kind == 0:
+                u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+                state = apply_unitary(state, u, [int(q) for q in rng.choice(n, 2, replace=False)])
+            elif kind == 1:
+                state = apply_unitary(state, dense.PHASE_S @ HADAMARD, (int(rng.integers(n)),))
+            elif kind == 2:
+                state = apply_flips(state, [int(rng.integers(n))])
+            else:
+                state = dense.apply_cnot_layers(state, random_cnot_layers(rng, n, 3))
+            assert max_norm_error(state) <= 1e-12, step
+
+    def test_a_drifting_kernel_still_fails_the_norm_check(self, monkeypatch):
+        """Each kernel output is still checked: rows scaled by 1 + 1e-6
+        inside a kernel raise, since nothing rescales them any more."""
+        state = random_mixture(np.random.default_rng(1430), 6, (0.6, 0.4))
+        flip_into, apply_matrix, frame = dense._flip_into, dense._apply_matrix, dense._pauli_frame
+
+        def drifting_flip(out, *args):
+            flip_into(out, *args)
+            out *= 1 + 1e-6
+
+        def drifting_frame(v, receivers):
+            frame(v, receivers)
+            v *= 1 + 1e-6
+
+        monkeypatch.setattr(dense, "_flip_into", drifting_flip)
+        monkeypatch.setattr(dense, "_apply_matrix", lambda *a: apply_matrix(*a) * (1 + 1e-6))
+        monkeypatch.setattr(dense, "_pauli_frame", drifting_frame)
+        for kernel in (
+            lambda: apply_flips(state, [0]),
+            lambda: dense.mix_flipped(state, [1, 3]),
+            lambda: apply_unitary(state, HADAMARD, (2,)),
+            lambda: bell_measurement(state, (0, 2), (1, 3), discard=True, receivers=[[0], [1]]),
+        ):
+            with pytest.raises(ValueError, match="norm"):
+                kernel()
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_unitary(state, np.diag([1.0, 1.0 + 1e-6]), (0,))
