@@ -19,7 +19,6 @@ from .dense import (
     QubitLabel,
     apply_unitary,
     bell_measurement,
-    bell_state,
     bell_vector,
     choi_matrix,
     fidelity,

@@ -127,14 +127,6 @@ class BellEnsemble:
     def probability(self, string: BellString) -> float:
         return self.entries.get(tuple(string), 0.0)
 
-    def map_strings(self, fn) -> "BellEnsemble":
-        """Rewrite every string with ``fn`` (probabilities carried over)."""
-        out: dict[BellString, float] = {}
-        for s, p in self.entries.items():
-            t = tuple(fn(s))
-            out[t] = out.get(t, 0.0) + p
-        return BellEnsemble(out)
-
     def allclose(self, other: "BellEnsemble", tol: float = 1e-12) -> bool:
         same = self.n_pairs == other.n_pairs
         a, b = (self._probs, other._probs) if same else (self.entries, other.entries)

@@ -9,12 +9,12 @@ arrays divides a row only when its computed norm is not exactly 1.0 (the
 weights likewise); a kernel's output is never rescaled, since moves,
 checked unitaries, products and +-1/+-i phases keep unit rows unit, and a
 measurement divides each kept row once by the root of its probability.
-X and C-NOT gates only move amplitudes: :func:`apply_flips` reverses axes
-of the (k, 2, ..., 2) view, and :func:`apply_cnot_layers` gathers a whole
-C-NOT run once through a composed index row; every other gate is a matrix
-product.  A Bell measurement can drop the pairs it measured, several at
-once with a Pauli frame on receivers, which is how teleportation
-leaves exactly its output qubits without any trace or spectrum.  Spectra
+X and C-NOT gates only move amplitudes: each is arithmetic on the basis
+index (X on q: i ^ bit(q); C-NOT: i ^ (bit_c(i) << t)), so any run of them
+is one gather through one index row; every other gate is a matrix product.
+A Bell measurement can drop the pairs it measured, several at once with a
+Pauli frame on disjoint receivers, which is how teleportation leaves
+exactly its output qubits without any trace or spectrum.  Spectra
 are taken at the size of the state's rank, not of the register: a partial
 trace diagonalizes its stacked branch columns by a thin SVD, and a trace
 distance works in the joint span of both states' branches, on the
@@ -38,7 +38,6 @@ the Alice qubit before the Bob qubit of each pair.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Sequence
@@ -161,11 +160,6 @@ class PureBranch:
         if not self.weight > 0:
             raise ValueError("branch weight must be positive")
         object.__setattr__(self, "amplitudes", amp / norm)
-
-
-def bell_state(label: BellLabel) -> PureBranch:
-    """The exact two-qubit Bell state for a label, as a unit-weight branch."""
-    return PureBranch(bell_vector(label), 1.0)
 
 
 class DenseState:
@@ -355,6 +349,15 @@ def _check_unitary_once(shape: tuple[int, ...], data: bytes) -> None:
     check_unitary(np.frombuffer(data, dtype=complex).reshape(shape))
 
 
+def _check_targets(n: int, targets: Sequence[int], cnots: Sequence[tuple[int, int]] = ()) -> None:
+    """Raise unless the targets and the C-NOTs' qubits are distinct register qubits."""
+    qubits = [*targets, *(q for pair in cnots for q in pair)]
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("target qubits must be distinct")
+    if any(q < 0 or q >= n for q in qubits):
+        raise ValueError("target qubit out of range")
+
+
 def apply_unitary(state: DenseState, u: np.ndarray, targets: Sequence[int]) -> DenseState:
     """Apply a unitary to the given target qubits of every branch.
 
@@ -366,45 +369,32 @@ def apply_unitary(state: DenseState, u: np.ndarray, targets: Sequence[int]) -> D
     k = len(targets)
     if u.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {u.shape} does not fit {k} target qubits")
-    if len(set(targets)) != k:
-        raise ValueError("target qubits must be distinct")
-    if any(t < 0 or t >= state.n_qubits for t in targets):
-        raise ValueError("target qubit out of range")
+    _check_targets(state.n_qubits, targets)
     _check_unitary_once(u.shape, u.tobytes())
     amps = _apply_matrix(state.amplitudes, state.n_qubits, u, targets)
     return DenseState._from_kernel(amps, state.weights, state.qubit_labels)
 
 
-def _check_flips(n: int, x_targets: Sequence[int], cnots: Sequence[tuple[int, int]]) -> None:
-    """Raise unless the gates' qubits are distinct register qubits (the
-    checks and messages of :func:`apply_unitary`)."""
-    qubits = [*x_targets, *(q for pair in cnots for q in pair)]
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("target qubits must be distinct")
-    if any(q < 0 or q >= n for q in qubits):
-        raise ValueError("target qubit out of range")
+def _flip_index(n: int, x_targets: Sequence[int] = (), layers: Sequence[Sequence[tuple[int, int]]] = ()) -> np.ndarray:
+    """The 2**n index row of the C-NOT layers (control, target) in turn,
+    then X on ``x_targets``: ``amps[:, index]`` are the rows after the gates.
+    Each gate is its own inverse, so i runs through them last-first: X maps i
+    to i ^ bit(q), a C-NOT (whose control no gate of its layer targets) to
+    i ^ (bit_c(i) << t).  Both are affine over GF(2), so the high bits of i
+    (with X) and the low bits run apart and their images are XORed."""
+    low = n // 2
+    halves = np.arange(2 ** (n - low)) << np.array([[low], [0]])
+    halves[0] ^= sum(1 << (n - 1 - q) for q in x_targets)
+    for cnots in reversed(layers):
+        for c, t in cnots:
+            halves ^= ((halves >> (n - 1 - c)) & 1) << (n - 1 - t)
+    return (halves[0, :, None] ^ halves[1, : 2**low]).ravel()
 
 
-def _flip_into(out: np.ndarray, amps: np.ndarray, n: int, x_targets, cnots) -> None:
-    """Write the rows of ``amps`` with X on each of ``x_targets`` and each
-    C-NOT (control, target) of ``cnots`` into the contiguous ``out``.
-
-    X reverses its qubit's axis of the (k, 2, ..., 2) view, and a C-NOT
-    reverses its target's axis on the control = 1 slice: one strided copy
-    per setting of the controls, each amplitude moved once.
-    """
-    shape = (len(amps),) + (2,) * n
-    src, dst = amps.reshape(shape), out.reshape(shape)
-    flipped = [slice(None)] * (n + 1)
-    for q in x_targets:
-        flipped[q + 1] = slice(None, None, -1)
-    for bits in itertools.product((0, 1), repeat=len(cnots)):
-        s, d = list(flipped), [slice(None)] * (n + 1)
-        for (c, t), bit in zip(cnots, bits):
-            s[c + 1] = d[c + 1] = bit
-            if bit:
-                s[t + 1] = slice(None, None, -1)
-        dst[tuple(d)] = src[tuple(s)]
+def _gather(amps: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``amps[:, index]`` into ``out`` (a new array by default); mode="wrap"
+    writes ``out`` directly, where the default mode buffers it."""
+    return np.take(amps, index, axis=1, out=np.empty_like(amps) if out is None else out, mode="wrap")
 
 
 def apply_flips(
@@ -417,33 +407,30 @@ def apply_flips(
     moved, never multiplied or added: the rows equal those that
     :func:`apply_unitary` gives with ``pauli(1)`` and ``CNOT``, gate by gate.
     """
-    _check_flips(state.n_qubits, x_targets, cnots)
-    amps = np.empty_like(state.amplitudes)
-    _flip_into(amps, state.amplitudes, state.n_qubits, x_targets, cnots)
+    _check_targets(state.n_qubits, x_targets, cnots)
+    amps = _gather(state.amplitudes, _flip_index(state.n_qubits, x_targets, [cnots]))
     return DenseState._from_kernel(amps, state.weights, state.qubit_labels)
 
 
 def apply_cnot_layers(state: DenseState, layers: Sequence[Sequence[tuple[int, int]]]) -> DenseState:
     """Each layer of C-NOTs (:func:`apply_flips`'s ``cnots``) in turn, as one
-    permutation: a 2**n index row goes through every layer, then the
-    amplitudes are gathered once, bit for bit those of the layers in turn."""
-    index = np.arange(2**state.n_qubits)
+    permutation: the amplitudes are gathered once, bit for bit those of
+    the layers in turn."""
     for cnots in layers:
-        _check_flips(state.n_qubits, (), cnots)
-        index, moved = np.empty_like(index), index
-        _flip_into(index[None], moved[None], state.n_qubits, (), cnots)
-    return DenseState._from_kernel(np.take(state.amplitudes, index, axis=1), state.weights, state.qubit_labels)
+        _check_targets(state.n_qubits, (), cnots)
+    amps = _gather(state.amplitudes, _flip_index(state.n_qubits, (), layers))
+    return DenseState._from_kernel(amps, state.weights, state.qubit_labels)
 
 
 def mix_flipped(state: DenseState, x_targets: Sequence[int]) -> DenseState:
     """The equal mixture of ``state`` and ``state`` with X on each of
     ``x_targets``: the rows, then the flipped rows, each at half its
     weight, as :meth:`DenseState.mixture` orders them."""
-    _check_flips(state.n_qubits, x_targets, ())
+    _check_targets(state.n_qubits, x_targets)
     k = len(state.weights)
     amps = np.empty((2 * k, 2**state.n_qubits), dtype=complex)
     amps[:k] = state.amplitudes
-    _flip_into(amps[k:], state.amplitudes, state.n_qubits, x_targets, ())
+    _gather(state.amplitudes, _flip_index(state.n_qubits, x_targets), out=amps[k:])
     half = 0.5 * state.weights
     return DenseState._from_kernel(amps, np.concatenate([half, half]), state.qubit_labels)
 
@@ -469,11 +456,13 @@ def _bell_projector(pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     return signs.transpose(order).reshape(4**m, 4**m) * (0.5 ** (m // 2) / (_SQRT2 if m % 2 else 1.0))
 
 
-def _pauli_frame(v: np.ndarray, receivers: Sequence[Sequence[int]]) -> None:
-    """Each pair's correction X^a Z^b for outcome B(a, b) = 2a + b on its receivers, in place on
-    the projected rows ``v`` (axes: branch, an outcome per pair, kept qubits): b = 1 rows times
-    (-1)^parity, B4's also i^r (Y = iXZ), a = 1 rows with the receivers' axes reversed."""
-    m, r = len(receivers), v.ndim - 1 - len(receivers)
+def _pauli_frame(subs: np.ndarray, receivers: Sequence[Sequence[int]]) -> np.ndarray:
+    """The projected rows ``subs`` (branch, outcome = m base-4 digits, kept qubits) with pair i's
+    correction X^a Z^b for outcome B(a, b) = 2a + b on receivers[i] (no qubit in two lists): Z in
+    place, (-1)^parity on b = 1 rows and also i^r on B4's (Y = iXZ); X as the deferred-measurement
+    C-NOTs from each pair's a bit onto its receivers, one gather of the flattened rows."""
+    m, r = len(receivers), subs.shape[-1].bit_length() - 1
+    v = subs.reshape((len(subs),) + (4,) * m + (2,) * r)
     for i, qubits in enumerate(receivers):
         outcome = (slice(None),) * (1 + i)
         signs = np.ones((2,) * r)
@@ -481,8 +470,8 @@ def _pauli_frame(v: np.ndarray, receivers: Sequence[Sequence[int]]) -> None:
             signs[(slice(None),) * q + (1,)] *= -1
         v[outcome + (1,)] *= signs
         v[outcome + (3,)] *= signs * (1, 1j, -1, -1j)[len(qubits) % 4]
-        axes = [slice(None, None, -1) if q in qubits else slice(None) for q in range(r)]
-        v[outcome + (slice(2, None),)] = v[outcome + (slice(2, None),) + (slice(None),) * (m - 1 - i) + tuple(axes)]
+    cnots = [(2 * i, 2 * m + q) for i, qubits in enumerate(receivers) for q in qubits]
+    return _gather(subs.reshape(len(subs), -1), _flip_index(2 * m + r, (), [cnots])).reshape(subs.shape)
 
 
 def bell_measurement(state: DenseState, *pairs: tuple[int, int], discard: bool = False, receivers=None):
@@ -502,7 +491,8 @@ def bell_measurement(state: DenseState, *pairs: tuple[int, int], discard: bool =
     of an outcome is the total weight of its rows.  Several pairs may then
     be measured by one product (outcome digits base 4, first pair first),
     and ``receivers`` lists, per pair, kept qubits that take its
-    teleportation correction (:func:`_pauli_frame`) before rows are picked.
+    teleportation correction (:func:`_pauli_frame`) before rows are picked;
+    no kept qubit may be listed twice.
     """
     pairs = tuple(tuple(sorted(pair)) for pair in pairs)
     measured = sorted(q for pair in pairs for q in pair)
@@ -520,11 +510,13 @@ def bell_measurement(state: DenseState, *pairs: tuple[int, int], discard: bool =
     if discard:
         p = _squared_row_norms(subs)  # p[b, o]: conditional probability of outcome o in branch b
         if receivers is not None:
-            if len(receivers) != len(pairs) or not all(0 <= q < n - len(measured) for r in receivers for q in r):
-                raise ValueError("receivers must name kept qubits, one list per measured pair")
-            _pauli_frame(subs.reshape(subs.shape[:1] + (4,) * len(pairs) + (2,) * (n - len(measured))), receivers)
+            named, kept = [q for qubits in receivers for q in qubits], n - len(measured)
+            if len(receivers) != len(pairs) or len(set(named)) != len(named) or not all(0 <= q < kept for q in named):
+                raise ValueError("receivers must name distinct kept qubits, one list per measured pair")
+            subs = _pauli_frame(subs, receivers)
         keep = (p > 1e-14) & (state.weights @ p > 1e-14)
-        rows = subs[keep] / np.sqrt(p[keep])[:, None]
+        rows = subs[keep]
+        rows /= np.sqrt(p[keep])[:, None]
         weights = (state.weights[:, None] * p)[keep]
         labels = tuple(label for q, label in enumerate(state.qubit_labels) if q not in measured)
         return DenseState._from_kernel(rows, weights / weights.sum(), labels), np.nonzero(keep)[1]

@@ -50,11 +50,6 @@ class TestLabels:
 
 
 class TestEnsembleBasics:
-    def test_rewrites_merge_colliding_strings(self):
-        e = BellEnsemble({(B1, B2): 0.5, (B1, B4): 0.5})
-        merged = e.map_strings(lambda s: (s[0],))
-        assert merged.entries == {(B1,): 1.0}
-
     def test_sorted_lexicographically(self):
         e = BellEnsemble({(B4,): 0.2, (B1,): 0.3, (B3,): 0.5})
         assert list(e.entries) == [(B1,), (B3,), (B4,)]

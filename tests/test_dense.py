@@ -18,7 +18,6 @@ from bellclone.dense import (
     apply_flips,
     apply_unitary,
     bell_measurement,
-    bell_state,
     bell_vector,
     choi_matrix,
     fidelity,
@@ -66,7 +65,7 @@ def pure_state(vec, n_pairs):
 class TestBellState:
     @pytest.mark.parametrize("label", LABELS)
     def test_literal_amplitudes(self, label):
-        assert_allclose(bell_state(label).amplitudes, BELL_LITERALS[label], atol=1e-15)
+        assert_allclose(bell_vector(label), BELL_LITERALS[label], atol=1e-15)
 
     def test_orthonormal_basis(self):
         for li, lj in itertools.product(LABELS, LABELS):
@@ -1204,7 +1203,7 @@ def explicit_flips(state, x_targets=(), cnots=()):
 
 
 class TestAxisFlips:
-    """X and C-NOT as axis reversals against the explicit-matrix route."""
+    """X and C-NOT as index-row gathers against the explicit-matrix route."""
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_every_ordered_pair_matches_the_matrices(self, n):
@@ -1462,7 +1461,7 @@ class TestPauliFrameCorrections:
 
     def test_bad_pairs_and_receivers_are_rejected(self):
         state = random_mixture(np.random.default_rng(1330), 6, (1.0,))
-        for receivers in ([[0]], [[0], [2]], [[-1], [0]]):
+        for receivers in ([[0]], [[0], [2]], [[-1], [0]], [[1, 1], [0]], [[0], [0]]):
             with pytest.raises(ValueError, match="receivers"):
                 bell_measurement(state, (0, 2), (1, 3), discard=True, receivers=receivers)
         with pytest.raises(ValueError, match="several pairs"):
@@ -1563,8 +1562,8 @@ class TestUnscaledKernelRows:
         for count in (1, 2, 8):
             layers = random_cnot_layers(rng, n, count)
             want = state
-            for cnots in layers:
-                want = apply_flips(want, cnots=cnots)
+            for cnots in layers:  # gate by gate through the explicit C-NOT matrix
+                want = explicit_flips(want, cnots=cnots)
             got = dense.apply_cnot_layers(state, layers)
             assert np.array_equal(got.amplitudes, want.amplitudes)
             assert np.array_equal(got.weights, want.weights) and got.qubit_labels == want.qubit_labels
@@ -1622,22 +1621,19 @@ class TestUnscaledKernelRows:
         """Each kernel output is still checked: rows scaled by 1 + 1e-6
         inside a kernel raise, since nothing rescales them any more."""
         state = random_mixture(np.random.default_rng(1430), 6, (0.6, 0.4))
-        flip_into, apply_matrix, frame = dense._flip_into, dense._apply_matrix, dense._pauli_frame
+        gather, apply_matrix = dense._gather, dense._apply_matrix
 
-        def drifting_flip(out, *args):
-            flip_into(out, *args)
+        def drifting_gather(amps, index, out=None):
+            out = gather(amps, index, out)
             out *= 1 + 1e-6
+            return out
 
-        def drifting_frame(v, receivers):
-            frame(v, receivers)
-            v *= 1 + 1e-6
-
-        monkeypatch.setattr(dense, "_flip_into", drifting_flip)
+        monkeypatch.setattr(dense, "_gather", drifting_gather)
         monkeypatch.setattr(dense, "_apply_matrix", lambda *a: apply_matrix(*a) * (1 + 1e-6))
-        monkeypatch.setattr(dense, "_pauli_frame", drifting_frame)
         for kernel in (
             lambda: apply_flips(state, [0]),
             lambda: dense.mix_flipped(state, [1, 3]),
+            lambda: dense.apply_cnot_layers(state, [[(0, 1)], [(1, 2)]]),
             lambda: apply_unitary(state, HADAMARD, (2,)),
             lambda: bell_measurement(state, (0, 2), (1, 3), discard=True, receivers=[[0], [1]]),
         ):
