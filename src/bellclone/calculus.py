@@ -25,14 +25,13 @@ transpositions (byte translations, in C) and a sort, plus O(s) column ops.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from types import SimpleNamespace
+from itertools import chain, groupby
 from typing import Iterable
 
 import numpy as np
 
 from . import dense
-from .labels import BellLabel, BellString, LABELS, label_from_bits, string_bits
+from .labels import BellString, LABELS, label_from_bits, string_bits
 
 #: Probabilities below this are pruned after merging.
 PRUNE_EPS = 1e-15
@@ -302,12 +301,6 @@ def one_sided_pauli(e: BellEnsemble, pair: int, pauli_index: int, side: str) -> 
     return _rewrite(e, [_step_columns(e, ("one_sided_pauli", pair, pauli_index, side))])
 
 
-def relabel_pair(e: BellEnsemble, pair: int, mapping: dict[BellLabel, BellLabel]) -> BellEnsemble:
-    """Apply a label permutation (such as the one a product of local
-    Cliffords induces) to one pair."""
-    return _rewrite(e, [_step_columns(e, ("local_clifford", pair, SimpleNamespace(label_map=mapping)))])
-
-
 def append_b1(e: BellEnsemble, count: int) -> BellEnsemble:
     """Tensor ``count`` shared |B1> pairs onto the end of every string."""
     if count < 0:
@@ -456,67 +449,68 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
 
 
 def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float, dense.DenseState | None]]:
-    """Dense :func:`discriminate_sets`: (parity bit, probability, reduced
-    post-state on the other pairs, or None) per outcome."""
+    """Dense :func:`discriminate_sets`: each party measures sigma_z on its qubit of the pair
+    and drops it.  Per parity bit: (bit, probability, state on the other pairs or None), with
+    the (branch, x_a x_b) rows of that parity above 1e-14, each divided once by its root."""
     measured = [party_qubit(pair, party) for party in PARTIES]
-    keep = [q for q in range(state.n_qubits) if q not in measured]
+    # rows[b, 2 x_a + x_b]: branch b's amplitudes on the other qubits.
+    rows = dense._split(state.amplitudes, state.n_qubits, measured)[0]
+    p = dense._squared_row_norms(rows)
+    labels = tuple(label for q, label in enumerate(state.qubit_labels) if q not in measured)
     out = []
-    # x_a ^ x_b of the pair's computational basis state at each amplitude
-    # index; qubit q is bit n - 1 - q.
-    index, low = np.arange(2**state.n_qubits), [state.n_qubits - 1 - q for q in measured]
-    parity = ((index >> low[0]) ^ (index >> low[1])) & 1
-    for bit in (0, 1):
-        outcome = dense.postselect(state.weights, state.amplitudes * (parity == bit))
-        if outcome is not None:
-            prob, amps, weights = outcome
-            post = dense.DenseState._from_kernel(amps, weights, state.qubit_labels)
-            out.append((bit, prob, dense.partial_trace(post, keep) if keep else None))
+    for bit, xs in ((0, [0, 3]), (1, [1, 2])):
+        p_bit = p[:, xs]  # p_bit[b, i]: probability of x_a x_b = xs[i] in branch b
+        prob = float(state.weights @ p_bit.sum(axis=1))
+        if prob <= 1e-14:
+            continue
+        keep = p_bit > 1e-14
+        kept = rows[:, xs][keep] / np.sqrt(p_bit[keep])[:, None]
+        weights = (state.weights[:, None] * p_bit)[keep] / prob
+        out.append((bit, prob, dense.DenseState._from_kernel(kept, weights, labels) if labels else None))
     return out
 
 
-def bxor_cnots(op: tuple) -> list[tuple[int, int]]:
-    """The (control, target) qubits of a ("bxor", source, target) step's C-NOTs."""
-    _, s, t = op
-    return [(party_qubit(s, party), party_qubit(t, party)) for party in PARTIES]
-
-
-def dense_rewrite_op(state: dense.DenseState, op: tuple):
-    """Apply the dense circuit of one step (see :func:`apply_rewrite_op`);
-    pair k occupies the qubits :func:`party_qubit` gives it.  This is the
-    oracle side of the symbolic/dense equivalence checks."""
-    name = op[0]
-    if name == "bxor":
-        return dense.apply_flips(state, cnots=bxor_cnots(op))
-    if name == "one_sided_pauli":
-        _, k, idx, side = op
-        if side not in PARTIES:
-            raise ValueError(f"unknown side {side!r}")
-        return dense.apply_unitary(state, dense.pauli(idx), (party_qubit(k, side),))
-    if name in ("bilateral_hadamard", "local_clifford"):
-        u = _BILATERAL_HADAMARD if name == "bilateral_hadamard" else op[2].pair_matrix
-        return dense.apply_unitary(state, u, [party_qubit(op[1], party) for party in PARTIES])
-    if name == "random_pauli_x":
-        return dense.mix_flipped(state, [party_qubit(k, "bob") for k in range(state.n_qubits // 2)])
-    if name == "parity_measure":
-        return _parity_measure(state, op[1])
-    if name == "teleport":
-        return _teleport_and_correct(state, to_dense(op[1], role="input"))
-    raise ValueError(f"unknown rewrite step {name!r}")
-
-
-def apply_rewrite_op(e: BellEnsemble, op: tuple):
-    """Apply one step symbolically.  Steps: ("bxor", source, target),
-    ("bilateral_hadamard", pair), ("one_sided_pauli", pair, index, side),
-    ("local_clifford", pair, reduction) with a
-    :class:`~bellclone.protocols.PairReduction`, ("random_pauli_x",) for
-    Bob's sigma_x on all his qubits with probability 1/2, ("teleport",
-    source) and ("parity_measure", pair), whose branch list ends a list."""
-    return apply_steps(e, (op,))
+def apply_steps_dense(state: dense.DenseState, steps: Iterable[tuple]):
+    """Run a step list (see :func:`apply_steps`) on explicit state vectors,
+    pair k on the qubits :func:`party_qubit` gives it: each run of bxor steps
+    as one :func:`~bellclone.dense.apply_cnot_layers` permutation, every
+    other step as its gates or measurement.  This is the oracle side of the
+    symbolic/dense equivalence checks."""
+    for is_bxor, ops in groupby(steps, key=lambda op: op[0] == "bxor"):
+        if is_bxor:
+            # A bilateral C-NOT: each party C-NOTs its qubit of the source pair onto its qubit of the target pair.
+            layers = [[(party_qubit(s, p), party_qubit(t, p)) for p in PARTIES] for _, s, t in ops]
+            state = dense.apply_cnot_layers(state, layers)
+            continue
+        for op in ops:
+            name = op[0]
+            if name == "one_sided_pauli":
+                _, k, idx, side = op
+                if side not in PARTIES:
+                    raise ValueError(f"unknown side {side!r}")
+                state = dense.apply_unitary(state, dense.pauli(idx), (party_qubit(k, side),))
+            elif name in ("bilateral_hadamard", "local_clifford"):
+                u = _BILATERAL_HADAMARD if name == "bilateral_hadamard" else op[2].pair_matrix
+                state = dense.apply_unitary(state, u, [party_qubit(op[1], party) for party in PARTIES])
+            elif name == "random_pauli_x":
+                state = dense.mix_flipped(state, [party_qubit(k, "bob") for k in range(state.n_qubits // 2)])
+            elif name == "parity_measure":
+                state = _parity_measure(state, op[1])
+            elif name == "teleport":
+                state = _teleport_and_correct(state, to_dense(op[1], role="input"))
+            else:
+                raise ValueError(f"unknown rewrite step {name!r}")
+    return state
 
 
 def apply_steps(e: BellEnsemble, steps: Iterable[tuple]):
     """Run a step list symbolically (the branch list if it ends in a measurement),
-    each run of affine steps in one :func:`_rewrite` once all its steps are valid."""
+    each run of affine steps in one :func:`_rewrite` once all its steps are valid.
+    Steps: ("bxor", source, target), ("bilateral_hadamard", pair),
+    ("one_sided_pauli", pair, index, side), ("local_clifford", pair, reduction)
+    with a :class:`~bellclone.protocols.PairReduction`, ("random_pauli_x",)
+    for Bob's sigma_x on all his qubits with probability 1/2, ("teleport",
+    source) and ("parity_measure", pair), whose branch list ends a list."""
     run: list[tuple] = []
     for op in steps:
         columns = _step_columns(e, op)

@@ -148,13 +148,16 @@ def _run_protocol(fn, *args):
         raise UsageError(str(exc)) from exc
 
 
-def _dense_route(engine: str, run):
-    """The dense route's result; None for the symbolic engine or past the oracle's limits."""
-    if engine == "symbolic":
+def _dense_route(args, run):
+    """The dense route's result; None for the symbolic engine, or past the oracle's
+    limits, where the reported ``args.engine`` becomes "symbolic" and stderr says why."""
+    if args.engine == "symbolic":
         return None
     try:
         return run()
-    except protocols.DenseLimitError:
+    except protocols.DenseLimitError as exc:
+        print(f"note: dense checks skipped: {exc}", file=sys.stderr)
+        args.engine = "symbolic"
         return None
 
 
@@ -197,7 +200,7 @@ def cmd_clone(args) -> int:
         checks = [verify.correlated_clones(ensemble)]
 
     checks += [verify.ledger_ebits(ledger, expected_ebits), verify.locc_audit(ledger)]
-    dn = _dense_route(args.engine, dense_run)
+    dn = _dense_route(args, dense_run)
     if dn is not None:
         checks.append(verify.dense_agreement(ensemble, dn))
         if len(ensemble.entries) == 1:
@@ -215,7 +218,7 @@ def cmd_prepare(args) -> int:
         verify.ledger_ebits(ledger, measures.ed_rho_m(m)),
         verify.locc_audit(ledger),
     ]
-    dn = _dense_route(args.engine, lambda: protocols.prepare_rho_m_dense(m))
+    dn = _dense_route(args, lambda: protocols.prepare_rho_m_dense(m))
     if dn is not None:
         checks.append(verify.preparation_agreement(ensemble, dn))
     return _finish_run(_protocol_record("prepare", args, {"m": m}, ledger, checks, ensemble=ensemble.to_text()), args)
@@ -257,7 +260,7 @@ def cmd_distill(args) -> int:
         verify.pure_branches(branches),
         verify.locc_audit(ledger),
     ]
-    dense_branches = _dense_route(args.engine, lambda: protocols.distill_quasi_pure_dense(ensemble))
+    dense_branches = _dense_route(args, lambda: protocols.distill_quasi_pure_dense(ensemble))
     if dense_branches is not None:
         checks.append(verify.dense_branch_probabilities(branches, dense_branches))
         checks.append(verify.branch_agreement(branches, dense_branches))

@@ -14,15 +14,15 @@ index (X on q: i ^ bit(q); C-NOT: i ^ (bit_c(i) << t)), so any run of them
 is one gather through one index row; every other gate is a matrix product.
 A Bell measurement can drop the pairs it measured, several at once with a
 Pauli frame on disjoint receivers, which is how teleportation leaves
-exactly its output qubits without any trace or spectrum.  Spectra
-are taken at the size of the state's rank, not of the register: a partial
-trace diagonalizes its stacked branch columns by a thin SVD, and a trace
-distance works in the joint span of both states' branches, on the
-basis indices at which some branch is nonzero.
+exactly its output qubits without any trace or spectrum; no program step
+takes one.  Spectra are taken at the size of the state's rank, not of the
+register: a partial trace diagonalizes its stacked branch columns by a
+thin SVD, and a trace distance works in the joint span of both states'
+branches, on the basis indices at which some branch is nonzero.
 Log-negativity builds only the partial-transpose entries that the
 branches' nonzero amplitudes produce and diagonalizes the matrix's
 connected blocks.  A density matrix (up to 10 qubits) is materialized
-only for the log-negativity of dense rows, by a partial trace whose
+only for the log-negativity of dense rows, in a partial trace whose
 branches span at least the kept space, and on request
 (``density_matrix``, ``partial_transpose``, Choi matrices).  A Choi
 matrix takes one channel run, on the input half of a maximally entangled
@@ -76,16 +76,6 @@ def pauli(index: int) -> np.ndarray:
     if index not in (0, 1, 2, 3):
         raise ValueError(f"Pauli index must be 0..3, got {index}")
     return _PAULIS[index].copy()
-
-
-def pauli_for_label(label: BellLabel) -> int:
-    """Index of the Pauli X^a Z^b associated with a Bell label.
-
-    This is the one-sided operator that maps |B1> onto |B(a,b)> up to
-    phase, and equally the teleportation correction for measurement
-    outcome (a,b): B1 -> I, B2 -> z, B3 -> x, B4 -> y.
-    """
-    return {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}[(label.a, label.b)]
 
 
 def bell_vector(label: BellLabel) -> np.ndarray:
@@ -212,7 +202,7 @@ class DenseState:
         """Check every row, weight and the total at once; with ``rescale``,
         rows are rescaled to unit norm and weights to sum to exactly 1
         where they do not already, in place when the array is writeable."""
-        k, dim = amps.shape
+        k, dim = amps.shape if amps.ndim == 2 else (0, 0)
         n = dim.bit_length() - 1
         if dim & (dim - 1) or dim < 2:
             raise ValueError("amplitudes must be rows of length 2**n")
@@ -250,21 +240,9 @@ class DenseState:
         return len(self.qubit_labels)
 
     @classmethod
-    def pure(cls, amplitudes: np.ndarray | PureBranch, qubit_labels: Sequence[QubitLabel]) -> "DenseState":
-        return cls((PureBranch(getattr(amplitudes, "amplitudes", amplitudes), 1.0),), qubit_labels)
-
-    @classmethod
-    def mixture(
-        cls, weighted: Iterable[tuple[float, "DenseState"]]
-    ) -> "DenseState":
-        """Convex combination of states over a common register."""
-        weighted = list(weighted)
-        labels = weighted[0][1].qubit_labels
-        if any(s.qubit_labels != labels for _, s in weighted):
-            raise ValueError("mixture components live on different registers")
-        weighted = [(w, s) for w, s in weighted if w > 0]
-        amps = np.concatenate([s.amplitudes for _, s in weighted])  # ValueError if none
-        return cls._from_kernel(amps, np.concatenate([w * s.weights for w, s in weighted]), labels)
+    def pure(cls, amplitudes: np.ndarray, qubit_labels: Sequence[QubitLabel]) -> "DenseState":
+        """The one-row state of an amplitude vector (a copy, rescaled as :meth:`from_arrays` does)."""
+        return cls.from_arrays([amplitudes], [1.0], qubit_labels)
 
     def density_matrix(self) -> np.ndarray:
         """Materialize the density operator (registers up to 10 qubits)."""
@@ -397,25 +375,10 @@ def _gather(amps: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) 
     return np.take(amps, index, axis=1, out=np.empty_like(amps) if out is None else out, mode="wrap")
 
 
-def apply_flips(
-    state: DenseState, x_targets: Sequence[int] = (), cnots: Sequence[tuple[int, int]] = ()
-) -> DenseState:
-    """X on each of ``x_targets`` and C-NOT on each (control, target) of
-    ``cnots``, all on distinct qubits, applied to every branch in one pass.
-
-    These gates only permute the computational basis, so amplitudes are
-    moved, never multiplied or added: the rows equal those that
-    :func:`apply_unitary` gives with ``pauli(1)`` and ``CNOT``, gate by gate.
-    """
-    _check_targets(state.n_qubits, x_targets, cnots)
-    amps = _gather(state.amplitudes, _flip_index(state.n_qubits, x_targets, [cnots]))
-    return DenseState._from_kernel(amps, state.weights, state.qubit_labels)
-
-
 def apply_cnot_layers(state: DenseState, layers: Sequence[Sequence[tuple[int, int]]]) -> DenseState:
-    """Each layer of C-NOTs (:func:`apply_flips`'s ``cnots``) in turn, as one
-    permutation: the amplitudes are gathered once, bit for bit those of
-    the layers in turn."""
+    """Each layer of C-NOTs, (control, target) pairs on distinct qubits, in turn
+    on every branch as one gather: amplitudes are moved, never multiplied or
+    added, so the rows equal those :func:`apply_unitary` gives with ``CNOT``."""
     for cnots in layers:
         _check_targets(state.n_qubits, (), cnots)
     amps = _gather(state.amplitudes, _flip_index(state.n_qubits, (), layers))
@@ -423,9 +386,8 @@ def apply_cnot_layers(state: DenseState, layers: Sequence[Sequence[tuple[int, in
 
 
 def mix_flipped(state: DenseState, x_targets: Sequence[int]) -> DenseState:
-    """The equal mixture of ``state`` and ``state`` with X on each of
-    ``x_targets``: the rows, then the flipped rows, each at half its
-    weight, as :meth:`DenseState.mixture` orders them."""
+    """The equal mixture of ``state`` and ``state`` with X on each of ``x_targets``:
+    the rows, then the flipped rows, each at half its weight."""
     _check_targets(state.n_qubits, x_targets)
     k = len(state.weights)
     amps = np.empty((2 * k, 2**state.n_qubits), dtype=complex)
@@ -433,17 +395,6 @@ def mix_flipped(state: DenseState, x_targets: Sequence[int]) -> DenseState:
     _gather(state.amplitudes, _flip_index(state.n_qubits, x_targets), out=amps[k:])
     half = 0.5 * state.weights
     return DenseState._from_kernel(amps, np.concatenate([half, half]), state.qubit_labels)
-
-
-def postselect(weights: np.ndarray, projected: np.ndarray):
-    """Outcome of the projected branch rows: (probability, rows above 1e-14 renormalized,
-    their conditional weights), or None when the probability is at most 1e-14."""
-    p = _squared_row_norms(projected)
-    prob = float(weights @ p)
-    if prob <= 1e-14:
-        return None
-    keep = p > 1e-14
-    return prob, projected[keep] / np.sqrt(p[keep])[:, None], weights[keep] * p[keep] / prob
 
 
 @lru_cache(maxsize=None)
@@ -499,16 +450,16 @@ def bell_measurement(state: DenseState, *pairs: tuple[int, int], discard: bool =
     n = state.n_qubits
     if not pairs or len(set(measured)) != 2 * len(pairs) or measured[0] < 0 or measured[-1] >= n:
         raise ValueError("measurement needs two distinct register qubits")
-    if len(pairs) > 1 and not discard:
-        raise ValueError("only a discarding measurement takes several pairs")
+    if (len(pairs) > 1 or receivers is not None) and not discard:
+        raise ValueError("only a discarding measurement takes several pairs or receivers")
     if discard and n == len(measured):
         raise ValueError("discarding the measured pair would leave no qubits")
     # subs[b, o]: branch b's amplitudes on the other qubits after <B_o| on the pairs.
     subs, order = _split(state.amplitudes, n, measured)
     # One real product for the real and imaginary parts alike.
     subs = (_bell_projector(pairs) @ np.ascontiguousarray(subs).view(np.float64)).view(complex)
+    p = _squared_row_norms(subs)  # p[b, o]: conditional probability of outcome o in branch b
     if discard:
-        p = _squared_row_norms(subs)  # p[b, o]: conditional probability of outcome o in branch b
         if receivers is not None:
             named, kept = [q for qubits in receivers for q in qubits], n - len(measured)
             if len(receivers) != len(pairs) or len(set(named)) != len(named) or not all(0 <= q < kept for q in named):
@@ -522,11 +473,13 @@ def bell_measurement(state: DenseState, *pairs: tuple[int, int], discard: bool =
         return DenseState._from_kernel(rows, weights / weights.sum(), labels), np.nonzero(keep)[1]
     out = []
     for o, label in enumerate(LABELS):
-        outcome = postselect(state.weights, subs[:, o])
-        if outcome is None:
+        prob = float(state.weights @ p[:, o])
+        if prob <= 1e-14:
             continue
-        prob, post, weights = outcome
+        keep = p[:, o] > 1e-14
+        post = subs[keep, o] / np.sqrt(p[keep, o])[:, None]
         full = _join(_BELL_ROWS[o][:, None] * post[:, None, :], order)
+        weights = state.weights[keep] * p[keep, o] / prob
         out.append((label, prob, DenseState._from_kernel(full, weights, state.qubit_labels)))
     return out
 
@@ -703,9 +656,9 @@ def log_negativity(state: DenseState, cut: Cut) -> float:
     return max(0.0, float(np.log2(np.sum(np.abs(eigs)))))
 
 
-def fidelity(state: DenseState, target: PureBranch | np.ndarray) -> float:
+def fidelity(state: DenseState, target: np.ndarray) -> float:
     """Overlap <target| rho |target> with a unit pure target state."""
-    t = target.amplitudes if isinstance(target, PureBranch) else np.asarray(target, dtype=complex)
+    t = np.asarray(target, dtype=complex)
     if t.shape != (2**state.n_qubits,):
         raise ValueError("target dimension does not match the register")
     _check_unit_norms(float(np.linalg.norm(t)), "target vector")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dense, measures, protocols
-from .calculus import BellEnsemble, bxor, dense_rewrite_op, to_dense
+from .calculus import BellEnsemble, apply_steps_dense, bxor, to_dense
 from .dense import Cut
 from .labels import B1, B2, B3, LABELS
 
@@ -230,7 +230,7 @@ def claim_bxor_gate() -> ClaimRecord:
     checks = []
     for la, lb in itertools.product(LABELS, LABELS):
         e = BellEnsemble.point((la, lb))
-        checks.append(dense_agreement(bxor(e, 0, 1), dense_rewrite_op(to_dense(e), ("bxor", 0, 1))))
+        checks.append(dense_agreement(bxor(e, 0, 1), apply_steps_dense(to_dense(e), [("bxor", 0, 1)])))
     return ClaimRecord(
         "bxor-gate-certificate",
         2,

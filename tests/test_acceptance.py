@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from bellclone import dense, measures, protocols
-from bellclone.calculus import BellEnsemble, bxor, dense_rewrite_op, mix, to_dense
+from bellclone.calculus import BellEnsemble, apply_steps_dense, bxor, mix, to_dense
 from bellclone.dense import Cut
 from bellclone.labels import B1, B2, B3, LABELS
 
@@ -50,7 +50,7 @@ def test_criterion_02_bxor_certificate():
     for la, lb in itertools.product(LABELS, LABELS):
         e = BellEnsemble.point((la, lb))
         sym = to_dense(bxor(e, 0, 1))
-        dn = dense_rewrite_op(to_dense(e), ("bxor", 0, 1))
+        dn = apply_steps_dense(to_dense(e), [("bxor", 0, 1)])
         worst = max(worst, dense.trace_distance(sym, dn))
     report(2, worst < 1e-10, f"bxor matches dense C-NOT(x)C-NOT, worst {worst:.2e}")
 

@@ -5,8 +5,8 @@
 would only surface in a ``--trace 1`` benchmark run.  This runs the
 tracer around two CLI commands that teleport through the dense oracle
 (Bell measurements that drop the measured pair, with no partial trace)
-and one dense distillation, whose parity measurements reach
-``dense.partial_trace``.
+and one dense distillation, whose span ``protocols.distill_quasi_pure_dense``
+the tracer must record; its parity measurement drops the measured pair too.
 """
 
 import importlib.util
@@ -51,7 +51,7 @@ def test_tracer_spans_dense_teleportation_and_uninstalls(capsys):
     capsys.readouterr()
     calls = tracer.calls[0]
     assert calls["dense.bell_measurement"] > 0
-    assert calls["dense.partial_trace"] > 0
+    assert calls["protocols.distill_quasi_pure_dense"] > 0
     assert tracer.counts[0]["calculus.to_dense.amplitudes"] > 0
     after = _patched_attributes()
     assert after.keys() == before.keys()

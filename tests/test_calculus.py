@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 from bellclone import dense
 from bellclone.calculus import (
     BellEnsemble,
-    apply_rewrite_op,
+    apply_steps,
+    apply_steps_dense,
     bilateral_hadamard,
     bxor,
-    dense_rewrite_op,
     discriminate_sets,
     mix,
     one_sided_pauli,
@@ -312,8 +312,8 @@ class TestOracleEquivalence:
         total = 1.0
         for _ in range(int(rng.integers(5, 21))):
             op = _random_op(rng, n_pairs)
-            e = apply_rewrite_op(e, op)
-            state = dense_rewrite_op(state, op)
+            e = apply_steps(e, [op])
+            state = apply_steps_dense(state, [op])
             total = sum(e.entries.values())
             assert abs(total - 1.0) <= 1e-12
         assert dense.trace_distance(to_dense(e), state) < 1e-10
@@ -325,8 +325,8 @@ class TestOracleEquivalence:
         e = _random_ensemble(rng, 7)
         state = to_dense(e)
         for op in [("bxor", 0, 6), ("bilateral_hadamard", 3), ("bxor", 3, 1)]:
-            e = apply_rewrite_op(e, op)
-            state = dense_rewrite_op(state, op)
+            e = apply_steps(e, [op])
+            state = apply_steps_dense(state, [op])
         assert dense.trace_distance(to_dense(e), state) < 1e-10
 
 
@@ -335,9 +335,9 @@ class TestDenseStepRoutes:
         e = BellEnsemble.point((B1, B2))
         op = ("one_sided_pauli", 0, 1, "charlie")
         with pytest.raises(ValueError, match="unknown side 'charlie'"):
-            apply_rewrite_op(e, op)
+            apply_steps(e, [op])
         with pytest.raises(ValueError, match="unknown side 'charlie'"):
-            dense_rewrite_op(to_dense(e), op)
+            apply_steps_dense(to_dense(e), [op])
 
     def test_permutation_steps_call_no_general_gate(self, monkeypatch):
         state = to_dense(BellEnsemble({(B1, B2, B3): 0.25, (B4, B1, B3): 0.75}))
@@ -347,15 +347,15 @@ class TestDenseStepRoutes:
 
         monkeypatch.setattr(dense, "apply_unitary", refuse)
         for op in [("bxor", 0, 2), ("bxor", 2, 1), ("random_pauli_x",)]:
-            dense_rewrite_op(state, op)
+            apply_steps_dense(state, [op])
 
     def test_bxor_pair_errors_unchanged(self):
         state = to_dense(BellEnsemble.point((B1, B2)))
         with pytest.raises(ValueError, match="target qubits must be distinct"):
-            dense_rewrite_op(state, ("bxor", 1, 1))
+            apply_steps_dense(state, [("bxor", 1, 1)])
         for s, t in [(0, 2), (-1, 0), (3, 5)]:
             with pytest.raises(ValueError, match="target qubit out of range"):
-                dense_rewrite_op(state, ("bxor", s, t))
+                apply_steps_dense(state, [("bxor", s, t)])
 
 
 class TestFromTextBoundary:

@@ -318,33 +318,39 @@ class TestDistillBranchMatching:
 
 class TestDenseRouteLimits:
     """Runs whose dense route does not fit the oracle's registers skip the
-    dense checks instead of crashing."""
+    dense checks instead of crashing, report the symbolic engine that ran
+    and say so in one stderr line."""
 
     def test_four_state_six_copies_skips_dense(self, capsys):
         # The teleportation register holds 2n + 4 = 16 qubits.
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "clone", "--set", "four", "--input", "B2", "--n", "6", "--engine", "both", "--format", "json"
         )
         assert code == 0
         record = json.loads(out)
         assert record["passed"] is True
+        assert record["engine"] == "symbolic"
+        assert err == "note: dense checks skipped: a 7-pair program exceeds the dense register limits\n"
         assert record["ensemble"] == "1 01 01 01 01 01 01\n"
         assert [c["name"] for c in record["checks"]] == ["symbolic-structure", "ledger-ebits", "locc-audit"]
 
     def test_four_state_five_copies_keeps_dense(self, capsys):
-        code, out, _ = run_cli(capsys, "clone", "--set", "four", "--input", "B3", "--n", "5", "--format", "json")
-        assert code == 0
-        names = [c["name"] for c in json.loads(out)["checks"]]
-        assert names[-2:] == ["symbolic-dense-agreement", "dense-fidelity"]
+        code, out, err = run_cli(capsys, "clone", "--set", "four", "--input", "B3", "--n", "5", "--format", "json")
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert record["engine"] == "both"
+        assert [c["name"] for c in record["checks"]][-2:] == ["symbolic-dense-agreement", "dense-fidelity"]
 
     def test_distill_seven_pairs_skips_dense(self, capsys):
-        # The six surviving pairs would need a 12-qubit density matrix.
-        code, out, _ = run_cli(
+        # The six surviving pairs exceed the 10-qubit remainder cap.
+        code, out, err = run_cli(
             capsys, "distill", "--p", "0.4,0.1,0.3,0.2", "--n", "7", "--engine", "dense", "--format", "json"
         )
         assert code == 0
         record = json.loads(out)
         assert record["passed"] is True
+        assert record["engine"] == "symbolic"
+        assert err.count("\n") == 1 and "dense checks skipped" in err and "7-pair" in err
         assert [b["probability"] for b in record["branches"]] == [0.5, 0.5]
         assert "symbolic-dense-agreement" not in [c["name"] for c in record["checks"]]
 

@@ -15,7 +15,6 @@ from bellclone.dense import (
     HADAMARD,
     PureBranch,
     QubitLabel,
-    apply_flips,
     apply_unitary,
     bell_measurement,
     bell_vector,
@@ -726,13 +725,17 @@ def ref_parity_measure(state, pair):
     return out
 
 
+#: The correction per Bell outcome, in LABELS order: B1 -> I, B2 -> z, B3 -> x, B4 -> y.
+REF_CORRECTIONS = np.array([pauli(0), pauli(3), pauli(1), pauli(2)])
+
+
 def ref_teleport(channel, input_state):
     n = input_state.n_qubits + channel.n_qubits
     outputs = []
     for la, pa, state_a in ref_bell_measurement(ref_tensor(input_state, channel), (0, 2)):
         for lb, pb, out in ref_bell_measurement(state_a, (1, 3)):
             for first, label in ((4, la), (5, lb)):
-                corr = pauli(dense.pauli_for_label(label))
+                corr = REF_CORRECTIONS[LABELS.index(label)]
                 for q in range(first, n, 2):
                     out = ref_apply_unitary(out, corr, (q,))
             outputs.append((pa * pb, out))
@@ -827,8 +830,6 @@ class TestBatchedKernelsMatchPerBranch:
         right = random_mixture(rng, 1, (0.25, 0.75))
         assert_same_state(tensor(left, right), ref_tensor(left, right))
         a, b = random_mixture(rng, n, (0.3, 0.7)), random_mixture(rng, n, (0.1, 0.2, 0.7))
-        weighted = [(0.25, a), (0.0, b), (0.75, b)]
-        assert_same_state(DenseState.mixture(weighted), ref_mixture(weighted))
         target = random_mixture(rng, n, (1.0,)).amplitudes[0]
         for state in (a, b):
             assert fidelity(state, target) == pytest.approx(ref_fidelity(state, target), abs=1e-13)
@@ -1177,6 +1178,11 @@ class TestBatchedState:
             DenseState.from_arrays(rows, [1.0], labels)
         with pytest.raises(ValueError, match="norm"):
             PureBranch(np.array([np.nan, 0.0]))
+        for amps in (BELL_LITERALS[B1], rows[None]):  # a vector, not rows; a stack of row arrays
+            with pytest.raises(ValueError, match="rows of length"):
+                DenseState.from_arrays(amps, [1.0], labels)
+        with pytest.raises(ValueError, match="rows of length"):
+            DenseState.pure(rows / np.sqrt(2), labels)
 
     def test_fidelity_rejects_unnormalized_target(self):
         state = pure_state(BELL_LITERALS[B1], 1)
@@ -1194,12 +1200,17 @@ def random_bell_ensemble(rng, n_pairs):
 
 
 def explicit_flips(state, x_targets=(), cnots=()):
-    """apply_flips gate by gate through the explicit matrices."""
+    """X on each of ``x_targets``, then each C-NOT, gate by gate through the explicit matrices."""
     for q in x_targets:
         state = apply_unitary(state, pauli(1), (q,))
     for pair in cnots:
         state = apply_unitary(state, CNOT, pair)
     return state
+
+
+def flipped_half(state, x_targets):
+    """The rows of ``state`` with X on each of ``x_targets``: the second half of :func:`dense.mix_flipped`."""
+    return dense.mix_flipped(state, x_targets).amplitudes[len(state.weights) :]
 
 
 class TestAxisFlips:
@@ -1210,12 +1221,12 @@ class TestAxisFlips:
         rng = np.random.default_rng(900 + n)
         state = random_mixture(rng, n, (0.5, 0.3, 0.2))
         for s, t in itertools.permutations(range(n), 2):
-            got = apply_flips(state, cnots=[(s, t)])
+            got = dense.apply_cnot_layers(state, [[(s, t)]])
             assert np.abs(got.amplitudes - explicit_flips(state, cnots=[(s, t)]).amplitudes).max() <= 1e-15
             assert got.weights.tolist() == state.weights.tolist() and got.qubit_labels == state.qubit_labels
         for q in range(n):
-            got = apply_flips(state, x_targets=[q])
-            assert np.abs(got.amplitudes - explicit_flips(state, x_targets=[q]).amplitudes).max() <= 1e-15
+            got = flipped_half(state, [q])
+            assert np.abs(got - explicit_flips(state, x_targets=[q]).amplitudes).max() <= 1e-15
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_products_of_distinct_gates(self, n):
@@ -1223,15 +1234,16 @@ class TestAxisFlips:
         state = random_mixture(rng, n, (0.6, 0.4))
         for _ in range(10):
             q = [int(x) for x in rng.permutation(n)]
-            x_targets, cnots = q[:1], [(q[1], q[2])] + ([(q[3], q[4])] if n > 4 else [])
-            got = apply_flips(state, x_targets, cnots)
-            assert np.abs(got.amplitudes - explicit_flips(state, x_targets, cnots).amplitudes).max() <= 1e-15
+            cnots = [(q[0], q[1]), (q[2], q[3])] + ([(q[4], q[1])] if n > 4 else [])
+            got = dense.apply_cnot_layers(state, [cnots[:2], cnots[2:]])
+            assert np.abs(got.amplitudes - explicit_flips(state, cnots=cnots).amplitudes).max() <= 1e-15
+            got = flipped_half(state, q[:2])
+            assert np.abs(got - explicit_flips(state, x_targets=q[:2]).amplitudes).max() <= 1e-15
         bob = list(range(1, n, 2))
         flipped = explicit_flips(state, x_targets=bob)
-        mixed = DenseState.mixture([(0.5, state), (0.5, flipped)])
         got = dense.mix_flipped(state, bob)
-        assert np.abs(got.amplitudes - mixed.amplitudes).max() <= 1e-15
-        assert np.abs(got.weights - mixed.weights).max() <= 1e-16
+        assert np.abs(got.amplitudes - np.concatenate([state.amplitudes, flipped.amplitudes])).max() <= 1e-15
+        assert np.abs(got.weights - np.concatenate([state.weights, state.weights]) / 2).max() <= 1e-16
 
     @pytest.mark.parametrize("n_pairs", [2, 3, 5, 7])
     def test_bit_identical_on_bell_ensemble_rows(self, n_pairs):
@@ -1240,19 +1252,22 @@ class TestAxisFlips:
         for _ in range(4):
             state = to_dense(random_bell_ensemble(rng, n_pairs))
             s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
-            assert np.array_equal(apply_flips(state, cnots=[(s, t)]).amplitudes, apply_unitary(state, CNOT, (s, t)).amplitudes)
+            got = dense.apply_cnot_layers(state, [[(s, t)]])
+            assert np.array_equal(got.amplitudes, apply_unitary(state, CNOT, (s, t)).amplitudes)
             q = int(rng.integers(n))
-            assert np.array_equal(apply_flips(state, [q]).amplitudes, apply_unitary(state, pauli(1), (q,)).amplitudes)
+            assert np.array_equal(flipped_half(state, [q]), apply_unitary(state, pauli(1), (q,)).amplitudes)
 
     def test_checks_and_messages_of_apply_unitary(self):
         state = random_mixture(np.random.default_rng(5), 4, (1.0,))
-        for x_targets, cnots in [((1,), [(1, 2)]), ((), [(0, 2), (2, 3)]), ((), [(3, 3)]), ((2, 2), ())]:
+        for cnots in ([(1, 2), (0, 1)], [(0, 2), (2, 3)], [(3, 3)]):
             with pytest.raises(ValueError, match="target qubits must be distinct"):
-                apply_flips(state, x_targets, cnots)
-        for x_targets, cnots in [((4,), ()), ((), [(0, -1)]), ((), [(5, 0)])]:
+                dense.apply_cnot_layers(state, [cnots])
+        with pytest.raises(ValueError, match="target qubits must be distinct"):
+            dense.mix_flipped(state, [2, 2])
+        for cnots in ([(0, -1)], [(5, 0)]):
             with pytest.raises(ValueError, match="target qubit out of range"):
-                apply_flips(state, x_targets, cnots)
-        with pytest.raises(ValueError, match="out of range"):
+                dense.apply_cnot_layers(state, [cnots])
+        with pytest.raises(ValueError, match="target qubit out of range"):
             dense.mix_flipped(state, [4])
 
 
@@ -1293,7 +1308,7 @@ class TestStateConstruction:
 
     def test_kernels_store_read_only_arrays(self):
         state = to_dense(random_bell_ensemble(np.random.default_rng(3), 3))
-        for out in (apply_flips(state, [1], [(0, 2)]), dense.mix_flipped(state, [1, 3]), apply_unitary(state, HADAMARD, (2,))):
+        for out in (dense.apply_cnot_layers(state, [[(0, 2)]]), dense.mix_flipped(state, [1, 3]), apply_unitary(state, HADAMARD, (2,))):
             assert not out.amplitudes.flags.writeable and not out.weights.flags.writeable
             assert not np.shares_memory(out.amplitudes, state.amplitudes)
 
@@ -1343,7 +1358,7 @@ class TestPairGates:
 
     @pytest.mark.parametrize("reduction", REDUCTIONS + [r.inverse() for r in REDUCTIONS], ids=lambda r: r.alice_word + "," + r.bob_word)
     def test_local_clifford_is_one_pair_gate(self, reduction, monkeypatch):
-        from bellclone.calculus import dense_rewrite_op
+        from bellclone.calculus import apply_steps_dense
 
         # The exact product: parts in {0, +-1/2, +-1}, within an ulp of np.kron's
         # entries, which round (1/sqrt(2))^2 off 1/2.
@@ -1356,14 +1371,14 @@ class TestPairGates:
         calls = []
         monkeypatch.setattr(dense, "apply_unitary", lambda s, u, t: calls.append(u.shape) or apply_unitary(s, u, t))
         for k in range(5):
-            got = dense_rewrite_op(state, ("local_clifford", k, reduction))
+            got = apply_steps_dense(state, [("local_clifford", k, reduction)])
             want = apply_unitary(apply_unitary(state, reduction.alice_matrix, (2 * k,)), reduction.bob_matrix, (2 * k + 1,))
             assert abs(got.amplitudes - want.amplitudes).max() <= 1e-15
             assert np.array_equal(got.weights, state.weights)
         assert calls == [(4, 4)] * 5
 
     def test_bilateral_hadamard_is_one_pair_gate(self, monkeypatch):
-        from bellclone.calculus import _BILATERAL_HADAMARD, dense_rewrite_op
+        from bellclone.calculus import _BILATERAL_HADAMARD, apply_steps_dense
 
         assert np.array_equal(_BILATERAL_HADAMARD * 2, np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]))  # exact halves
         rng = np.random.default_rng(43)
@@ -1371,7 +1386,7 @@ class TestPairGates:
         calls = []
         monkeypatch.setattr(dense, "apply_unitary", lambda s, u, t: calls.append(u.shape) or apply_unitary(s, u, t))
         for k in range(5):
-            got = dense_rewrite_op(state, ("bilateral_hadamard", k))
+            got = apply_steps_dense(state, [("bilateral_hadamard", k)])
             want = apply_unitary(apply_unitary(state, HADAMARD, (2 * k,)), HADAMARD, (2 * k + 1,))
             assert abs(got.amplitudes - want.amplitudes).max() <= 1e-15
         assert calls == [(4, 4)] * 5
@@ -1387,9 +1402,6 @@ class TestPairGates:
 # ---------------------------------------------------------------------------
 # Teleportation corrections as one Pauli frame, against one 2x2 product per receiver
 # ---------------------------------------------------------------------------
-
-#: The correction per Bell outcome, in LABELS order: B1 -> I, B2 -> z, B3 -> x, B4 -> y.
-REF_CORRECTIONS = np.array([pauli(0), pauli(3), pauli(1), pauli(2)])
 
 
 def ref_corrected_rows(state, pairs, receivers):
@@ -1466,6 +1478,8 @@ class TestPauliFrameCorrections:
                 bell_measurement(state, (0, 2), (1, 3), discard=True, receivers=receivers)
         with pytest.raises(ValueError, match="several pairs"):
             bell_measurement(state, (0, 2), (1, 3))
+        with pytest.raises(ValueError, match="receivers"):  # corrections need the discarding form
+            bell_measurement(state, (0, 1), receivers=[[0]])
         for pairs in ((), ((0, 1, 2),), ((0, 2), (2, 3)), ((4, 6),)):
             with pytest.raises(ValueError, match="two distinct register qubits"):
                 bell_measurement(state, *pairs, discard=True)
@@ -1569,7 +1583,7 @@ class TestUnscaledKernelRows:
             assert np.array_equal(got.weights, want.weights) and got.qubit_labels == want.qubit_labels
             assert not got.amplitudes.flags.writeable
 
-    def test_cnot_run_errors_are_those_of_apply_flips(self):
+    def test_cnot_run_errors_name_the_bad_qubits(self):
         state = random_mixture(np.random.default_rng(1415), 4, (1.0,))
         with pytest.raises(ValueError, match="target qubits must be distinct"):
             dense.apply_cnot_layers(state, [[(0, 1)], [(2, 2)]])
@@ -1583,14 +1597,16 @@ class TestUnscaledKernelRows:
             protocols._rho_m_program(7),  # random_pauli_x, then a run of six
             protocols._clone_pair_program(B2, (B2, B4), 6),
             protocols._distill_program(BellEnsemble({(B1,) * 5: 0.5, (B4,) * 5: 0.5})),
+            # Pair 1 carries pair 0's bit on to pair 2 only if the C-NOTs run in order.
+            protocols.Program(BellEnsemble.point((B3, B1, B2)), (("bxor", 0, 1), ("bxor", 1, 2))),
         ],
     )
     def test_run_dense_equals_step_by_step(self, program):
-        from bellclone.calculus import dense_rewrite_op
+        from bellclone.calculus import apply_steps_dense
 
         want = to_dense(program.initial)
         for op in program.steps:
-            want = dense_rewrite_op(want, op)
+            want = apply_steps_dense(want, [op])
         got = protocols.run_dense(program)
         if isinstance(want, list):  # a parity measurement's (bit, probability, post-state) branches
             assert [(b, p) for b, p, _ in got] == [(b, p) for b, p, _ in want]
@@ -1612,7 +1628,7 @@ class TestUnscaledKernelRows:
             elif kind == 1:
                 state = apply_unitary(state, dense.PHASE_S @ HADAMARD, (int(rng.integers(n)),))
             elif kind == 2:
-                state = apply_flips(state, [int(rng.integers(n))])
+                state = dense.apply_cnot_layers(state, [[tuple(int(q) for q in rng.choice(n, 2, replace=False))]])
             else:
                 state = dense.apply_cnot_layers(state, random_cnot_layers(rng, n, 3))
             assert max_norm_error(state) <= 1e-12, step
@@ -1631,7 +1647,7 @@ class TestUnscaledKernelRows:
         monkeypatch.setattr(dense, "_gather", drifting_gather)
         monkeypatch.setattr(dense, "_apply_matrix", lambda *a: apply_matrix(*a) * (1 + 1e-6))
         for kernel in (
-            lambda: apply_flips(state, [0]),
+            lambda: dense.apply_cnot_layers(state, [[(0, 1)]]),
             lambda: dense.mix_flipped(state, [1, 3]),
             lambda: dense.apply_cnot_layers(state, [[(0, 1)], [(1, 2)]]),
             lambda: apply_unitary(state, HADAMARD, (2,)),

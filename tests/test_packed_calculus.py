@@ -13,6 +13,7 @@ import copy
 import itertools
 import pickle
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,15 +26,13 @@ from bellclone.calculus import (
     BellEnsemble,
     _unpack,
     append_b1,
-    apply_rewrite_op,
     apply_steps,
+    apply_steps_dense,
     bilateral_hadamard,
     bxor,
-    dense_rewrite_op,
     discriminate_sets,
     mix,
     one_sided_pauli,
-    relabel_pair,
     to_dense,
 )
 from bellclone.labels import B1, B2, B3, B4, LABELS, BellLabel
@@ -97,9 +96,9 @@ class TestExhaustiveAgainstDense:
             e = BellEnsemble.point(string)
             start = to_dense(e)
             for op in _all_ops(n_pairs):
-                sym = apply_rewrite_op(e, op)
+                sym = apply_steps(e, [op])
                 assert len(sym.entries) == 1, op
-                fid = dense.fidelity(dense_rewrite_op(start, op), to_dense(sym).branches[0].amplitudes)
+                fid = dense.fidelity(apply_steps_dense(start, [op]), to_dense(sym).branches[0].amplitudes)
                 assert abs(1.0 - fid) <= 1e-12, (string, op)
 
     @pytest.mark.parametrize("n_pairs", [1, 2, 3])
@@ -134,23 +133,21 @@ class TestExhaustiveAgainstDense:
                 assert dense.trace_distance(to_dense(cond), dn[bit][1]) < 1e-10
 
     @pytest.mark.parametrize("pair", list(itertools.combinations(LABELS, 2)))
-    def test_relabel_pair_matches_local_cliffords(self, pair):
+    def test_local_clifford_step_matches_local_cliffords(self, pair):
         red = pair_reduction_table(*pair)
         for string in _all_strings(2):
             e = BellEnsemble.point(string)
-            for k, mapping, (ua, ub) in (
-                (0, red.label_map, (red.alice_matrix, red.bob_matrix)),
-                (1, red.inverse_map, (red.alice_matrix.conj().T, red.bob_matrix.conj().T)),
-            ):
-                dn = dense.apply_unitary(to_dense(e), ua, (2 * k,))
-                dn = dense.apply_unitary(dn, ub, (2 * k + 1,))
-                sym = relabel_pair(e, k, mapping)
+            for k, reduction in ((0, red), (1, red.inverse())):
+                dn = dense.apply_unitary(to_dense(e), reduction.alice_matrix, (2 * k,))
+                dn = dense.apply_unitary(dn, reduction.bob_matrix, (2 * k + 1,))
+                sym = apply_steps(e, [("local_clifford", k, reduction)])
                 fid = dense.fidelity(dn, to_dense(sym).branches[0].amplitudes)
                 assert abs(1.0 - fid) <= 1e-12
 
-    def test_relabel_pair_rejects_non_permutations(self):
+    def test_local_clifford_step_rejects_non_permutations(self):
+        not_a_permutation = SimpleNamespace(label_map={B1: B1, B2: B1, B3: B3, B4: B4})
         with pytest.raises(ValueError, match="permutation"):
-            relabel_pair(BellEnsemble.point((B1,)), 0, {B1: B1, B2: B1, B3: B3, B4: B4})
+            apply_steps(BellEnsemble.point((B1,)), [("local_clifford", 0, not_a_permutation)])
 
     def test_append_b1(self):
         e = BellEnsemble({(B2, B4): 0.5, (B3, B1): 0.5})
@@ -246,8 +243,8 @@ def test_random_circuits_match_reference(case):
     assert list(e.entries.items()) == list(ref.items())
     values = sorted(ref.values())
     for op in ops:
-        out = apply_rewrite_op(e, op)
-        assert apply_rewrite_op(out, op) == e  # every rewrite step is an involution
+        out = apply_steps(e, [op])
+        assert apply_steps(out, [op]) == e  # every rewrite step is an involution
         e, ref = out, ref_apply(ref, op)
         assert list(e.entries.items()) == list(ref.items())
         assert sorted(e.entries.values()) == values
@@ -320,7 +317,7 @@ def test_protocol_steps_match_dense(n_pairs):
         e = BellEnsemble.point(string)
         start = to_dense(e)
         for op in _protocol_steps(n_pairs):
-            sym, dn = apply_rewrite_op(e, op), dense_rewrite_op(start, op)
+            sym, dn = apply_steps(e, [op]), apply_steps_dense(start, [op])
             if op[0] != "parity_measure":
                 assert dense.trace_distance(to_dense(sym), dn) < 1e-10, (string, op)
                 continue
@@ -340,9 +337,9 @@ def test_protocol_steps_on_a_mixture():
     state = to_dense(e)
     source = BellEnsemble({(B1,): 0.125, (B2,): 0.25, (B3,): 0.5, (B4,): 0.125})
     for op in [("random_pauli_x",), ("teleport", source)]:
-        assert dense.trace_distance(to_dense(apply_rewrite_op(e, op)), dense_rewrite_op(state, op)) < 1e-10
+        assert dense.trace_distance(to_dense(apply_steps(e, [op])), apply_steps_dense(state, [op])) < 1e-10
     for pair in range(3):
-        sym, dn = apply_rewrite_op(e, ("parity_measure", pair)), dense_rewrite_op(state, ("parity_measure", pair))
+        sym, dn = apply_steps(e, [("parity_measure", pair)]), apply_steps_dense(state, [("parity_measure", pair)])
         assert [bit for bit, _, _ in sym] == [bit for bit, _, _ in dn] == [0, 1]
         for (_, prob, cond), (_, dprob, dstate) in zip(sym, dn):
             assert abs(prob - dprob) <= 1e-12
@@ -357,19 +354,19 @@ def test_teleport_rule_on_every_point_mass_of_a_three_pair_channel():
         op = ("teleport", BellEnsemble.point((x,)))
         for channel in _all_strings(3):
             e = BellEnsemble.point(channel)
-            sym = apply_rewrite_op(e, op)
+            sym = apply_steps(e, [op])
             c0 = channel[0]
             expected = tuple(x.flipped(c0.a ^ ck.a, c0.b ^ ck.b) for ck in channel[1:])
             assert sym.entries == {expected: 1.0}
-            worst = max(worst, dense.trace_distance(to_dense(sym), dense_rewrite_op(to_dense(e), op)))
+            worst = max(worst, dense.trace_distance(to_dense(sym), apply_steps_dense(to_dense(e), [op])))
     assert worst < 1e-12
 
 
 def test_teleport_needs_a_receiving_pair():
     with pytest.raises(ValueError, match="two or more pairs"):
-        apply_rewrite_op(BellEnsemble.point((B1,)), ("teleport", BellEnsemble.point((B2,))))
+        apply_steps(BellEnsemble.point((B1,)), [("teleport", BellEnsemble.point((B2,)))])
     with pytest.raises(ValueError, match="one-pair input"):
-        apply_rewrite_op(BellEnsemble.point((B1, B1)), ("teleport", BellEnsemble.point((B2, B2))))
+        apply_steps(BellEnsemble.point((B1, B1)), [("teleport", BellEnsemble.point((B2, B2)))])
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +504,12 @@ class TestColumnKernel:
             "bxor": lambda e, op: bxor(e, op[1], op[2]),
             "bilateral_hadamard": lambda e, op: bilateral_hadamard(e, op[1]),
             "one_sided_pauli": lambda e, op: one_sided_pauli(e, *op[1:]),
-            "local_clifford": lambda e, op: relabel_pair(e, op[1], op[2].label_map),
         }
         for op in ops:
             want = ref_packed_steps(e, [op])
-            assert public[op[0]](e, op) == want
-            assert apply_rewrite_op(e, op) == want
+            if op[0] in public:  # a local Clifford has no one-step function
+                assert public[op[0]](e, op) == want
+            assert apply_steps(e, [op]) == want
             e = want
 
     @KERNEL_SETTINGS
@@ -529,7 +526,7 @@ class TestColumnKernel:
             apply_steps(e, program)
         assert str(got.value) == str(want.value)
         with pytest.raises(ValueError) as alone:
-            apply_rewrite_op(e, bad)
+            apply_steps(e, [bad])
         assert str(alone.value) == str(got.value)
 
     def test_validation_precedes_the_transposition(self, monkeypatch):
@@ -548,7 +545,7 @@ class TestColumnKernel:
     def test_random_pauli_x_mask_equals_the_per_pair_loop(self, e):
         flipped = ref_packed_steps(e, [("one_sided_pauli", k, 1, "bob") for k in range(e.n_pairs)])
         want = mix([e, flipped], [0.5, 0.5])
-        got = apply_rewrite_op(e, ("random_pauli_x",))
+        got = apply_steps(e, [("random_pauli_x",)])
         assert got == want
         assert list(got.entries.items()) == list(want.entries.items())
 

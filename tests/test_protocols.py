@@ -376,6 +376,15 @@ class TestDistillQuasiPure:
             assert prob == pytest.approx(dprob, abs=1e-12)
             assert dense.trace_distance(to_dense(cond), dstate) < 1e-10
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_dense_rows_stay_bell_products(self, n):
+        # Measuring each party's qubit in the Z basis and dropping it leaves
+        # every row a Bell product on n - 1 pairs: 2^(n-1) of 4^(n-1) nonzero.
+        e, _ = prepare_quasi_pure((0.4, 0.1, 0.3, 0.2), n)
+        for _, _, state in distill_quasi_pure_dense(e):
+            assert state.n_qubits == 2 * (n - 1)
+            assert (state.amplitudes != 0).sum(axis=1).tolist() == [2 ** (n - 1)] * len(state.weights)
+
     def test_non_constant_strings_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             distill_quasi_pure(BellEnsemble.point((B1, B2)))
