@@ -166,11 +166,17 @@ class BellEnsemble:
         return cls(entries)
 
 
-def _check_pair(e: BellEnsemble, pair: int) -> int:
+def _check_pair(n_pairs: int, pair: int) -> int:
     """Validate a pair index; returns the bit offset of its field."""
-    if pair < 0 or pair >= e.n_pairs:
-        raise ValueError(f"pair index {pair} out of range for {e.n_pairs} pairs")
-    return 2 * (e.n_pairs - 1 - pair)
+    if pair < 0 or pair >= n_pairs:
+        raise ValueError(f"pair index {pair} out of range for {n_pairs} pairs")
+    return 2 * (n_pairs - 1 - pair)
+
+
+def _check_last(rest) -> None:
+    """Raise unless the step iterator ``rest`` is spent: a parity measurement's branch list ends a step list."""
+    if next(rest, None) is not None:
+        raise ValueError("a parity_measure step ends a step list; no step may follow it")
 
 
 def _permuted(e: BellEnsemble, strings) -> BellEnsemble:
@@ -242,23 +248,23 @@ _HADAMARD = _affine((0b00, 0b10, 0b01, 0b11))
 _PAULIS = [_affine([v ^ flip for v in range(4)]) for flip in (0b10, 0b11, 0b01)]
 
 
-def _step_columns(e: BellEnsemble, op: tuple) -> tuple | None:
-    """The validated column step of an affine step (a bilateral C-NOT or
-    Hadamard, a one-sided Pauli or a local Clifford); None for any other."""
+def _step_columns(n_pairs: int, op: tuple) -> tuple | None:
+    """The validated column step of an affine step on ``n_pairs`` pairs (a bilateral
+    C-NOT or Hadamard, a one-sided Pauli or a local Clifford); None for any other."""
     name = op[0]
     if name == "bxor":
         _, source, target = op
-        _check_pair(e, source)
-        _check_pair(e, target)
+        _check_pair(n_pairs, source)
+        _check_pair(n_pairs, target)
         if source == target:
             raise ValueError("source and target pair must differ")
         return 2 * source + 1, 2 * target + 1, 2 * target, 2 * source
     if name == "bilateral_hadamard":
-        _check_pair(e, op[1])
+        _check_pair(n_pairs, op[1])
         return (2 * op[1], 2 * op[1] + 1) + _HADAMARD
     if name == "one_sided_pauli":
         _, pair, pauli_index, side = op
-        _check_pair(e, pair)
+        _check_pair(n_pairs, pair)
         if pauli_index not in (1, 2, 3):
             raise ValueError("Pauli index must be 1 (x), 2 (y) or 3 (z)")
         if side not in ("alice", "bob"):
@@ -268,7 +274,7 @@ def _step_columns(e: BellEnsemble, op: tuple) -> tuple | None:
         table = [op[2].label_map[l].index - 1 for l in LABELS]
         if sorted(table) != [0, 1, 2, 3]:
             raise ValueError("label map must be a permutation of the four labels")
-        _check_pair(e, op[1])
+        _check_pair(n_pairs, op[1])
         return (2 * op[1], 2 * op[1] + 1) + _affine(table)
     return None
 
@@ -284,12 +290,12 @@ def bxor(e: BellEnsemble, source: int, target: int) -> BellEnsemble:
 
     an involution certified gate-by-gate against the dense oracle.
     """
-    return _rewrite(e, [_step_columns(e, ("bxor", source, target))])
+    return _rewrite(e, [_step_columns(e.n_pairs, ("bxor", source, target))])
 
 
 def bilateral_hadamard(e: BellEnsemble, pair: int) -> BellEnsemble:
     """Hadamard on both halves of a pair: swaps the label bits (a,b) -> (b,a)."""
-    return _rewrite(e, [_step_columns(e, ("bilateral_hadamard", pair))])
+    return _rewrite(e, [_step_columns(e.n_pairs, ("bilateral_hadamard", pair))])
 
 
 def one_sided_pauli(e: BellEnsemble, pair: int, pauli_index: int, side: str) -> BellEnsemble:
@@ -298,7 +304,7 @@ def one_sided_pauli(e: BellEnsemble, pair: int, pauli_index: int, side: str) -> 
     x flips the a bit, z flips the b bit, y flips both; the action is the
     same from either side.
     """
-    return _rewrite(e, [_step_columns(e, ("one_sided_pauli", pair, pauli_index, side))])
+    return _rewrite(e, [_step_columns(e.n_pairs, ("one_sided_pauli", pair, pauli_index, side))])
 
 
 def append_b1(e: BellEnsemble, count: int) -> BellEnsemble:
@@ -321,7 +327,7 @@ def discriminate_sets(
     discarded (the measurement dephases it).  The conditional is None
     when no pairs remain.
     """
-    sh = _check_pair(e, pair)
+    sh = _check_pair(e.n_pairs, pair)
     low = (1 << sh) - 1
     buckets: tuple[dict[int, float], dict[int, float]] = ({}, {})
     probs = [0.0, 0.0]
@@ -342,14 +348,19 @@ def discriminate_sets(
     return out
 
 
+def _check_teleport(channel_pairs: int, source_pairs: int) -> None:
+    """Raise unless a ``source_pairs``-pair input can teleport through a channel of ``channel_pairs``."""
+    if source_pairs != 1 or channel_pairs < 2:
+        raise ValueError("teleportation needs a one-pair input and a channel of two or more pairs")
+
+
 def teleport(channel: BellEnsemble, source: BellEnsemble) -> BellEnsemble:
     """Joint teleportation of the one-pair ``source`` through channel pair 0:
     each party Bell-measures its input qubit with its half of pair 0, and
     the broadcast outcomes Pauli-correct every other pair.  Receiver k ends
     up with label x ^ c0 ^ ck (input x, channel labels c0 and ck)."""
     n = channel.n_pairs - 1
-    if source.n_pairs != 1 or n < 1:
-        raise ValueError("teleportation needs a one-pair input and a channel of two or more pairs")
+    _check_teleport(n + 1, source.n_pairs)
     low = (1 << 2 * n) - 1
     ones = int("01" * n, 2)
     out: dict[int, float] = {}
@@ -443,7 +454,7 @@ def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseSta
     state = dense.tensor(input_state, channel, at=2)
     measured = [(party_qubit(0, party), party_qubit(1, party)) for party in PARTIES]
     receivers = [[party_qubit(k, party) for k in range(n_receive)] for party in PARTIES]
-    post, _ = dense.bell_measurement(state, *measured, discard=True, receivers=receivers)
+    post, _ = dense.bell_measurement(state, *measured, receivers=receivers)
     labels = dense.pair_register(n_receive) + input_state.qubit_labels[2:]
     return dense.DenseState._from_kernel(post.amplitudes, post.weights, labels)
 
@@ -473,9 +484,10 @@ def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float
 def apply_steps_dense(state: dense.DenseState, steps: Iterable[tuple]):
     """Run a step list (see :func:`apply_steps`) on explicit state vectors,
     pair k on the qubits :func:`party_qubit` gives it: each run of bxor steps
-    as one :func:`~bellclone.dense.apply_cnot_layers` permutation, every
-    other step as its gates or measurement.  This is the oracle side of the
-    symbolic/dense equivalence checks."""
+    as one :func:`~bellclone.dense.apply_cnot_layers` permutation, every other step, once
+    :func:`apply_steps`'s checks pass, as its gates or measurement.  This is the oracle
+    side of the symbolic/dense equivalence checks."""
+    steps = iter(steps)
     for is_bxor, ops in groupby(steps, key=lambda op: op[0] == "bxor"):
         if is_bxor:
             # A bilateral C-NOT: each party C-NOTs its qubit of the source pair onto its qubit of the target pair.
@@ -483,20 +495,22 @@ def apply_steps_dense(state: dense.DenseState, steps: Iterable[tuple]):
             state = dense.apply_cnot_layers(state, layers)
             continue
         for op in ops:
-            name = op[0]
+            name, n_pairs = op[0], state.n_qubits // 2
+            _step_columns(n_pairs, op)  # raises on an invalid affine step
             if name == "one_sided_pauli":
                 _, k, idx, side = op
-                if side not in PARTIES:
-                    raise ValueError(f"unknown side {side!r}")
                 state = dense.apply_unitary(state, dense.pauli(idx), (party_qubit(k, side),))
             elif name in ("bilateral_hadamard", "local_clifford"):
                 u = _BILATERAL_HADAMARD if name == "bilateral_hadamard" else op[2].pair_matrix
                 state = dense.apply_unitary(state, u, [party_qubit(op[1], party) for party in PARTIES])
             elif name == "random_pauli_x":
-                state = dense.mix_flipped(state, [party_qubit(k, "bob") for k in range(state.n_qubits // 2)])
+                state = dense.mix_flipped(state, [party_qubit(k, "bob") for k in range(n_pairs)])
             elif name == "parity_measure":
+                _check_pair(n_pairs, op[1])
                 state = _parity_measure(state, op[1])
+                _check_last(steps)  # groupby has not read past this step yet
             elif name == "teleport":
+                _check_teleport(n_pairs, op[1].n_pairs)
                 state = _teleport_and_correct(state, to_dense(op[1], role="input"))
             else:
                 raise ValueError(f"unknown rewrite step {name!r}")
@@ -512,8 +526,9 @@ def apply_steps(e: BellEnsemble, steps: Iterable[tuple]):
     for Bob's sigma_x on all his qubits with probability 1/2, ("teleport",
     source) and ("parity_measure", pair), whose branch list ends a list."""
     run: list[tuple] = []
+    steps = iter(steps)
     for op in steps:
-        columns = _step_columns(e, op)
+        columns = _step_columns(e.n_pairs, op)
         if columns is not None:
             run.append(columns)
             continue
@@ -524,6 +539,7 @@ def apply_steps(e: BellEnsemble, steps: Iterable[tuple]):
             e = mix([e, _permuted(e, [x ^ mask for x in e._probs])], [0.5, 0.5])
         elif name == "parity_measure":
             e = discriminate_sets(e, op[1])
+            _check_last(steps)
         elif name == "teleport":
             e = teleport(e, op[1])
         else:

@@ -12,7 +12,7 @@ measurement divides each kept row once by the root of its probability.
 X and C-NOT gates only move amplitudes: each is arithmetic on the basis
 index (X on q: i ^ bit(q); C-NOT: i ^ (bit_c(i) << t)), so any run of them
 is one gather through one index row; every other gate is a matrix product.
-A Bell measurement can drop the pairs it measured, several at once with a
+A Bell measurement drops the pairs it measured, several at once with a
 Pauli frame on disjoint receivers, which is how teleportation leaves
 exactly its output qubits without any trace or spectrum; no program step
 takes one.  Spectra are taken at the size of the state's rank, not of the
@@ -109,10 +109,10 @@ class QubitLabel:
 
 
 @lru_cache(maxsize=None)
-def pair_register(n_pairs: int, role: str = "source", start: int = 0) -> tuple[QubitLabel, ...]:
+def pair_register(n_pairs: int, role: str = "source") -> tuple[QubitLabel, ...]:
     """Labels for ``n_pairs`` Bell pairs in the standard pair-by-pair order;
     each label, and each register, is built once and shared."""
-    return tuple(_qubit_label(party, k, role) for k in range(start, start + n_pairs) for party in ("alice", "bob"))
+    return tuple(_qubit_label(party, k, role) for k in range(n_pairs) for party in ("alice", "bob"))
 
 
 _qubit_label = lru_cache(maxsize=None)(QubitLabel)
@@ -159,41 +159,27 @@ class DenseState:
     branch, and ``weights`` the k positive weights, summing to 1.
 
     Every construction checks each row norm (within 1e-9) and the weight
-    total.  Public constructors and eigenbranch mixtures divide a row by its
-    norm only when that computed norm is not exactly 1.0, and the weights by
-    their total only when it is not exactly 1.0 (x / 1.0 == x, so the stored
-    values are those of dividing every row); kernel outputs are stored as
-    computed (:meth:`_from_kernel`).  A state owns its arrays: :meth:`from_arrays` copies
-    what it is given, and only the kernels of this package hand over the
-    arrays they have just allocated.
+    total.  :meth:`from_arrays` (and :meth:`pure`) copy what they are given
+    and divide a row by its norm only when that computed norm is not
+    exactly 1.0, and the weights by their total only when it is not exactly
+    1.0 (x / 1.0 == x, so the stored values are those of dividing every
+    row); the kernels of this package hand over the arrays they have just
+    allocated, stored as computed (:meth:`_from_kernel`).
     """
 
     __slots__ = ("amplitudes", "weights", "qubit_labels", "_branches")
 
-    def __init__(self, branches: Iterable[PureBranch], qubit_labels: Sequence[QubitLabel]):
-        branches = tuple(branches)
-        if not branches:
-            raise ValueError("state needs at least one branch")
-        amps = np.array([b.amplitudes for b in branches], dtype=complex)  # ValueError if ragged
-        self._set(amps, np.array([b.weight for b in branches], dtype=float), qubit_labels)
-
     @classmethod
     def from_arrays(cls, amplitudes: np.ndarray, weights, qubit_labels: Sequence[QubitLabel]) -> "DenseState":
         """A state from copies of its (k, 2**n) amplitude rows and k weights."""
-        return cls._adopt(np.array(amplitudes, dtype=complex), np.array(weights, dtype=float), qubit_labels)
-
-    @classmethod
-    def _adopt(cls, amps: np.ndarray, weights: np.ndarray, qubit_labels) -> "DenseState":
-        """A state that takes over ``amps`` and ``weights`` without a copy:
-        arrays the caller has just allocated and drops, or the read-only
-        arrays of another state."""
         state = object.__new__(cls)
-        state._set(amps, weights, qubit_labels)
+        state._set(np.array(amplitudes, dtype=complex), np.array(weights, dtype=float), qubit_labels)
         return state
 
     @classmethod
     def _from_kernel(cls, amps: np.ndarray, weights: np.ndarray, qubit_labels) -> "DenseState":
-        """:meth:`_adopt`'s checks, no rescale: for rows kept or just made unit."""
+        """A state that takes over ``amps`` and ``weights`` without a copy or
+        a rescale, after the same checks: for rows kept or just made unit."""
         state = object.__new__(cls)
         state._set(amps, weights, qubit_labels, rescale=False)
         return state
@@ -206,6 +192,8 @@ class DenseState:
         n = dim.bit_length() - 1
         if dim & (dim - 1) or dim < 2:
             raise ValueError("amplitudes must be rows of length 2**n")
+        if not k:
+            raise ValueError("state needs at least one branch")
         if n > MAX_REGISTER_QUBITS:
             raise ValueError(f"register of {n} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit limit")
         if len(qubit_labels) != n:
@@ -302,16 +290,11 @@ def _split(amps: np.ndarray, n: int, qubits: Sequence[int]) -> tuple[np.ndarray,
     return amps.reshape((len(amps),) + (2,) * n).transpose(order).reshape(len(amps), 2 ** len(qubits), -1), order
 
 
-def _join(psi: np.ndarray, order: list[int]) -> np.ndarray:
-    """Inverse of :func:`_split`: back to (k, 2**n) rows in register order."""
-    return psi.reshape((len(psi),) + (2,) * (len(order) - 1)).transpose(np.argsort(order)).reshape(len(psi), -1)
-
-
 def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     """The one matrix ``u`` on the targets of every row of a (k, 2**n) batch."""
     psi, order = _split(amps, n, targets)
-    psi = np.matmul(u, psi)  # rebinding frees the split copy before the join copies again
-    return _join(psi, order)
+    psi = np.matmul(u, psi)  # rebinding frees the split copy before the transpose back copies again
+    return psi.reshape((len(psi),) + (2,) * n).transpose(np.argsort(order)).reshape(len(psi), -1)
 
 
 def check_unitary(u: np.ndarray) -> None:
@@ -425,63 +408,44 @@ def _pauli_frame(subs: np.ndarray, receivers: Sequence[Sequence[int]]) -> np.nda
     return _gather(subs.reshape(len(subs), -1), _flip_index(2 * m + r, (), [cnots])).reshape(subs.shape)
 
 
-def bell_measurement(state: DenseState, *pairs: tuple[int, int], discard: bool = False, receivers=None):
-    """Projective Bell-basis measurement of a pair of qubits.
+def bell_measurement(state: DenseState, *pairs: tuple[int, int], receivers=None):
+    """Projective Bell-basis measurement of one or more qubit pairs, which
+    it drops: their state is fixed by the outcome.
 
-    By default, returns one entry per outcome with positive probability:
-    the outcome label, its probability, and the renormalized post-state
-    with the measured qubits left projected onto the outcome's Bell state.
-    Probabilities sum to 1 up to rounding.
-
-    With ``discard=True`` the measured qubits, whose state the outcome
-    fixes, are dropped instead.  Returns ``(post, outcomes)``: one state
-    on the other qubits (labels in register order) whose rows are every
-    (branch, outcome) pair kept by the default form, branch-major, each
-    weighted by its branch weight times its conditional probability; and
-    each row's outcome index (0..3, in ``LABELS`` order).  The probability
-    of an outcome is the total weight of its rows.  Several pairs may then
-    be measured by one product (outcome digits base 4, first pair first),
-    and ``receivers`` lists, per pair, kept qubits that take its
-    teleportation correction (:func:`_pauli_frame`) before rows are picked;
-    no kept qubit may be listed twice.
+    Returns ``(post, outcomes)``: one state on the other qubits (labels in
+    register order) with one row per (branch, outcome) of positive
+    conditional probability, branch-major, each that branch's projection
+    renormalized and weighted by its branch weight times the conditional
+    probability; and each row's outcome index (0..3, in ``LABELS`` order;
+    base-4 digits, first pair first, for several pairs).  The probability
+    of an outcome is the total weight of its rows.  ``receivers`` lists,
+    per pair, kept qubits that take its teleportation correction
+    (:func:`_pauli_frame`) before rows are picked; no kept qubit may be
+    listed twice.
     """
     pairs = tuple(tuple(sorted(pair)) for pair in pairs)
     measured = sorted(q for pair in pairs for q in pair)
     n = state.n_qubits
     if not pairs or len(set(measured)) != 2 * len(pairs) or measured[0] < 0 or measured[-1] >= n:
         raise ValueError("measurement needs two distinct register qubits")
-    if (len(pairs) > 1 or receivers is not None) and not discard:
-        raise ValueError("only a discarding measurement takes several pairs or receivers")
-    if discard and n == len(measured):
-        raise ValueError("discarding the measured pair would leave no qubits")
+    if n == len(measured):
+        raise ValueError("dropping the measured pairs would leave no qubits")
     # subs[b, o]: branch b's amplitudes on the other qubits after <B_o| on the pairs.
-    subs, order = _split(state.amplitudes, n, measured)
+    subs = _split(state.amplitudes, n, measured)[0]
     # One real product for the real and imaginary parts alike.
     subs = (_bell_projector(pairs) @ np.ascontiguousarray(subs).view(np.float64)).view(complex)
     p = _squared_row_norms(subs)  # p[b, o]: conditional probability of outcome o in branch b
-    if discard:
-        if receivers is not None:
-            named, kept = [q for qubits in receivers for q in qubits], n - len(measured)
-            if len(receivers) != len(pairs) or len(set(named)) != len(named) or not all(0 <= q < kept for q in named):
-                raise ValueError("receivers must name distinct kept qubits, one list per measured pair")
-            subs = _pauli_frame(subs, receivers)
-        keep = (p > 1e-14) & (state.weights @ p > 1e-14)
-        rows = subs[keep]
-        rows /= np.sqrt(p[keep])[:, None]
-        weights = (state.weights[:, None] * p)[keep]
-        labels = tuple(label for q, label in enumerate(state.qubit_labels) if q not in measured)
-        return DenseState._from_kernel(rows, weights / weights.sum(), labels), np.nonzero(keep)[1]
-    out = []
-    for o, label in enumerate(LABELS):
-        prob = float(state.weights @ p[:, o])
-        if prob <= 1e-14:
-            continue
-        keep = p[:, o] > 1e-14
-        post = subs[keep, o] / np.sqrt(p[keep, o])[:, None]
-        full = _join(_BELL_ROWS[o][:, None] * post[:, None, :], order)
-        weights = state.weights[keep] * p[keep, o] / prob
-        out.append((label, prob, DenseState._from_kernel(full, weights, state.qubit_labels)))
-    return out
+    if receivers is not None:
+        named, kept = [q for qubits in receivers for q in qubits], n - len(measured)
+        if len(receivers) != len(pairs) or len(set(named)) != len(named) or not all(0 <= q < kept for q in named):
+            raise ValueError("receivers must name distinct kept qubits, one list per measured pair")
+        subs = _pauli_frame(subs, receivers)
+    keep = (p > 1e-14) & (state.weights @ p > 1e-14)
+    rows = subs[keep]
+    rows /= np.sqrt(p[keep])[:, None]
+    weights = (state.weights[:, None] * p)[keep]
+    labels = tuple(label for q, label in enumerate(state.qubit_labels) if q not in measured)
+    return DenseState._from_kernel(rows, weights / weights.sum(), labels), np.nonzero(keep)[1]
 
 
 def partial_trace(state: DenseState, keep: Iterable[int]) -> DenseState:
@@ -529,7 +493,7 @@ def _eigenbranch_mixture(
     eigenvalues ``vals``) above 1e-13; the eigenvalues kept are the weights,
     so they must sum to 1 within 1e-9."""
     above = vals > 1e-13
-    return DenseState._adopt(vecs.T[above], vals[above], qubit_labels)
+    return DenseState.from_arrays(vecs.T[above], vals[above], qubit_labels)
 
 
 def _real_if_exact(m: np.ndarray) -> np.ndarray:

@@ -116,27 +116,34 @@ def _qubits(register: tuple[QubitLabel, ...]) -> list[tuple[str, list[QubitLabel
 
 
 def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> ResourceLedger:
-    """The program's ledger (appended to ``ledger`` if given): ebits from
-    the charged initial pairs, one line per party and step, and the bits
-    each classical line sends."""
+    """The program's ledger (appended to ``ledger`` if given): ebits from the charged
+    initial pairs, one line per party and step, and the bits each classical line
+    sends.  A step that :func:`apply_steps` rejects raises its message here too."""
     ledger = ResourceLedger() if ledger is None else ledger
-    e = program.initial
-    ledger.ebits_consumed += ebit_cost(e, *range(program.inputs, e.n_pairs))
-    register = dense.pair_register(e.n_pairs)
+    e, n = program.initial, program.initial.n_pairs
+    ledger.ebits_consumed += ebit_cost(e, *range(program.inputs, n))
+    register = dense.pair_register(n)
     (_, qa), (_, qb) = q = _qubits(register)
     lines: list[LedgerStep] = []
-    for op in program.steps:
+    steps = iter(program.steps)
+    for op in steps:
         name = op[0]
         if name == "bxor":
             _, s, t = op
+            if not (0 <= s < n and 0 <= t < n and s != t):
+                calculus._step_columns(n, op)
             lines += (LedgerStep("alice", "cnot", (qa[s], qa[t])), LedgerStep("bob", "cnot", (qb[s], qb[t])))
         elif name == "local_clifford":
             _, k, red = op
+            if not 0 <= k < n:
+                calculus._check_pair(n, k)
             words = (red.alice_word, red.bob_word)
             lines += [LedgerStep(party, "unitary", (qp[k],), (w,)) for (party, qp), w in zip(q, words)]
         elif name == "random_pauli_x":
             lines.append(LedgerStep("bob", "random-pauli-x", tuple(qb)))
         elif name == "parity_measure":
+            calculus._check_pair(n, op[1])
+            calculus._check_last(steps)
             lines += [LedgerStep(party, "measure-z", (qp[op[1]],)) for party, qp in q]
             lines.append(LedgerStep("classical", "compare-parity", (), (2,)))
         elif name == "teleport":  # the input pair joins the register in front
@@ -144,7 +151,7 @@ def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> Res
             lines += [LedgerStep(party, "bell-measure", (qp[0], qp[1])) for party, qp in joint]
             lines.append(LedgerStep("classical", "broadcast-outcomes", (), (4,)))
             # channel pair k - 1 is pair k of the joint register
-            lines += [LedgerStep(p, "pauli-correct", (qp[k],)) for k in range(2, e.n_pairs + 1) for p, qp in joint]
+            lines += [LedgerStep(p, "pauli-correct", (qp[k],)) for k in range(2, n + 1) for p, qp in joint]
         else:
             raise ValueError(f"no ledger rule for step {name!r}")
     ledger.classical_bits += sum(line.words[0] for line in lines if line.party == "classical")

@@ -223,7 +223,7 @@ class TestToDense:
             outer = np.multiply.outer(b, b)  # axes (A0, A1, B0, B1)
             vec = np.transpose(outer, (0, 2, 1, 3)).reshape(-1)
             branches.append(dense.PureBranch(vec, 0.25))
-        regrouped = dense.DenseState(tuple(branches), paired.qubit_labels)
+        regrouped = dense.DenseState.from_arrays([b.amplitudes for b in branches], [0.25] * 4, paired.qubit_labels)
         assert dense.trace_distance(paired, regrouped) <= 1e-12
 
     def test_three_pair_uniform_spectrum(self):
@@ -331,12 +331,21 @@ class TestOracleEquivalence:
 
 
 class TestDenseStepRoutes:
-    def test_unknown_side_rejected_by_both_routes(self):
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (("one_sided_pauli", 0, 1, "charlie"), "unknown side 'charlie'"),
+            (("one_sided_pauli", 0, 0, "alice"), r"Pauli index must be 1 \(x\), 2 \(y\) or 3 \(z\)"),
+            (("parity_measure", 3), "pair index 3 out of range for 2 pairs"),
+            (("teleport", BellEnsemble.point((B1, B1))), "teleportation needs a one-pair input"),
+        ],
+        ids=["unknown-side", "pauli-index-0", "parity-pair-out-of-range", "two-pair-teleport-input"],
+    )
+    def test_invalid_step_rejected_by_both_routes(self, op, message):
         e = BellEnsemble.point((B1, B2))
-        op = ("one_sided_pauli", 0, 1, "charlie")
-        with pytest.raises(ValueError, match="unknown side 'charlie'"):
+        with pytest.raises(ValueError, match=message):
             apply_steps(e, [op])
-        with pytest.raises(ValueError, match="unknown side 'charlie'"):
+        with pytest.raises(ValueError, match=message):
             apply_steps_dense(to_dense(e), [op])
 
     def test_permutation_steps_call_no_general_gate(self, monkeypatch):

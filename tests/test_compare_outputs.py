@@ -86,3 +86,46 @@ def test_main_ends_with_the_gate_verdict(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tool.jobs, "dense_argv_space", lambda: [])
     assert tool.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == ["1 of 1 outputs identical"]
+
+
+def test_stderr_is_shown_but_not_judged():
+    old, new = _run(0.0), dict(_run(0.0), stderr="note: dense checks skipped: too large")
+    assert tool.beyond_gate(old, new) == []
+
+
+RECORDED = ["clone", "--set", "four", "--input", "B1", "--n", "6", "--engine", "both", "--format", "json"]
+RECORDED_ERROR = "ValueError: register of 16 qubits exceeds the 14-qubit limit"
+
+
+def _defect_run(engine: str, ensemble: str, stderr: str = "") -> dict:
+    """A run of ``RECORDED`` that exits 0 with its own checks passed."""
+    return {"exit": 0, "stdout": json.dumps({"engine": engine, "ensemble": ensemble, "passed": True}), "stderr": stderr}
+
+
+def test_recorded_defects_are_judged_by_their_closed_form():
+    closed_form = tool.jobs.constant_strings_text({"B1": 1.0}, 6)
+    old = _defect_run("both", closed_form)
+    moved = _defect_run("symbolic", closed_form, "note: dense checks skipped")
+    assert tool.beyond_gate(old, moved, RECORDED, RECORDED_ERROR) == []
+    raised = {"exit": 1, "stdout": "", "stderr": RECORDED_ERROR}
+    assert tool.beyond_gate(old, raised, RECORDED, RECORDED_ERROR) == []
+    assert tool.beyond_gate(old, _defect_run("both", "1 00\n"), RECORDED, RECORDED_ERROR) == [
+        "recorded defect: ensemble differs from the closed form"
+    ]
+    assert tool.beyond_gate(old, {"exit": 1, "stdout": "", "stderr": "ValueError: other"}, RECORDED, RECORDED_ERROR) == [
+        "recorded defect: recorded defect now ends with 1"
+    ]
+
+
+def test_main_reads_the_recorded_error_from_the_reference(tmp_path, monkeypatch, capsys):
+    (tmp_path / "src" / "bellclone").mkdir(parents=True)
+    (tmp_path / "src" / "bellclone" / "__init__.py").touch()
+    assert "error" in json.loads((tool.ROOT / "bench" / "reference.json").read_text())[" ".join(RECORDED)]
+    closed_form = tool.jobs.constant_strings_text({"B1": 1.0}, 6)
+    runs = {True: _defect_run("symbolic", closed_form, "note: dense checks skipped"), False: _defect_run("both", closed_form)}
+    monkeypatch.setattr(tool.jobs, "dense_argv_space", lambda: [RECORDED])
+    monkeypatch.setattr(tool, "run_cli", lambda tree, argv, workdir: runs[tree == tool.ROOT] if argv == RECORDED else _run(0.0))
+    assert tool.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "  stderr:" in out
+    assert out[-2:] == ["1 of 2 outputs identical", "moved leaves within the gate's tolerances"]

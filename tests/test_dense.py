@@ -61,6 +61,29 @@ def pure_state(vec, n_pairs):
     return DenseState.pure(np.asarray(vec, dtype=complex), pair_register(n_pairs))
 
 
+def state_of(branches, labels):
+    """The state of :class:`PureBranch` rows, built through ``from_arrays``."""
+    branches = tuple(branches)
+    return DenseState.from_arrays([b.amplitudes for b in branches], [b.weight for b in branches], labels)
+
+
+def outcome_states(post, outcomes):
+    """The rows of a Bell measurement grouped by outcome:
+    ``{outcome: (probability, post-state on the other qubits)}``."""
+    grouped = {}
+    for o in sorted(set(outcomes.tolist())):
+        rows = outcomes == o
+        prob = float(post.weights[rows].sum())
+        grouped[o] = (prob, DenseState.from_arrays(post.amplitudes[rows], post.weights[rows] / prob, post.qubit_labels))
+    return grouped
+
+
+def without_pair(rows, n, pair, label):
+    """<B_label| on the pair of each n-qubit row; the rest stay in register order."""
+    psi = np.moveaxis(rows.reshape((len(rows),) + (2,) * n), [q + 1 for q in pair], (1, 2))
+    return np.einsum("i,kir->kr", bell_vector(label).conj(), psi.reshape(len(rows), 4, -1))
+
+
 class TestBellState:
     @pytest.mark.parametrize("label", LABELS)
     def test_literal_amplitudes(self, label):
@@ -186,52 +209,40 @@ class TestApplyUnitary:
 
 class TestBellMeasurement:
     def test_measuring_a_bell_pair_is_deterministic(self):
-        state = pure_state(BELL_LITERALS[B2], 1)
-        outcomes = bell_measurement(state, (0, 1))
-        assert len(outcomes) == 1
-        label, prob, post = outcomes[0]
-        assert label == B2
-        assert prob == pytest.approx(1.0, abs=1e-14)
-        assert fidelity(post, BELL_LITERALS[B2]) == pytest.approx(1.0, abs=1e-14)
+        state = pure_state(np.kron(BELL_LITERALS[B2], BELL_LITERALS[B4]), 2)
+        post, outcomes = bell_measurement(state, (0, 1))
+        assert outcomes.tolist() == [LABELS.index(B2)]
+        assert post.weights.tolist() == [1.0]
+        assert fidelity(post, BELL_LITERALS[B4]) == pytest.approx(1.0, abs=1e-14)
 
     def test_cross_pair_measurement_is_uniform(self):
         # Measuring one half of each of two B1 pairs: entanglement
         # swapping, uniform over the four outcomes.
         vec = np.kron(BELL_LITERALS[B1], BELL_LITERALS[B1])
         state = pure_state(vec, 2)
-        outcomes = bell_measurement(state, (1, 2))
-        assert len(outcomes) == 4
-        for label, prob, post in outcomes:
+        post, outcomes = bell_measurement(state, (1, 2))
+        grouped = outcome_states(post, outcomes)
+        assert list(grouped) == [0, 1, 2, 3]
+        for label, (prob, rest) in zip(LABELS, grouped.values()):
             expected_prob = np.vdot(
                 vec, embed_op(np.outer(bell_vector(label), bell_vector(label).conj()), 4, (1, 2)) @ vec
             ).real
             assert prob == pytest.approx(expected_prob, abs=1e-14)
             assert prob == pytest.approx(0.25, abs=1e-14)
-            # the unmeasured halves collapse onto the same Bell state
-            outer = np.multiply.outer(
-                bell_vector(label).reshape(2, 2), bell_vector(label).reshape(2, 2)
-            )
-            target = np.transpose(outer, (2, 0, 1, 3)).reshape(-1)  # (q0,q1,q2,q3)
-            assert fidelity(post, target) == pytest.approx(1.0, abs=1e-13)
+            # the unmeasured halves, qubits 0 and 3, collapse onto the same Bell state
+            assert fidelity(rest, bell_vector(label)) == pytest.approx(1.0, abs=1e-13)
 
-    def test_probabilities_sum_to_one_and_dephase(self):
+    def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(5)
         vecs = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        state = DenseState(
-            (PureBranch(vecs[0], 0.3), PureBranch(vecs[1], 0.7)), pair_register(2)
-        )
-        outcomes = bell_measurement(state, (0, 3))
-        assert sum(p for _, p, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
-        recombined = sum(p * s.density_matrix() for _, p, s in outcomes)
-        rho = state.density_matrix()
-        dephased = np.zeros_like(rho)
-        for label in LABELS:
-            proj = embed_op(
-                np.outer(bell_vector(label), bell_vector(label).conj()), 4, (0, 3)
-            )
-            dephased += proj @ rho @ proj
-        assert np.max(np.abs(recombined - dephased)) <= 1e-12
+        state = state_of((PureBranch(vecs[0], 0.3), PureBranch(vecs[1], 0.7)), pair_register(2))
+        post, outcomes = bell_measurement(state, (0, 3))
+        grouped = outcome_states(post, outcomes)
+        for o, (prob, _) in grouped.items():
+            proj = embed_op(np.outer(bell_vector(LABELS[o]), bell_vector(LABELS[o]).conj()), 4, (0, 3))
+            assert prob == pytest.approx(np.trace(proj @ state.density_matrix()).real, abs=1e-12)
+        assert sum(p for p, _ in grouped.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPartialTrace:
@@ -245,14 +256,14 @@ class TestPartialTrace:
         assert_allclose(reduced.density_matrix(), np.eye(2) / 2, atol=1e-14)
 
     def test_three_pair_uniform_reduces_to_smolin(self):
-        uniform3 = DenseState(
+        uniform3 = state_of(
             tuple(
                 PureBranch(np.kron(np.kron(v, v), v), 0.25)
                 for v in BELL_LITERALS.values()
             ),
             pair_register(3),
         )
-        smolin = DenseState(
+        smolin = state_of(
             tuple(PureBranch(np.kron(v, v), 0.25) for v in BELL_LITERALS.values()),
             pair_register(2),
         )
@@ -263,7 +274,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(17)
         vecs = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        state = DenseState(
+        state = state_of(
             tuple(PureBranch(v, w) for v, w in zip(vecs, (0.5, 0.25, 0.25))),
             pair_register(2),
         )
@@ -302,7 +313,7 @@ class TestPartialTranspose:
         rng = np.random.default_rng(29)
         vecs = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        state = DenseState(
+        state = state_of(
             (PureBranch(vecs[0], 0.5), PureBranch(vecs[1], 0.5)), pair_register(2)
         )
         pt = partial_transpose(state, Cut.of(4, [1, 2]))
@@ -310,7 +321,7 @@ class TestPartialTranspose:
         assert np.trace(pt).real == pytest.approx(1.0, abs=1e-12)
 
     def test_smolin_is_ppt_across_two_vs_two(self):
-        smolin = DenseState(
+        smolin = state_of(
             tuple(PureBranch(np.kron(v, v), 0.25) for v in BELL_LITERALS.values()),
             pair_register(2),
         )
@@ -324,7 +335,7 @@ class TestLogNegativity:
         assert log_negativity(state, Cut.of(2, [0])) == pytest.approx(1.0, abs=1e-12)
 
     def test_smolin_cuts(self):
-        smolin = DenseState(
+        smolin = state_of(
             tuple(PureBranch(np.kron(v, v), 0.25) for v in BELL_LITERALS.values()),
             pair_register(2),
         )
@@ -333,7 +344,7 @@ class TestLogNegativity:
             assert log_negativity(smolin, Cut.one_vs_rest(smolin, q)) >= 1.0 - 1e-9
 
     def test_correlated_two_pair_mixture_holds_one_ebit(self):
-        state = DenseState(
+        state = state_of(
             (
                 PureBranch(np.kron(BELL_LITERALS[B1], BELL_LITERALS[B1]), 0.5),
                 PureBranch(np.kron(BELL_LITERALS[B2], BELL_LITERALS[B2]), 0.5),
@@ -343,7 +354,7 @@ class TestLogNegativity:
         assert log_negativity(state, Cut.alice_bob(state)) >= 1.0 - 1e-9
 
     def test_zero_iff_ppt(self):
-        smolin = DenseState(
+        smolin = state_of(
             tuple(PureBranch(np.kron(v, v), 0.25) for v in BELL_LITERALS.values()),
             pair_register(2),
         )
@@ -426,7 +437,7 @@ class TestTraceDistance:
         a = pure_state(big1, 6)
         b = pure_state(big3, 6)
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
-        half = DenseState(
+        half = state_of(
             (PureBranch(big1, 0.5), PureBranch(big3, 0.5)), pair_register(6)
         )
         assert trace_distance(a, half) == pytest.approx(0.5, abs=1e-12)
@@ -438,14 +449,18 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="norm"):
             PureBranch(np.array([1.0, 1.0]), 1.0)
 
+    def test_at_least_one_branch(self):
+        with pytest.raises(ValueError, match="at least one branch"):
+            DenseState.from_arrays(np.zeros((0, 4)), [], pair_register(1))
+
     def test_weights_must_sum_to_one(self):
         good = PureBranch(BELL_LITERALS[B1], 0.5)
         with pytest.raises(ValueError, match="sum"):
-            DenseState((good,), pair_register(1))
+            state_of((good,), pair_register(1))
 
     def test_label_count_checked(self):
         with pytest.raises(ValueError, match="labels"):
-            DenseState((PureBranch(BELL_LITERALS[B1], 1.0),), pair_register(2))
+            state_of((PureBranch(BELL_LITERALS[B1], 1.0),), pair_register(2))
 
     def test_tensor_concatenates_registers(self):
         a = pure_state(BELL_LITERALS[B1], 1)
@@ -471,14 +486,14 @@ def random_mixture(rng, n_qubits, weights, real=False):
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     weights = np.asarray(weights, dtype=float) / np.sum(weights)
     labels = tuple(QubitLabel(("alice", "bob")[q % 2], q // 2) for q in range(n_qubits))
-    return DenseState(tuple(PureBranch(v, w) for v, w in zip(vecs, weights)), labels)
+    return state_of(tuple(PureBranch(v, w) for v, w in zip(vecs, weights)), labels)
 
 
-def reference_reduced(state, keep):
+def reference_reduced(rho, keep):
     """Reduced density matrix by an explicit index contraction of rho."""
-    n = state.n_qubits
+    n = len(rho).bit_length() - 1
     rest = [q for q in range(n) if q not in keep]
-    rho = state.density_matrix().reshape((2,) * (2 * n))
+    rho = rho.reshape((2,) * (2 * n))
     rho = np.transpose(rho, keep + rest + [n + q for q in keep] + [n + q for q in rest])
     dk, dr = 2 ** len(keep), 2 ** len(rest)
     return np.einsum("ajbj->ab", rho.reshape(dk, dr, dk, dr))
@@ -490,11 +505,12 @@ def reference_trace_distance(a, b):
 
 def reference_bell_outcome(state, label, pair):
     """Probability and post-state density matrix of one Bell outcome,
-    by the explicit projector of that outcome alone."""
+    by the explicit projector of that outcome alone, then a trace over
+    the measured pair."""
     proj = embed_op(np.outer(bell_vector(label), bell_vector(label).conj()), state.n_qubits, pair)
     rho = proj @ state.density_matrix() @ proj
     prob = float(np.trace(rho).real)
-    return prob, rho / prob
+    return prob, reference_reduced(rho / prob, [q for q in range(state.n_qubits) if q not in pair])
 
 
 class TestRankSizedSpectra:
@@ -515,7 +531,7 @@ class TestRankSizedSpectra:
         monkeypatch.setattr(dense, "from_density_matrix", lambda *a: routed.append(1) or original(*a))
         reduced = partial_trace(state, keep)
         assert bool(routed) is not svd_route
-        ref = reference_reduced(state, keep)
+        ref = reference_reduced(state.density_matrix(), keep)
         assert np.max(np.abs(reduced.density_matrix() - ref)) <= 1e-12
         weights_out = [b.weight for b in reduced.branches]
         assert weights_out == sorted(weights_out, reverse=True)
@@ -539,7 +555,7 @@ class TestRankSizedSpectra:
         cut = Cut.alice_bob(state)
         # A global phase of i leaves every partial-transpose entry exactly
         # real; S on one of Alice's qubits, a local unitary, makes them complex.
-        phased = DenseState(tuple(PureBranch(1j * b.amplitudes, b.weight) for b in state.branches), state.qubit_labels)
+        phased = state_of(tuple(PureBranch(1j * b.amplitudes, b.weight) for b in state.branches), state.qubit_labels)
         rotated = apply_unitary(state, dense.PHASE_S, (0,))
         values = [seen.append(set()) or log_negativity(s, cut) for s in (state, phased, rotated)]
         assert values == pytest.approx([2.0] * 3, abs=1e-12)
@@ -549,9 +565,9 @@ class TestRankSizedSpectra:
     @pytest.mark.parametrize("pair", [(0, 3), (4, 1), (2, 3)])
     def test_batched_bell_measurement_matches_per_outcome(self, pair):
         state = random_mixture(np.random.default_rng(7), 6, (0.2, 0.5, 0.3))
-        outcomes = bell_measurement(state, pair)
-        assert [label for label, _, _ in outcomes] == list(LABELS)
-        for label, prob, post in outcomes:
+        grouped = outcome_states(*bell_measurement(state, pair))
+        assert list(grouped) == [0, 1, 2, 3]
+        for label, (prob, post) in zip(LABELS, grouped.values()):
             ref_prob, ref_rho = reference_bell_outcome(state, label, tuple(sorted(pair)))
             assert prob == pytest.approx(ref_prob, abs=1e-14)
             assert np.max(np.abs(post.density_matrix() - ref_rho)) <= 1e-13
@@ -604,7 +620,7 @@ class TestSpectrumShapes:
 # ---------------------------------------------------------------------------
 #
 # Each reference runs one branch at a time through PureBranch and
-# DenseState(branches, labels); the batched kernels, which act on the whole
+# state_of(branches, labels); the batched kernels, which act on the whole
 # (k, 2**n) amplitude array at once, must agree with them within 1e-13.
 
 
@@ -619,7 +635,7 @@ def ref_apply_unitary(state, u, targets):
     branches = tuple(
         PureBranch(ref_apply_matrix(b.amplitudes, state.n_qubits, u, targets), b.weight) for b in state.branches
     )
-    return DenseState(branches, state.qubit_labels)
+    return state_of(branches, state.qubit_labels)
 
 
 def ref_tensor(left, right):
@@ -628,7 +644,7 @@ def ref_tensor(left, right):
         for lb in left.branches
         for rb in right.branches
     ]
-    return DenseState(tuple(branches), left.qubit_labels + right.qubit_labels)
+    return state_of(tuple(branches), left.qubit_labels + right.qubit_labels)
 
 
 def ref_mixture(weighted):
@@ -636,7 +652,7 @@ def ref_mixture(weighted):
     for w, s in weighted:
         if w > 0:
             branches.extend(PureBranch(b.amplitudes, w * b.weight) for b in s.branches)
-    return DenseState(tuple(branches), weighted[0][1].qubit_labels)
+    return state_of(tuple(branches), weighted[0][1].qubit_labels)
 
 
 def ref_fidelity(state, target):
@@ -664,14 +680,14 @@ def ref_bell_measurement(state, pair):
                 branches.append(PureBranch(full.reshape(-1), b.weight * p_b))
         if prob > 1e-14:
             branches = tuple(PureBranch(br.amplitudes, br.weight / prob) for br in branches)
-            out.append((label, prob, DenseState(branches, state.qubit_labels)))
+            out.append((label, prob, state_of(branches, state.qubit_labels)))
     return out
 
 
 def ref_eigenbranches(vals, vecs, labels):
     branches = [PureBranch(v / np.linalg.norm(v), float(w)) for v, w in zip(vecs.T, vals) if w > 1e-13]
     total = sum(b.weight for b in branches)
-    return DenseState(tuple(PureBranch(b.amplitudes, b.weight / total) for b in branches), labels)
+    return state_of(tuple(PureBranch(b.amplitudes, b.weight / total) for b in branches), labels)
 
 
 def ref_partial_trace(state, keep):
@@ -720,7 +736,7 @@ def ref_parity_measure(state, pair):
             if p_b > 1e-14:
                 weighted.append(PureBranch(psi / np.sqrt(p_b), b.weight * p_b))
         if prob > 1e-14:
-            post = DenseState(tuple(PureBranch(br.amplitudes, br.weight / prob) for br in weighted), state.qubit_labels)
+            post = state_of(tuple(PureBranch(br.amplitudes, br.weight / prob) for br in weighted), state.qubit_labels)
             out.append((bit, prob, ref_partial_trace(post, keep) if keep else None))
     return out
 
@@ -743,11 +759,11 @@ def ref_teleport(channel, input_state):
     # The partial trace is linear, so this reference traces one branch at a
     # time and every spectrum stays the size of one branch's rank.
     parts = [
-        (b.weight, ref_partial_trace(DenseState((PureBranch(b.amplitudes, 1.0),), mixed.qubit_labels), range(4, n)))
+        (b.weight, ref_partial_trace(state_of((PureBranch(b.amplitudes, 1.0),), mixed.qubit_labels), range(4, n)))
         for b in mixed.branches
     ]
     reduced = ref_mixture(parts)
-    return DenseState(reduced.branches, pair_register(channel.n_qubits // 2 - 1))
+    return state_of(reduced.branches, pair_register(channel.n_qubits // 2 - 1))
 
 
 def assert_same_state(state, ref, atol=1e-13):
@@ -766,7 +782,7 @@ def mixed_bell_and_random(rng, n_qubits):
             vec = np.kron(vec, bell_vector(LABELS[rng.integers(4)]))
         vecs.append(np.kron(vec, np.ones(2 ** (n_qubits % 2)) / np.sqrt(2 ** (n_qubits % 2))))
     vecs.append(random_mixture(rng, n_qubits, (1.0,)).amplitudes[0])
-    return DenseState(tuple(PureBranch(v, w) for v, w in zip(vecs, (0.4, 0.3, 0.2, 0.1))), labels)
+    return state_of(tuple(PureBranch(v, w) for v, w in zip(vecs, (0.4, 0.3, 0.2, 0.1))), labels)
 
 
 QUBITS = range(2, 11)
@@ -783,17 +799,18 @@ class TestBatchedKernelsMatchPerBranch:
         for u, targets in [(u2, (0,)), (u2, (n - 1,))] + [(u4, pair) for pair in pairs]:
             assert_same_state(apply_unitary(state, u, targets), ref_apply_unitary(state, u, targets))
 
-    @pytest.mark.parametrize("n", QUBITS)
+    @pytest.mark.parametrize("n", QUBITS[1:])  # a two-qubit register would leave no qubits
     def test_bell_measurement(self, n):
         rng = np.random.default_rng(300 + n)
         for state in (random_mixture(rng, n, (0.2, 0.5, 0.3)), mixed_bell_and_random(rng, n)):
             for pair in [(0, 1), (n - 1, 0)] + ([(1, 3)] if n > 3 else []):
-                got, ref = bell_measurement(state, pair), ref_bell_measurement(state, pair)
-                assert [label for label, _, _ in got] == [label for label, _, _ in ref]
-                for (_, prob, post), (_, ref_prob, ref_post) in zip(got, ref):
+                got, ref = outcome_states(*bell_measurement(state, pair)), ref_bell_measurement(state, pair)
+                assert list(got) == [label.index - 1 for label, _, _ in ref]
+                for (prob, post), (label, ref_prob, ref_post) in zip(got.values(), ref):
                     assert prob == pytest.approx(ref_prob, abs=1e-13)
                     assert len(post.weights) == len(ref_post.branches)
-                    assert_same_state(post, ref_post)
+                    rest = without_pair(ref_post.amplitudes, n, sorted(pair), label)
+                    assert_same_state(post, DenseState.from_arrays(rest, ref_post.weights, post.qubit_labels))
 
     @pytest.mark.parametrize(
         "n, keep, weights, svd_route",
@@ -853,37 +870,32 @@ class TestBatchedKernelsMatchPerBranch:
 
 
 class TestDiscardingBellMeasurement:
-    """``bell_measurement(..., discard=True)`` against the default form with
-    the measured pair projected out of each post-state."""
-
-    @staticmethod
-    def without_pair(rows, n, pair, label):
-        """<B_label| on the pair of each n-qubit row; the rest stay in register order."""
-        psi = np.moveaxis(rows.reshape((len(rows),) + (2,) * n), [q + 1 for q in pair], (1, 2))
-        return np.einsum("i,kir->kr", bell_vector(label).conj(), psi.reshape(len(rows), 4, -1))
+    """``bell_measurement`` against the per-outcome reference
+    ``ref_bell_measurement`` with the measured pair projected out of each
+    post-state."""
 
     @pytest.mark.parametrize("n", range(3, 11))
-    def test_rows_are_the_default_post_states_without_the_pair(self, n):
+    def test_rows_are_the_reference_post_states_without_the_pair(self, n):
         rng = np.random.default_rng(900 + n)
         pairs = [(0, 1), (n - 1, 0)] + ([(3, 0), (1, 3)] if n > 3 else [(2, 0)])
         for state in (random_mixture(rng, n, (0.2, 0.5, 0.3)), mixed_bell_and_random(rng, n)):
             for pair in dict.fromkeys(pairs):
-                post, outcomes = bell_measurement(state, pair, discard=True)
+                post, outcomes = bell_measurement(state, pair)
                 assert post.qubit_labels == tuple(l for q, l in enumerate(state.qubit_labels) if q not in pair)
                 assert outcomes.shape == post.weights.shape
-                default = bell_measurement(state, pair)
-                assert sorted(set(outcomes.tolist())) == [label.index - 1 for label, _, _ in default]
-                for label, prob, ref in default:
+                ref_outcomes = ref_bell_measurement(state, pair)
+                assert sorted(set(outcomes.tolist())) == [label.index - 1 for label, _, _ in ref_outcomes]
+                for label, prob, ref in ref_outcomes:
                     rows = outcomes == label.index - 1
                     assert post.weights[rows].sum() == pytest.approx(prob, abs=1e-13)
                     assert np.max(np.abs(post.weights[rows] - prob * ref.weights)) <= 1e-13
-                    expected = self.without_pair(ref.amplitudes, n, sorted(pair), label)
+                    expected = without_pair(ref.amplitudes, n, sorted(pair), label)
                     assert np.max(np.abs(post.amplitudes[rows] - expected)) <= 1e-13
 
     def test_two_qubit_register_leaves_nothing(self):
         state = random_mixture(np.random.default_rng(902), 2, (0.5, 0.5))
         with pytest.raises(ValueError, match="no qubits"):
-            bell_measurement(state, (0, 1), discard=True)
+            bell_measurement(state, (0, 1))
 
 
 def choi_probe_inputs():
@@ -899,7 +911,7 @@ def choi_probe_inputs():
     rng = np.random.default_rng(dense._CHOI_CHECK_SEED)
     probe = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     probe /= np.linalg.norm(probe, axis=1, keepdims=True)
-    return inputs + [DenseState((PureBranch(probe[0], 0.375), PureBranch(probe[1], 0.625)), labels)]
+    return inputs + [state_of((PureBranch(probe[0], 0.375), PureBranch(probe[1], 0.625)), labels)]
 
 
 def teleport_channels():
@@ -1409,7 +1421,7 @@ def ref_corrected_rows(state, pairs, receivers):
     receiver of each pair in turn by the stacked 2x2 product of every
     row's outcome matrix for that pair, with no rescale.  Returns the
     corrected rows and the uncorrected measurement's post-state."""
-    post, outcomes = bell_measurement(state, *pairs, discard=True)
+    post, outcomes = bell_measurement(state, *pairs)
     amps, k, n = post.amplitudes, len(post.weights), post.n_qubits
     for i, qubits in enumerate(receivers):
         digit = (outcomes >> 2 * (len(pairs) - 1 - i)) & 3  # pair i's outcome, first pair most significant
@@ -1449,10 +1461,10 @@ class TestPauliFrameCorrections:
     def test_rows_equal_per_receiver_products(self, pairs, receivers):
         rng = np.random.default_rng(1300 + sum(map(len, receivers)) + 10 * pairs[0][0])
         for state in (random_mixture(rng, 8, (0.4, 0.35, 0.25)), mixed_bell_and_random(rng, 8)):
-            got, outcomes = bell_measurement(state, *pairs, discard=True, receivers=receivers)
+            got, outcomes = bell_measurement(state, *pairs, receivers=receivers)
             assert sorted(set(outcomes.tolist())) == list(range(4 ** len(pairs)))  # rows of every outcome, mixed
             amps, plain = ref_corrected_rows(state, pairs, receivers)
-            assert np.array_equal(outcomes, bell_measurement(state, *pairs, discard=True)[1])
+            assert np.array_equal(outcomes, bell_measurement(state, *pairs)[1])
             assert np.array_equal(got.amplitudes, amps)
             assert np.array_equal(got.weights, plain.weights) and got.qubit_labels == plain.qubit_labels
 
@@ -1475,14 +1487,10 @@ class TestPauliFrameCorrections:
         state = random_mixture(np.random.default_rng(1330), 6, (1.0,))
         for receivers in ([[0]], [[0], [2]], [[-1], [0]], [[1, 1], [0]], [[0], [0]]):
             with pytest.raises(ValueError, match="receivers"):
-                bell_measurement(state, (0, 2), (1, 3), discard=True, receivers=receivers)
-        with pytest.raises(ValueError, match="several pairs"):
-            bell_measurement(state, (0, 2), (1, 3))
-        with pytest.raises(ValueError, match="receivers"):  # corrections need the discarding form
-            bell_measurement(state, (0, 1), receivers=[[0]])
+                bell_measurement(state, (0, 2), (1, 3), receivers=receivers)
         for pairs in ((), ((0, 1, 2),), ((0, 2), (2, 3)), ((4, 6),)):
             with pytest.raises(ValueError, match="two distinct register qubits"):
-                bell_measurement(state, *pairs, discard=True)
+                bell_measurement(state, *pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1651,7 +1659,7 @@ class TestUnscaledKernelRows:
             lambda: dense.mix_flipped(state, [1, 3]),
             lambda: dense.apply_cnot_layers(state, [[(0, 1)], [(1, 2)]]),
             lambda: apply_unitary(state, HADAMARD, (2,)),
-            lambda: bell_measurement(state, (0, 2), (1, 3), discard=True, receivers=[[0], [1]]),
+            lambda: bell_measurement(state, (0, 2), (1, 3), receivers=[[0], [1]]),
         ):
             with pytest.raises(ValueError, match="norm"):
                 kernel()

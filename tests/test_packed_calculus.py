@@ -79,9 +79,7 @@ def _dense_parity(state: dense.DenseState, pair: int) -> dict[int, tuple[float, 
         if n == 2:
             out[bit] = (prob, None)
             continue
-        post = dense.DenseState(
-            tuple(dense.PureBranch(v, w / prob) for v, w in branches), state.qubit_labels
-        )
+        post = dense.DenseState.from_arrays([v for v, _ in branches], [w / prob for _, w in branches], state.qubit_labels)
         keep = [q for q in range(n) if q not in (2 * pair, 2 * pair + 1)]
         out[bit] = (prob, dense.partial_trace(post, keep))
     return out

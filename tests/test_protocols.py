@@ -244,10 +244,9 @@ class TestTeleportation:
         channel = to_dense(smolin_ensemble())
         inp = to_dense(BellEnsemble.point((B2,)), role="input")
         combined = dense.tensor(inp, channel)
-        outcomes = dense.bell_measurement(combined, (0, 2))
-        assert len(outcomes) == 4
-        for _, prob, _ in outcomes:
-            assert prob == pytest.approx(0.25, abs=1e-12)
+        post, outcomes = dense.bell_measurement(combined, (0, 2))
+        probs = np.bincount(outcomes, weights=post.weights)
+        assert probs == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_choi_matches_term_by_term_form(self):
         channel = to_dense(smolin_ensemble())
@@ -611,6 +610,34 @@ class TestDerivedLedger:
         with pytest.raises(ValueError) as got:
             protocols.derive_ledger(program)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (("bxor", 0, 0), "source and target pair must differ"),
+            (("bxor", -1, 1), "pair index -1 out of range for 2 pairs"),
+            (("parity_measure", 3), "pair index 3 out of range for 2 pairs"),
+            (("local_clifford", 2, pair_reduction_table(B1, B2)), "pair index 2 out of range for 2 pairs"),
+        ],
+        ids=["bxor-onto-itself", "bxor-negative-pair", "parity-pair-out-of-range", "clifford-pair-out-of-range"],
+    )
+    def test_invalid_step_rejected_with_the_symbolic_message(self, op, message):
+        program = protocols.Program(BellEnsemble.point((B1, B2)), (op,), inputs=2)
+        with pytest.raises(ValueError, match=message):
+            calculus.apply_steps(program.initial, program.steps)
+        with pytest.raises(ValueError, match=message):
+            protocols.derive_ledger(program)
+
+    @pytest.mark.parametrize("after", [("bxor", 1, 2), ("parity_measure", 1), ("random_pauli_x",)])
+    def test_no_step_follows_a_parity_measurement(self, after):
+        program = protocols.Program(BellEnsemble.point((B1, B2, B3)), (("parity_measure", 0), after), inputs=3)
+        for read in (
+            lambda: calculus.apply_steps(program.initial, program.steps),
+            lambda: calculus.apply_steps_dense(to_dense(program.initial), program.steps),
+            lambda: protocols.derive_ledger(program),
+        ):
+            with pytest.raises(ValueError, match="a parity_measure step ends a step list"):
+                read()
 
     def test_appends_to_a_given_ledger(self):
         ledger = ResourceLedger(ebits_consumed=1.0, classical_bits=3, steps=[LedgerStep("classical", "x", (), (3,))])

@@ -12,9 +12,13 @@ benchmark's BLAS thread count.  For every output that differs, the job
 and the part that differs are printed; for JSON outputs, each leaf that
 moved is printed as ``path: old -> new`` (old is ``OTHER_TREE``), and
 for text the differing lines.  Last, every moved output is checked
-against the baseline by the benchmark's correctness gate
-(``jobs.mismatches``, which compares dense-derived values within their
-pinned tolerances and everything else exactly); the tool prints either
+by the benchmark's correctness gate, as ``bench/jobs.py`` judges it:
+stderr is printed but not judged, since the benchmark never reads it; a
+run whose ``bench/reference.json`` entry records an error passes if it
+raises that error or ends with the closed-form output
+(``jobs._fixed_defect_problems``); any other run is compared with the
+baseline's by ``jobs.mismatches``, dense-derived values within their
+pinned tolerances and everything else exactly.  The tool prints either
 that the moved leaves lie within the gate's tolerances or each leaf
 that does not.  The exit status is 0 when every output is identical and
 1 otherwise.
@@ -89,13 +93,21 @@ def describe(old: str | None, new: str | None) -> list[str]:
     return moved or list(diff)[2:]
 
 
-def beyond_gate(old: dict, new: dict) -> list[str]:
+def beyond_gate(old: dict, new: dict, argv: list[str] = (), recorded_error: str | None = None) -> list[str]:
     """The parts of one run's outputs (as :func:`run_cli` returns them)
-    that the benchmark's gate rejects with ``old`` as the reference: JSON
-    leaves outside their tolerance, and any other part that differs."""
+    that the benchmark's gate rejects.  With a ``recorded_error`` (the
+    reference entry of a recorded defect), ``new`` passes if it raised that
+    error, the last stderr line of an exit 1, or else passes the closed-form
+    check of ``argv``.  Otherwise ``old`` is the reference: JSON leaves
+    outside their tolerance, and any other part that differs, stderr aside."""
+    if recorded_error is not None:
+        if new["exit"] == 1 and new["stderr"] == recorded_error:
+            return []
+        outcome = jobs.Outcome(exit=new["exit"], stdout=new["stdout"])
+        return [f"recorded defect: {line}" for line in jobs._fixed_defect_problems(argv, outcome)]
     out = []
     for part in new:
-        if old[part] == new[part]:
+        if part == "stderr" or old[part] == new[part]:
             continue
         try:
             ref, actual = json.loads(old[part]), json.loads(new[part])
@@ -114,6 +126,7 @@ def main(argv=None) -> int:
     if not (other / "src" / "bellclone" / "__init__.py").is_file():
         parser.error(f"no bellclone package under {other / 'src'}")
     runs = [["verify-all"]] + jobs.dense_argv_space()
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
     differing, beyond = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -128,7 +141,8 @@ def main(argv=None) -> int:
                 print(f"  {part}:")
                 lines = describe(old[part], new[part]) if isinstance(new[part], str) else [f"{old[part]} -> {new[part]}"]
                 print("\n".join(f"    {line}" for line in lines))
-            beyond += [f"{' '.join(argv)}: {line}" for line in beyond_gate(old, new)]
+            recorded = reference.get(" ".join(argv), {}).get("error")
+            beyond += [f"{' '.join(argv)}: {line}" for line in beyond_gate(old, new, argv, recorded)]
     print(f"{len(runs) - differing} of {len(runs)} outputs identical")
     if beyond:
         print("leaves beyond the gate's tolerances:")
