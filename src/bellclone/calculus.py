@@ -424,21 +424,20 @@ def party_qubit(pair: int, party: str) -> int:
 _BILATERAL_HADAMARD = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2 + 0j
 
 
-def _teleport_and_correct(channel: dense.DenseState, input_state: dense.DenseState) -> dense.DenseState:
-    """Teleport a shared two-qubit state through a pair-structured channel.
+def teleport_two_qubit(channel: dense.DenseState, input_state: dense.DenseState) -> dense.DenseState:
+    """Teleport a shared two-qubit state through a channel of two or more pairs.
 
-    The input's first two qubits (Alice's, then Bob's) are the pair to
-    teleport; any further input qubits, such as the reference of a Choi
-    run, are carried through untouched and end up, with their labels,
-    after the output pairs.  The channel's pair 0 is consumed by the Bell
-    measurements (Alice measures her input qubit with A0, Bob his with
-    B0), qubits 0-3 of the joint register: one Bell measurement projects
-    and drops both pairs and applies each party's outcome-indexed Pauli
-    correction to its qubit of every remaining channel pair as one frame.
-    What is left is the output: one row per (branch, Alice outcome, Bob
-    outcome), up to 16 per branch of the joint input, unmerged, each
-    divided once by the square root of its probability and then only
-    checked.  No partial trace or spectrum is taken.
+    Both parties run the standard single-qubit teleportation protocol for
+    channel |B1> (corrections B1 -> I, B2 -> z, B3 -> x, B4 -> y): Alice
+    Bell-measures her input qubit with A0, Bob his with B0, and each
+    corrects its qubit of every other channel pair.  Through the Smolin
+    state this is the Bell-diagonal filter sigma_i (x) sigma_j -> delta_ij
+    sigma_i (x) sigma_j.  Input qubits after the first two (the reference
+    of :func:`~bellclone.dense.choi_matrix`) are carried, with their labels,
+    after the output pairs.  One Bell measurement drops qubits 0-3 of the
+    joint register with the corrections as one Pauli frame; the output has
+    one unmerged row per (branch, Alice outcome, Bob outcome), divided once
+    by the root of its probability.  No partial trace or spectrum is taken.
     """
     n_receive = channel.n_qubits // 2 - 1
     if n_receive < 1:
@@ -511,7 +510,7 @@ def apply_steps_dense(state: dense.DenseState, steps: Iterable[tuple]):
                 _check_last(steps)  # groupby has not read past this step yet
             elif name == "teleport":
                 _check_teleport(n_pairs, op[1].n_pairs)
-                state = _teleport_and_correct(state, to_dense(op[1], role="input"))
+                state = teleport_two_qubit(state, to_dense(op[1], role="input"))
             else:
                 raise ValueError(f"unknown rewrite step {name!r}")
     return state

@@ -15,18 +15,17 @@ is one gather through one index row; every other gate is a matrix product.
 A Bell measurement drops the pairs it measured, several at once with a
 Pauli frame on disjoint receivers, which is how teleportation leaves
 exactly its output qubits without any trace or spectrum; no program step
-takes one.  Spectra are taken at the size of the state's rank, not of the
-register: a partial trace diagonalizes its stacked branch columns by a
-thin SVD, and a trace distance works in the joint span of both states'
-branches, on the basis indices at which some branch is nonzero.
+takes one.  A trace distance takes its spectrum at the size of the
+state's rank, not of the register: it works in the joint span of both
+states' branches, on the basis indices at which some branch is nonzero.
 Log-negativity builds only the partial-transpose entries that the
 branches' nonzero amplitudes produce and diagonalizes the matrix's
 connected blocks.  A density matrix (up to 10 qubits) is materialized
-only for the log-negativity of dense rows, in a partial trace whose
-branches span at least the kept space, and on request
-(``density_matrix``, ``partial_transpose``, Choi matrices).  A Choi
-matrix takes one channel run, on the input half of a maximally entangled
-input-reference state, plus one run that checks linearity.
+only for the log-negativity of dense rows, for the kept block of a
+partial trace, and on request (``density_matrix``, ``partial_transpose``,
+Choi matrices).  A Choi matrix takes one channel run, on the input half
+of a maximally entangled input-reference state, plus one run that checks
+linearity.
 Matrices with an exactly zero imaginary part are diagonalized in real
 arithmetic.  Global phases are ignored throughout: two states are
 considered equal when their density operators agree.
@@ -240,9 +239,6 @@ class DenseState:
             )
         return (self.amplitudes.T * self.weights) @ self.amplitudes.conj()
 
-    def qubits_of(self, party: str) -> tuple[int, ...]:
-        return tuple(i for i, q in enumerate(self.qubit_labels) if q.party == party)
-
 
 def tensor(left: DenseState, right: DenseState, at: int | None = None) -> DenseState:
     """Tensor product; the right register goes after the first ``at``
@@ -277,7 +273,7 @@ class Cut:
     @classmethod
     def alice_bob(cls, state: DenseState) -> "Cut":
         """The Alice : Bob cut read off the register's party tags."""
-        return cls.of(state.n_qubits, state.qubits_of("alice"))
+        return cls.of(state.n_qubits, (i for i, q in enumerate(state.qubit_labels) if q.party == "alice"))
 
     @classmethod
     def one_vs_rest(cls, state: DenseState, qubit: int) -> "Cut":
@@ -449,16 +445,9 @@ def bell_measurement(state: DenseState, *pairs: tuple[int, int], receivers=None)
 
 
 def partial_trace(state: DenseState, keep: Iterable[int]) -> DenseState:
-    """Reduced state on the kept qubits (ascending original order).
-
-    The result is re-expressed as a mixture of eigenbranches of the
-    reduced density operator rho = A A^dagger, where A stacks each
-    branch's (kept x traced) amplitude matrix scaled by sqrt(weight).
-    When A has fewer nonzero columns than the kept dimension, its thin SVD gives
-    the eigenbranches at the size of the rank and no density matrix is
-    formed; otherwise rho is materialized and diagonalized, so the kept
-    block must stay within the 10-qubit materialization limit.
-    """
+    """Reduced state on the kept qubits (ascending original order), as the
+    eigenbranches of its density operator (:func:`from_density_matrix`),
+    which is materialized: the kept block may hold at most 10 qubits."""
     keep = sorted(set(keep))
     n = state.n_qubits
     if not keep:
@@ -469,31 +458,19 @@ def partial_trace(state: DenseState, keep: Iterable[int]) -> DenseState:
         return state
     if len(keep) > MAX_DENSE_QUBITS:
         raise ValueError("kept block too large to materialize")
-    dim = 2 ** len(keep)
     cols = np.sqrt(state.weights)[:, None, None] * _split(state.amplitudes, n, keep)[0]
-    a = cols.transpose(1, 0, 2).reshape(dim, -1)
+    a = cols.transpose(1, 0, 2).reshape(2 ** len(keep), -1)
     a = _real_if_exact(a[:, a.any(axis=0)])  # an all-zero column adds nothing to A A^dagger
-    labels = tuple(state.qubit_labels[q] for q in keep)
-    if a.shape[1] < dim:
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        return _eigenbranch_mixture(s**2, u, labels)
-    return from_density_matrix(a @ a.conj().T, labels)
+    return from_density_matrix(a @ a.conj().T, tuple(state.qubit_labels[q] for q in keep))
 
 
 def from_density_matrix(rho: np.ndarray, qubit_labels: Sequence[QubitLabel]) -> DenseState:
-    """Eigendecompose a density operator into a branch mixture."""
+    """Eigendecompose a density operator into a branch mixture: its
+    eigenvectors with eigenvalues above 1e-13, in descending order, which
+    are the weights and so must sum to 1 within 1e-9."""
     vals, vecs = np.linalg.eigh(_real_if_exact(rho))
-    return _eigenbranch_mixture(vals[::-1], vecs[:, ::-1], qubit_labels)
-
-
-def _eigenbranch_mixture(
-    vals: np.ndarray, vecs: np.ndarray, qubit_labels: Sequence[QubitLabel]
-) -> DenseState:
-    """The mixture of eigenvectors (columns of ``vecs``, descending
-    eigenvalues ``vals``) above 1e-13; the eigenvalues kept are the weights,
-    so they must sum to 1 within 1e-9."""
     above = vals > 1e-13
-    return DenseState.from_arrays(vecs.T[above], vals[above], qubit_labels)
+    return DenseState.from_arrays(vecs.T[above][::-1], vals[above][::-1], qubit_labels)
 
 
 def _real_if_exact(m: np.ndarray) -> np.ndarray:
@@ -563,14 +540,10 @@ def _partial_transpose_blocks(weights: np.ndarray, m: np.ndarray) -> list[np.nda
     re = a.real * c.real + a.imag * c.imag
     im = a.imag * c.real - a.real * c.imag
     # bincount sums each entry's terms in input (branch) order.
-    order = keys.argsort()
-    keys = keys[order]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    entry = np.empty(len(keys), dtype=np.intp)
-    entry[order] = first.cumsum() - 1
+    keys, entry = np.unique(keys, return_inverse=True)
     vals = np.bincount(entry, re) + 1j * np.bincount(entry, im)
     nonzero = vals != 0  # an entry that cancelled exactly links nothing
-    rows, cols = np.divmod(keys[first][nonzero], dim)
+    rows, cols = np.divmod(keys[nonzero], dim)
     vals = vals[nonzero]
     # Connected components: root[x] is always an index of x's component.
     root = np.arange(dim)

@@ -28,11 +28,11 @@ from . import calculus, dense
 from .calculus import (
     PARTIES,
     BellEnsemble,
-    _teleport_and_correct,
     append_b1,
     apply_steps,
     apply_steps_dense,
     mix,
+    teleport_two_qubit,
     to_dense,
 )
 from .dense import Cut, DenseState, HADAMARD, PHASE_S, QubitLabel, pauli
@@ -147,11 +147,15 @@ def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> Res
             lines += [LedgerStep(party, "measure-z", (qp[op[1]],)) for party, qp in q]
             lines.append(LedgerStep("classical", "compare-parity", (), (2,)))
         elif name == "teleport":  # the input pair joins the register in front
+            calculus._check_teleport(n, op[1].n_pairs)
             joint = _qubits(dense.pair_register(1, role="input") + register)
             lines += [LedgerStep(party, "bell-measure", (qp[0], qp[1])) for party, qp in joint]
             lines.append(LedgerStep("classical", "broadcast-outcomes", (), (4,)))
             # channel pair k - 1 is pair k of the joint register
             lines += [LedgerStep(p, "pauli-correct", (qp[k],)) for k in range(2, n + 1) for p, qp in joint]
+            # the Bell measurements consumed channel pair 0; later steps act on the rest
+            register, n = register[2:], n - 1
+            (_, qa), (_, qb) = q = _qubits(register)
         else:
             raise ValueError(f"no ledger rule for step {name!r}")
     ledger.classical_bits += sum(line.words[0] for line in lines if line.party == "classical")
@@ -357,22 +361,6 @@ def smolin_ensemble() -> BellEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def teleport_two_qubit(channel: DenseState, input_state: DenseState) -> DenseState:
-    """Teleport a two-qubit state through a two-pair channel.
-
-    Both parties run the standard single-qubit teleportation protocol
-    for channel |B1> (corrections B1 -> I, B2 -> z, B3 -> x, B4 -> y) on
-    their own halves; the output is averaged over the 16 outcome pairs.
-    Through the Smolin state this realizes the Bell-diagonal filter
-    sigma_i (x) sigma_j -> delta_ij sigma_i (x) sigma_j.  The input's
-    qubits 0-1 are teleported and any further qubits (the reference of
-    :func:`~bellclone.dense.choi_matrix`) are kept, after the output.
-    """
-    if channel.n_qubits != 4:
-        raise ValueError("two-qubit teleportation needs a two-pair channel")
-    return _teleport_and_correct(channel, input_state)
-
-
 def ideal_channel() -> DenseState:
     """Two independent perfect teleportation channels: a |B1> between
     Alice's sending and receiving qubits and another between Bob's."""
@@ -508,7 +496,6 @@ class SigmaBuild:
 
     ensemble: BellEnsemble
     steps: tuple[tuple, ...]
-    intermediate: BellEnsemble  # p P[B1^(x)n] + (1-p) P[B3^(x)n]
     start: BellEnsemble  # sigma_1 (x) P[B1^(x)(n-1)]
 
     @property
@@ -521,9 +508,9 @@ def build_sigma_n(p: float, n: int) -> SigmaBuild:
     """Build sigma_n from sigma_1 and n-1 shared |B1> pairs.
 
     Bilateral Hadamard on the seed pair, bilateral C-NOTs fanning it
-    onto every ancilla, then bilateral Hadamards on all pairs.  The
-    pre-final mixture of B1/B3 strings is exposed as ``intermediate``;
-    replaying ``inverse_steps`` restores the start state exactly.
+    onto every ancilla (a mixture of B1 and B3 strings), then bilateral
+    Hadamards on all pairs.  Replaying ``inverse_steps`` restores the
+    start state exactly.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"mixing probability must lie in (0, 1), got {p}")
@@ -532,12 +519,9 @@ def build_sigma_n(p: float, n: int) -> SigmaBuild:
     start = BellEnsemble(
         {(B1,) + (B1,) * (n - 1): p, (B2,) + (B1,) * (n - 1): 1.0 - p}
     )
-    steps: list[tuple] = [("bilateral_hadamard", 0)]
-    steps += [("bxor", 0, k) for k in range(1, n)]
-    final_hadamards = [("bilateral_hadamard", k) for k in range(n)]
-    intermediate = apply_steps(start, steps)
-    e = apply_steps(intermediate, final_hadamards)
-    return SigmaBuild(e, tuple(steps + final_hadamards), intermediate, start)
+    steps = (("bilateral_hadamard", 0),) + tuple(("bxor", 0, k) for k in range(1, n))
+    steps += tuple(("bilateral_hadamard", k) for k in range(n))
+    return SigmaBuild(apply_steps(start, steps), steps, start)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bellclone import dense, protocols
-from bellclone.calculus import BellEnsemble, to_dense
+from bellclone.calculus import BellEnsemble, teleport_two_qubit, to_dense
 from bellclone.dense import (
     CNOT,
     Cut,
@@ -516,21 +516,17 @@ def reference_bell_outcome(state, label, pair):
 class TestRankSizedSpectra:
     @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize(
-        "keep, weights, svd_route",
+        "keep, weights",
         [
-            ([0, 1, 2, 3], (0.5, 0.3, 0.2), True),  # 3 x 4 columns < 16 kept dims
-            ([1, 2, 4, 5], (0.6, 0.4), True),
-            ([0, 5], (0.7, 0.3), False),  # 2 x 16 columns >= 4 kept dims
-            ([0, 1, 2, 3], (0.25,) * 4, False),  # 4 x 4 columns = 16 kept dims
+            ([0, 1, 2, 3], (0.5, 0.3, 0.2)),  # 3 x 4 columns < 16 kept dims
+            ([1, 2, 4, 5], (0.6, 0.4)),
+            ([0, 5], (0.7, 0.3)),  # 2 x 16 columns >= 4 kept dims
+            ([0, 1, 2, 3], (0.25,) * 4),  # 4 x 4 columns = 16 kept dims
         ],
     )
-    def test_partial_trace_matches_density_matrix_eigh(self, monkeypatch, real, keep, weights, svd_route):
+    def test_partial_trace_matches_density_matrix_eigh(self, real, keep, weights):
         state = random_mixture(np.random.default_rng(len(keep) + len(weights)), 6, weights, real)
-        routed = []
-        original = dense.from_density_matrix
-        monkeypatch.setattr(dense, "from_density_matrix", lambda *a: routed.append(1) or original(*a))
         reduced = partial_trace(state, keep)
-        assert bool(routed) is not svd_route
         ref = reference_reduced(state.density_matrix(), keep)
         assert np.max(np.abs(reduced.density_matrix() - ref)) <= 1e-12
         weights_out = [b.weight for b in reduced.branches]
@@ -598,13 +594,11 @@ class TestSpectrumShapes:
 
     @pytest.mark.parametrize("probe", [0, 4, 28])
     def test_teleportation_takes_no_trace_or_spectrum(self, spectra, monkeypatch, probe):
-        from bellclone.calculus import _teleport_and_correct
-
         traced = []
         original = dense.partial_trace
         monkeypatch.setattr(dense, "partial_trace", lambda *a: traced.append(1) or original(*a))
         channel = to_dense(protocols.prepare_rho_m(6)[0])
-        out = _teleport_and_correct(channel, choi_probe_inputs()[probe])
+        out = teleport_two_qubit(channel, choi_probe_inputs()[probe])
         assert out.n_qubits == 10
         assert traced == [] and spectra == []
 
@@ -645,14 +639,6 @@ def ref_tensor(left, right):
         for rb in right.branches
     ]
     return state_of(tuple(branches), left.qubit_labels + right.qubit_labels)
-
-
-def ref_mixture(weighted):
-    branches = []
-    for w, s in weighted:
-        if w > 0:
-            branches.extend(PureBranch(b.amplitudes, w * b.weight) for b in s.branches)
-    return state_of(tuple(branches), weighted[0][1].qubit_labels)
 
 
 def ref_fidelity(state, target):
@@ -746,24 +732,25 @@ REF_CORRECTIONS = np.array([pauli(0), pauli(3), pauli(1), pauli(2)])
 
 
 def ref_teleport(channel, input_state):
+    """Alice's and then Bob's Bell measurement, outcome by outcome.  Each
+    projection leaves its pair, (A_in, A0) or (B_in, B0), in the outcome's
+    Bell state, so contracting qubits 0-3 with those two Bell vectors reads
+    off every row's receiving qubits (no partial trace); then each outcome's
+    corrections act on all of its rows at once."""
     n = input_state.n_qubits + channel.n_qubits
-    outputs = []
+    rows, weights = [], []
     for la, pa, state_a in ref_bell_measurement(ref_tensor(input_state, channel), (0, 2)):
         for lb, pb, out in ref_bell_measurement(state_a, (1, 3)):
-            for first, label in ((4, la), (5, lb)):
+            va, vb = (bell_vector(label).reshape(2, 2).conj() for label in (la, lb))
+            psi = out.amplitudes.reshape((-1, 2, 2, 2, 2) + (2,) * (n - 4))  # A_in, B_in, A0, B0, receivers
+            psi = np.einsum("ac,bd,kabcd...->k...", va, vb, psi)
+            for first, label in ((0, la), (1, lb)):  # Alice's receivers, then Bob's
                 corr = REF_CORRECTIONS[LABELS.index(label)]
-                for q in range(first, n, 2):
-                    out = ref_apply_unitary(out, corr, (q,))
-            outputs.append((pa * pb, out))
-    mixed = ref_mixture(outputs)
-    # The partial trace is linear, so this reference traces one branch at a
-    # time and every spectrum stays the size of one branch's rank.
-    parts = [
-        (b.weight, ref_partial_trace(state_of((PureBranch(b.amplitudes, 1.0),), mixed.qubit_labels), range(4, n)))
-        for b in mixed.branches
-    ]
-    reduced = ref_mixture(parts)
-    return state_of(reduced.branches, pair_register(channel.n_qubits // 2 - 1))
+                for q in range(first, n - 4, 2):
+                    psi = np.moveaxis(np.tensordot(corr, psi, axes=(1, q + 1)), 0, q + 1)
+            rows.append(psi.reshape(len(psi), -1))
+            weights.append(pa * pb * out.weights)
+    return DenseState.from_arrays(np.concatenate(rows), np.concatenate(weights), pair_register(channel.n_qubits // 2 - 1))
 
 
 def assert_same_state(state, ref, atol=1e-13):
@@ -813,24 +800,20 @@ class TestBatchedKernelsMatchPerBranch:
                     assert_same_state(post, DenseState.from_arrays(rest, ref_post.weights, post.qubit_labels))
 
     @pytest.mark.parametrize(
-        "n, keep, weights, svd_route",
+        "n, keep, weights",
         [
-            (2, [0], (0.6, 0.4), False),
-            (4, [0, 1, 3], (0.5, 0.5), True),
-            (5, [1, 4], (0.3, 0.3, 0.4), False),
-            (7, [0, 2, 3, 5, 6], (0.7, 0.3), True),
-            (8, [1, 2, 3, 4], (0.2, 0.8), False),
-            (10, [0, 2, 4, 6, 7, 8, 9], (0.5, 0.25, 0.25), True),
-            (10, [1, 3, 5, 7, 9], (0.5, 0.25, 0.25), False),
+            (2, [0], (0.6, 0.4)),
+            (4, [0, 1, 3], (0.5, 0.5)),
+            (5, [1, 4], (0.3, 0.3, 0.4)),
+            (7, [0, 2, 3, 5, 6], (0.7, 0.3)),
+            (8, [1, 2, 3, 4], (0.2, 0.8)),
+            (10, [0, 2, 4, 6, 7, 8, 9], (0.5, 0.25, 0.25)),
+            (10, [1, 3, 5, 7, 9], (0.5, 0.25, 0.25)),
         ],
     )
-    def test_partial_trace_both_routes(self, monkeypatch, n, keep, weights, svd_route):
+    def test_partial_trace_both_routes(self, n, keep, weights):
         state = random_mixture(np.random.default_rng(400 + n), n, weights)
-        routed = []
-        original = dense.from_density_matrix
-        monkeypatch.setattr(dense, "from_density_matrix", lambda *a: routed.append(1) or original(*a))
         got = partial_trace(state, keep)
-        assert bool(routed) is not svd_route
         assert_same_state(got, ref_partial_trace(state, keep))
 
     @pytest.mark.parametrize("n", QUBITS)
@@ -924,12 +907,10 @@ def teleport_channels():
 class TestBatchedTeleportation:
     @pytest.mark.parametrize("name, channel", list(teleport_channels()))
     def test_every_choi_probe_input(self, name, channel):
-        from bellclone.calculus import _teleport_and_correct
-
         inputs = choi_probe_inputs()
         assert len(inputs) == 29
         for inp in inputs:
-            assert_same_state(_teleport_and_correct(channel, inp), ref_teleport(channel, inp))
+            assert_same_state(teleport_two_qubit(channel, inp), ref_teleport(channel, inp))
 
 
 # ---------------------------------------------------------------------------
@@ -956,10 +937,8 @@ def ref_choi_matrix(channel):
 def first_output_pair(channel):
     """Teleportation through ``channel`` keeping output pair 0 and every
     carried qubit: a two-qubit channel in the sense of ``choi_matrix``."""
-    from bellclone.calculus import _teleport_and_correct
-
     def run(state):
-        out = _teleport_and_correct(channel, state)
+        out = teleport_two_qubit(channel, state)
         return partial_trace(out, [0, 1] + list(range(out.n_qubits - state.n_qubits + 2, out.n_qubits)))
 
     return run
@@ -1014,14 +993,12 @@ class TestOneRunChoi:
 
     @pytest.mark.parametrize("name, channel", [c for c in teleport_channels() if c[1].n_qubits <= 8])
     def test_product_input_keeps_its_reference(self, name, channel):
-        from bellclone.calculus import _teleport_and_correct
-
         rng = np.random.default_rng(77)
         inp = random_mixture(rng, 2, (0.4, 0.6))
         inp = DenseState.from_arrays(inp.amplitudes, inp.weights, pair_register(1, role="input"))
         for reference in (random_pure(rng, REFERENCE), random_pure(rng, REFERENCE[:1])):
-            out = _teleport_and_correct(channel, tensor(inp, reference))
-            assert_same_state(out, tensor(_teleport_and_correct(channel, inp), reference))
+            out = teleport_two_qubit(channel, tensor(inp, reference))
+            assert_same_state(out, tensor(teleport_two_qubit(channel, inp), reference))
 
     @pytest.mark.parametrize("at", [0, 1, 2, 3, None])
     def test_tensor_inserts_after_the_first_at_qubits(self, at):
@@ -1036,16 +1013,14 @@ class TestOneRunChoi:
         assert out.qubit_labels == tuple(ref.qubit_labels[q] for q in order)
 
     def test_teleport_input_checks(self):
-        from bellclone.calculus import _teleport_and_correct
-
         channel = protocols.ideal_channel()
         rng = np.random.default_rng(78)
         with pytest.raises(ValueError, match="two-qubit state"):
-            _teleport_and_correct(channel, random_pure(rng, pair_register(1, role="input")[:1]))
+            teleport_two_qubit(channel, random_pure(rng, pair_register(1, role="input")[:1]))
         swapped = pair_register(1, role="input")[::-1]
         for labels in (swapped, swapped + REFERENCE):
             with pytest.raises(ValueError, match="one Alice qubit then one Bob qubit"):
-                _teleport_and_correct(channel, random_pure(rng, labels))
+                teleport_two_qubit(channel, random_pure(rng, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -1470,8 +1445,6 @@ class TestPauliFrameCorrections:
 
     @pytest.mark.parametrize("name, channel", list(teleport_channels()))
     def test_teleportation_with_carried_reference(self, name, channel):
-        from bellclone import calculus
-
         rng = np.random.default_rng(1310 + channel.n_qubits)
         inputs = [random_pure(rng, pair_register(1, role="input"))]
         if channel.n_qubits + 4 <= dense.MAX_REGISTER_QUBITS:
@@ -1481,7 +1454,7 @@ class TestPauliFrameCorrections:
         for inp in inputs:
             amps, plain = ref_corrected_rows(tensor(inp, channel, at=2), ((0, 2), (1, 3)), receivers)
             want = DenseState._from_kernel(amps, plain.weights, pair_register(n_receive) + inp.qubit_labels[2:])
-            assert_identical_states(calculus._teleport_and_correct(channel, inp), want)
+            assert_identical_states(teleport_two_qubit(channel, inp), want)
 
     def test_bad_pairs_and_receivers_are_rejected(self):
         state = random_mixture(np.random.default_rng(1330), 6, (1.0,))

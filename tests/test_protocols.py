@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bellclone import calculus, dense, protocols
@@ -264,10 +266,13 @@ class TestTeleportation:
             expected += 0.25 * (kraus @ reference @ kraus.conj().T)
         assert_allclose(eq_filter_choi(), expected, atol=1e-14)
 
-    def test_wrong_channel_size_rejected(self):
-        inp = to_dense(BellEnsemble.point((B1,)), role="input")
-        with pytest.raises(ValueError, match="two-pair"):
-            teleport_two_qubit(to_dense(BellEnsemble.point((B1, B1, B1))), inp)
+    def test_three_pair_channel_gives_the_teleport_step_output(self):
+        channel, source = prepare_rho_m(3)[0], BellEnsemble({(B2,): 0.3, (B4,): 0.7})
+        got = teleport_two_qubit(to_dense(channel), to_dense(source, role="input"))
+        want = calculus.apply_steps_dense(to_dense(channel), [("teleport", source)])
+        assert got.qubit_labels == want.qubit_labels == dense.pair_register(2)
+        assert np.array_equal(got.amplitudes, want.amplitudes) and np.array_equal(got.weights, want.weights)
+        assert dense.trace_distance(got, to_dense(calculus.teleport(channel, source))) <= 1e-12
 
 
 class TestCloneFour:
@@ -403,7 +408,8 @@ class TestSigmaBuild:
     def test_three_pairs(self):
         build = build_sigma_n(0.3, 3)
         assert build.ensemble.entries == {(B1, B1, B1): 0.3, (B2, B2, B2): 0.7}
-        assert build.intermediate.entries == {(B1, B1, B1): 0.3, (B3, B3, B3): 0.7}
+        fanned = protocols.apply_steps(build.start, build.steps[:3])  # before the final Hadamards
+        assert fanned.entries == {(B1, B1, B1): 0.3, (B3, B3, B3): 0.7}
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -618,8 +624,15 @@ class TestDerivedLedger:
             (("bxor", -1, 1), "pair index -1 out of range for 2 pairs"),
             (("parity_measure", 3), "pair index 3 out of range for 2 pairs"),
             (("local_clifford", 2, pair_reduction_table(B1, B2)), "pair index 2 out of range for 2 pairs"),
+            (("teleport", BellEnsemble.point((B1, B1))), "teleportation needs a one-pair input"),
         ],
-        ids=["bxor-onto-itself", "bxor-negative-pair", "parity-pair-out-of-range", "clifford-pair-out-of-range"],
+        ids=[
+            "bxor-onto-itself",
+            "bxor-negative-pair",
+            "parity-pair-out-of-range",
+            "clifford-pair-out-of-range",
+            "two-pair-teleport-input",
+        ],
     )
     def test_invalid_step_rejected_with_the_symbolic_message(self, op, message):
         program = protocols.Program(BellEnsemble.point((B1, B2)), (op,), inputs=2)
@@ -638,6 +651,47 @@ class TestDerivedLedger:
         ):
             with pytest.raises(ValueError, match="a parity_measure step ends a step list"):
                 read()
+
+    def test_steps_after_a_teleport_act_on_the_remaining_pairs(self):
+        channel, source = BellEnsemble.point((B1, B1, B1)), BellEnsemble.point((B2,))
+        bad = protocols.Program(channel, (("teleport", source), ("bxor", 0, 2)), inputs=3)
+        for read in (lambda: calculus.apply_steps(bad.initial, bad.steps), lambda: protocols.derive_ledger(bad)):
+            with pytest.raises(ValueError, match="pair index 2 out of range for 2 pairs"):
+                read()
+        ledger = protocols.derive_ledger(protocols.Program(channel, (("teleport", source), ("bxor", 0, 1)), inputs=3))
+        assert [line.operands for line in ledger.steps[-2:]] == [("A1", "A2"), ("B1", "B2")]
+        assert ledger.locc_violations() == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_ledger_and_symbolic_run_accept_the_same_programs(self, data):
+        """On random short step lists: derive_ledger raises exactly when
+        apply_steps does, with its message, and an accepted program's ledger
+        never names a channel qubit that an earlier Bell measurement consumed."""
+        n = data.draw(st.integers(1, 5), label="pairs")
+        index = st.integers(-1, n)
+        source = st.lists(st.sampled_from(LABELS), min_size=1, max_size=2).map(lambda s: BellEnsemble.point(tuple(s)))
+        step = st.one_of(
+            st.tuples(st.just("bxor"), index, index),
+            st.tuples(st.just("local_clifford"), index, st.sampled_from(ALL_PAIRS).map(lambda p: pair_reduction_table(*p))),
+            st.just(("random_pauli_x",)),
+            st.tuples(st.just("parity_measure"), index),
+            st.tuples(st.just("teleport"), source),
+        )
+        initial = BellEnsemble.point(tuple(data.draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))))
+        program = protocols.Program(initial, tuple(data.draw(st.lists(step, max_size=6), label="steps")), inputs=n)
+        try:
+            calculus.apply_steps(program.initial, program.steps)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                protocols.derive_ledger(program)
+            assert str(got.value) == str(exc)
+            return
+        consumed = set()
+        for line in protocols.derive_ledger(program).steps:
+            assert not consumed & set(line.qubits), line
+            if line.operation == "bell-measure":  # each teleport brings a fresh input pair
+                consumed.update(q for q in line.qubits if q.role != "input")
 
     def test_appends_to_a_given_ledger(self):
         ledger = ResourceLedger(ebits_consumed=1.0, classical_bits=3, steps=[LedgerStep("classical", "x", (), (3,))])

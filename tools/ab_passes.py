@@ -17,9 +17,9 @@ over ``OTHER_TREE``) and in how many passes this checkout was lower.
 One process sees one machine state at a time, so the comparison does not
 depend on which of the host's speed regimes a separate run happens to
 meet; it says nothing about set-up time or memory, which need separate
-processes (``bench/run.py``).  Every outcome goes through the
-benchmark's correctness gate after the clock stops, and any problem is
-printed; the exit status is 1 if there was one.
+processes (``tools/ab_setup.py``, ``bench/run.py``).  Every outcome goes
+through the benchmark's correctness gate after the clock stops, and any
+problem is printed; the exit status is 1 if there was one.
 """
 
 from __future__ import annotations
@@ -87,6 +87,18 @@ def quartiles(times: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(times, n=4, method="inclusive")) if len(times) > 1 else (times[0],) * 3
 
 
+def summary(other: Path, base: list[float], this: list[float], unit: str) -> list[str]:
+    """The printed comparison: each tree's median time with its quartiles, the
+    ratio of the medians and in how many of the ``unit`` this checkout was lower."""
+    lines = []
+    for name, times in ((f"base {other}", base), (f"this {ROOT}", this)):
+        q1, q2, q3 = quartiles(times)
+        lines.append(f"{name}: median {q2:.6f} s (q1 {q1:.6f}, q3 {q3:.6f}, n={len(times)})")
+    lower = sum(t < b for t, b in zip(this, base))
+    ratio = statistics.median(this) / statistics.median(base)
+    return lines + [f"ratio this/base {ratio:.3f}; this lower in {lower} of {len(this)} {unit}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_tree", type=Path, help="root of the baseline checkout")
@@ -109,12 +121,7 @@ def main(argv=None) -> int:
         for i in range(args.passes):
             for side in (base, this) if i % 2 == 0 else (this, base):
                 side.run_pass()
-    lower = sum(t < b for t, b in zip(this.times, base.times))
-    for name, side in ((f"base {other}", base), (f"this {ROOT}", this)):
-        q1, q2, q3 = quartiles(side.times)
-        print(f"{name}: median {q2:.6f} s (q1 {q1:.6f}, q3 {q3:.6f}, n={len(side.times)})")
-    ratio = statistics.median(this.times) / statistics.median(base.times)
-    print(f"ratio this/base {ratio:.3f}; this lower in {lower} of {args.passes} passes")
+    print("\n".join(summary(other, base.times, this.times, "passes")))
     problems = base.problems + this.problems
     for problem in problems[:20]:
         print(f"INCORRECT {problem}")
