@@ -395,16 +395,20 @@ def to_dense(e: BellEnsemble, role: str = "source") -> dense.DenseState:
     Qubits are laid out pair by pair, Alice before Bob within each pair;
     the register is capped at 14 qubits.
     """
-    n_qubits = 2 * e.n_pairs
-    if n_qubits > dense.MAX_REGISTER_QUBITS:
-        raise ValueError(f"{e.n_pairs} pairs need {n_qubits} qubits; register too large")
-    # One pass per pair, pair 0 first: each row times its string's Bell row
-    # on that pair, as np.kron would build it.
-    strings = np.array(list(e._probs), dtype=np.int64)
-    rows = np.ones((len(strings), 1), dtype=complex)
-    for sh in range(2 * e.n_pairs - 2, -1, -2):
-        rows = (rows[:, :, None] * dense._BELL_ROWS[(strings >> sh) & 3][:, None, :]).reshape(len(strings), -1)
-    return dense.DenseState.from_arrays(rows, list(e._probs.values()), dense.pair_register(e.n_pairs, role))
+    n = e.n_pairs
+    if 2 * n > dense.MAX_REGISTER_QUBITS:
+        raise ValueError(f"{n} pairs need {2 * n} qubits; register too large")
+    # String (A, B) has amplitude (-1)^(B.x) 2^(-n/2) at x on both qubits of each pair, then A
+    # on the Bob qubits: one block of 2^n columns per distinct A, entries as np.kron forms them.
+    blocks: dict[int, int] = {}
+    block = [blocks.setdefault(x & int("10" * n, 2), len(blocks)) for x in e._probs]
+    alice = dense._index_tables(2 * n, tuple(range(0, 2 * n, 2)))[1]  # bit k of x on pair k's Alice qubit
+    entries = np.array([1.0, -1.0]) * math.prod([1 / dense._SQRT2] * n)
+    values = np.zeros((len(block), len(blocks), 2**n), dtype=complex)
+    values[np.arange(len(block)), block] = entries[np.bitwise_count(np.array(list(e._probs))[:, None] & alice >> 1) & 1]
+    support = (alice | alice >> 1 ^ np.array(list(blocks))[:, None] >> 1).ravel()
+    weights = np.array(list(e._probs.values()))
+    return dense.DenseState._from_kernel(support, values.reshape(len(block), -1), weights, dense.pair_register(n, role), rescale=True)
 
 
 #: The two parties, in the order each pair lists their qubits.
@@ -432,9 +436,10 @@ def teleport_two_qubit(channel: dense.DenseState, input_state: dense.DenseState)
     Bell-measures her input qubit with A0, Bob his with B0, and each
     corrects its qubit of every other channel pair.  Through the Smolin
     state this is the Bell-diagonal filter sigma_i (x) sigma_j -> delta_ij
-    sigma_i (x) sigma_j.  Input qubits after the first two (the reference
-    of :func:`~bellclone.dense.choi_matrix`) are carried, with their labels,
-    after the output pairs.  One Bell measurement drops qubits 0-3 of the
+    sigma_i (x) sigma_j.  The output pairs keep the channel's labels (pair 1
+    onwards, as the ledger names them), and input qubits after the first two
+    (the reference of :func:`~bellclone.dense.choi_matrix`) are carried, with
+    their labels, after them.  One Bell measurement drops qubits 0-3 of the
     joint register with the corrections as one Pauli frame; the output has
     one unmerged row per (branch, Alice outcome, Bob outcome), divided once
     by the root of its probability.  No partial trace or spectrum is taken.
@@ -453,9 +458,7 @@ def teleport_two_qubit(channel: dense.DenseState, input_state: dense.DenseState)
     state = dense.tensor(input_state, channel, at=2)
     measured = [(party_qubit(0, party), party_qubit(1, party)) for party in PARTIES]
     receivers = [[party_qubit(k, party) for k in range(n_receive)] for party in PARTIES]
-    post, _ = dense.bell_measurement(state, *measured, receivers=receivers)
-    labels = dense.pair_register(n_receive) + input_state.qubit_labels[2:]
-    return dense.DenseState._from_kernel(post.amplitudes, post.weights, labels)
+    return dense.bell_measurement(state, *measured, receivers=receivers)[0]
 
 
 def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float, dense.DenseState | None]]:
@@ -463,10 +466,9 @@ def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float
     and drops it.  Per parity bit: (bit, probability, state on the other pairs or None), with
     the (branch, x_a x_b) rows of that parity above 1e-14, each divided once by its root."""
     measured = [party_qubit(pair, party) for party in PARTIES]
-    # rows[b, 2 x_a + x_b]: branch b's amplitudes on the other qubits.
-    rows = dense._split(state.amplitudes, state.n_qubits, measured)[0]
-    p = dense._squared_row_norms(rows)
-    labels = tuple(label for q, label in enumerate(state.qubit_labels) if q not in measured)
+    # blocks[b, 2 x_a + x_b, j]: branch b's amplitude at rest[j] of the other qubits.
+    blocks, rest, labels = dense._measured(state, measured)
+    p = dense._squared_row_norms(blocks)
     out = []
     for bit, xs in ((0, [0, 3]), (1, [1, 2])):
         p_bit = p[:, xs]  # p_bit[b, i]: probability of x_a x_b = xs[i] in branch b
@@ -474,9 +476,9 @@ def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float
         if prob <= 1e-14:
             continue
         keep = p_bit > 1e-14
-        kept = rows[:, xs][keep] / np.sqrt(p_bit[keep])[:, None]
+        kept = blocks[:, xs][keep] / np.sqrt(p_bit[keep])[:, None]
         weights = (state.weights[:, None] * p_bit)[keep] / prob
-        out.append((bit, prob, dense.DenseState._from_kernel(kept, weights, labels) if labels else None))
+        out.append((bit, prob, dense._pruned(rest, kept, weights, labels) if labels else None))
     return out
 
 

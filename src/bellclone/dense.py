@@ -1,34 +1,33 @@
 """Exact dense-vector oracle for small qubit registers.
 
 A state is a weighted mixture of pure branches (never a full density
-matrix), held as one batched (k, 2**n) amplitude array and a weight
-vector, so registers up to 14 qubits stay cheap and every kernel is a
-few array operations over all branches at once.  Every state checks each
-row norm (within 1e-9) and its weight total.  One built from outside
-arrays divides a row only when its computed norm is not exactly 1.0 (the
+matrix) held by its nonzeros: ``support``, the distinct basis indices at
+which some branch is nonzero, in no set order, and ``values``, one row per
+branch there; a Bell-product row on 2n qubits has 2^n of 4^n entries
+nonzero.  ``amplitudes``, the rows over the whole register, is a
+read-only view built on first read, for the density matrices below (up
+to 10 qubits); no kernel reads it.  Every state checks each row norm
+(within 1e-9) and its weight total.  One built from outside arrays
+divides a row only when its computed norm is not exactly 1.0 (the
 weights likewise); a kernel's output is never rescaled, since moves,
-checked unitaries, products and +-1/+-i phases keep unit rows unit, and a
-measurement divides each kept row once by the root of its probability.
-X and C-NOT gates only move amplitudes: each is arithmetic on the basis
-index (X on q: i ^ bit(q); C-NOT: i ^ (bit_c(i) << t)), so any run of them
-is one gather through one index row; every other gate is a matrix product.
-A Bell measurement drops the pairs it measured, several at once with a
-Pauli frame on disjoint receivers, which is how teleportation leaves
-exactly its output qubits without any trace or spectrum; no program step
-takes one.  A trace distance takes its spectrum at the size of the
-state's rank, not of the register: it works in the joint span of both
-states' branches, on the basis indices at which some branch is nonzero.
-Log-negativity builds only the partial-transpose entries that the
-branches' nonzero amplitudes produce and diagonalizes the matrix's
-connected blocks.  A density matrix (up to 10 qubits) is materialized
-only for the log-negativity of dense rows, for the kept block of a
-partial trace, and on request (``density_matrix``, ``partial_transpose``,
-Choi matrices).  A Choi matrix takes one channel run, on the input half
-of a maximally entangled input-reference state, plus one run that checks
-linearity.
-Matrices with an exactly zero imaginary part are diagonalized in real
-arithmetic.  Global phases are ignored throughout: two states are
-considered equal when their density operators agree.
+checked unitaries, products and +-1/+-i phases keep unit rows unit, and
+a measurement divides each kept row once by its probability's root.
+A C-NOT maps the support (i -> i ^ (bit_c(i) << t)) and leaves the values
+alone; a gate with one nonzero per column permutes and phases them; any
+other is a matrix product over the support grouped by its non-target
+bits, which drops the columns that come out exactly zero.  A Bell
+measurement drops the pairs it measured, several at once with a Pauli
+frame on disjoint receivers, so teleportation takes no trace or spectrum.
+A trace distance works in the joint span of both states' branches, on
+the union of their supports; log-negativity diagonalizes the connected
+blocks of the partial transpose that nonzero amplitudes produce.  A
+density matrix (up to 10 qubits) is materialized only for dense rows'
+log-negativity, a partial trace's kept block, and on request
+(``density_matrix``, ``partial_transpose``, Choi matrices, one channel
+run on half of a maximally entangled input-reference state plus one
+linearity check).  Matrices with an exactly zero imaginary part are
+diagonalized in real arithmetic.  Global phases are ignored: two states
+are equal when their density operators agree.
 
 Qubit ordering: qubit 0 is the most significant bit of the amplitude
 index, and registers built from Bell pairs list qubits pair by pair with
@@ -154,64 +153,68 @@ class PureBranch:
 class DenseState:
     """Mixture of pure branches over a labeled qubit register.
 
-    ``amplitudes`` is a read-only (k, 2**n) array, one unit row per
-    branch, and ``weights`` the k positive weights, summing to 1.
-
-    Every construction checks each row norm (within 1e-9) and the weight
-    total.  :meth:`from_arrays` (and :meth:`pure`) copy what they are given
-    and divide a row by its norm only when that computed norm is not
-    exactly 1.0, and the weights by their total only when it is not exactly
-    1.0 (x / 1.0 == x, so the stored values are those of dividing every
-    row); the kernels of this package hand over the arrays they have just
-    allocated, stored as computed (:meth:`_from_kernel`).
+    ``values`` holds one unit row per branch, read-only (k, s), at the s
+    distinct basis indices ``support``, and ``weights`` the k positive
+    weights, summing to 1.  Every construction checks each row norm (within
+    1e-9) and the weight total.  :meth:`from_arrays` (and :meth:`pure`) copy
+    what they are given and divide a row by its norm, or the weights by their
+    total, only when that is not exactly 1.0 (x / 1.0 == x, so the stored
+    values are those of dividing every row); the kernels hand over the
+    arrays they have just allocated, stored as computed (:meth:`_from_kernel`).
     """
 
-    __slots__ = ("amplitudes", "weights", "qubit_labels", "_branches")
+    __slots__ = ("support", "values", "weights", "qubit_labels", "_amplitudes", "_branches")
 
     @classmethod
     def from_arrays(cls, amplitudes: np.ndarray, weights, qubit_labels: Sequence[QubitLabel]) -> "DenseState":
-        """A state from copies of its (k, 2**n) amplitude rows and k weights."""
-        state = object.__new__(cls)
-        state._set(np.array(amplitudes, dtype=complex), np.array(weights, dtype=float), qubit_labels)
-        return state
-
-    @classmethod
-    def _from_kernel(cls, amps: np.ndarray, weights: np.ndarray, qubit_labels) -> "DenseState":
-        """A state that takes over ``amps`` and ``weights`` without a copy or
-        a rescale, after the same checks: for rows kept or just made unit."""
-        state = object.__new__(cls)
-        state._set(amps, weights, qubit_labels, rescale=False)
-        return state
-
-    def _set(self, amps: np.ndarray, weights: np.ndarray, qubit_labels, rescale: bool = True) -> None:
-        """Check every row, weight and the total at once; with ``rescale``,
-        rows are rescaled to unit norm and weights to sum to exactly 1
-        where they do not already, in place when the array is writeable."""
-        k, dim = amps.shape if amps.ndim == 2 else (0, 0)
-        n = dim.bit_length() - 1
+        """A state from copies of its (k, 2**n) amplitude rows and k weights,
+        kept at the columns where some row is nonzero."""
+        amps = np.asarray(amplitudes, dtype=complex)
+        dim = amps.shape[1] if amps.ndim == 2 else 0
         if dim & (dim - 1) or dim < 2:
             raise ValueError("amplitudes must be rows of length 2**n")
-        if not k:
+        if len(qubit_labels) != dim.bit_length() - 1:
+            raise ValueError(f"expected {dim.bit_length() - 1} qubit labels, got {len(qubit_labels)}")
+        support = np.flatnonzero(amps.any(axis=0))
+        return cls._from_kernel(support, amps[:, support], np.array(weights, dtype=float), qubit_labels, rescale=True)
+
+    @classmethod
+    def _from_kernel(cls, support, values, weights, qubit_labels, rescale: bool = False) -> "DenseState":
+        """A state that takes over its arrays without a copy, after the same
+        checks; only with ``rescale`` are rows (in place) and weights rescaled
+        where they are off unit, as :meth:`from_arrays` does."""
+        if not len(values):
             raise ValueError("state needs at least one branch")
-        if n > MAX_REGISTER_QUBITS:
-            raise ValueError(f"register of {n} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit limit")
-        if len(qubit_labels) != n:
-            raise ValueError(f"expected {n} qubit labels, got {len(qubit_labels)}")
-        if weights.shape != (k,):
-            raise ValueError(f"expected {k} branch weights, got shape {weights.shape}")
-        norms = np.sqrt(_squared_row_norms(amps))
+        if len(qubit_labels) > MAX_REGISTER_QUBITS:
+            raise ValueError(f"register of {len(qubit_labels)} qubits exceeds the {MAX_REGISTER_QUBITS}-qubit limit")
+        if weights.shape != (len(values),):
+            raise ValueError(f"expected {len(values)} branch weights, got shape {weights.shape}")
+        norms = np.sqrt(_squared_row_norms(values))
         off_unit = _check_unit_norms(norms, "branch vector")
-        if not (weights > 0).all():
+        if not weights.min() > 0:
             raise ValueError("branch weight must be positive")
         total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"branch weights sum to {total}, not 1")
         if off_unit and rescale:
-            amps = np.divide(amps, norms[:, None], out=amps if amps.flags.writeable else None)
+            values /= norms[:, None]
         if total != 1.0 and rescale:
             weights = weights / total
-        amps.flags.writeable = weights.flags.writeable = False
-        self.amplitudes, self.weights, self.qubit_labels, self._branches = amps, weights, tuple(qubit_labels), None
+        support.flags.writeable = values.flags.writeable = weights.flags.writeable = False
+        state = object.__new__(cls)
+        state.support, state.values, state.weights, state.qubit_labels = support, values, weights, tuple(qubit_labels)
+        state._amplitudes = state._branches = None
+        return state
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The rows over the whole register: read-only (k, 2**n), built on first read."""
+        if self._amplitudes is None:
+            amps = np.zeros((len(self.weights), 2**self.n_qubits), dtype=complex)
+            amps[:, self.support] = self.values
+            amps.flags.writeable = False
+            self._amplitudes = amps
+        return self._amplitudes
 
     @property
     def branches(self) -> tuple[PureBranch, ...]:
@@ -234,20 +237,84 @@ class DenseState:
     def density_matrix(self) -> np.ndarray:
         """Materialize the density operator (registers up to 10 qubits)."""
         if self.n_qubits > MAX_DENSE_QUBITS:
-            raise ValueError(
-                f"refusing to materialize a {self.n_qubits}-qubit density matrix"
-            )
+            raise ValueError(f"refusing to materialize a {self.n_qubits}-qubit density matrix")
         return (self.amplitudes.T * self.weights) @ self.amplitudes.conj()
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order and each key's position
+    among them: ``np.unique`` with ``return_inverse``, without its per-call cost."""
+    order = keys.argsort()
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    position = np.empty(len(keys), dtype=np.intp)
+    position[order] = new.cumsum() - 1
+    return ordered[new], position
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of two supports, and the positions of ``a``'s and ``b``'s indices in it."""
+    union, position = _group(np.concatenate([a, b]))
+    return union, position[: len(a)], position[len(a) :]
+
+
+def _widened(values: np.ndarray, columns: np.ndarray, width: int) -> np.ndarray:
+    """Rows put at ``columns`` of ``width`` zero columns (one list, or one per row)."""
+    out = np.zeros((len(values), width), dtype=complex)
+    out[(slice(None) if columns.ndim == 1 else np.arange(len(values))[:, None], columns)] = values
+    return out
+
+
+@lru_cache(maxsize=256)
+def _index_tables(n: int, qubits: tuple[int, ...]):
+    """``split(i)``: the bits of ``qubits`` (the first most significant) in n-qubit basis
+    indices i and the other bits packed, each ORed from lookups by i's high and low
+    halves (2**(n/2) entries each); and ``spread[x]``, the bits that put ``qubits`` in x."""
+    def packed(i, qs):
+        return (i[:, None] >> (n - 1 - np.array(qs, dtype=int)) & 1) @ (1 << np.arange(len(qs))[::-1])
+
+    low, others = n // 2, [q for q in range(n) if q not in qubits]
+    hi, lo = np.arange(2 ** (n - low)) << low, np.arange(2**low)
+    own_hi, own_lo, rest_hi, rest_lo = packed(hi, qubits), packed(lo, qubits), packed(hi, others), packed(lo, others)
+
+    def split(i):
+        i_hi, i_lo = i >> low, i & (1 << low) - 1
+        return own_hi[i_hi] | own_lo[i_lo], rest_hi[i_hi] | rest_lo[i_lo]
+
+    x = np.arange(2 ** len(qubits))
+    return split, (x[:, None] >> np.arange(len(qubits))[::-1] & 1) @ (1 << (n - 1 - np.array(qubits, dtype=int)))
+
+
+def _measured(state: DenseState, qubits: Sequence[int]):
+    """The rows as (k, 2**len(qubits), r) blocks: [b, x, j] is branch b's
+    amplitude with ``qubits`` in state x and the others in ``rest[j]``, an
+    index of the register without them.  Returns blocks, rest (ascending), labels."""
+    own, rest = _index_tables(state.n_qubits, tuple(qubits))[0](state.support)
+    rest, column = _group(rest)
+    blocks = np.zeros((len(state.weights), 2 ** len(qubits), len(rest)), dtype=complex)
+    blocks[:, own, column] = state.values
+    return blocks, rest, tuple(label for q, label in enumerate(state.qubit_labels) if q not in qubits)
+
+
+def _pruned(support, values, weights, qubit_labels) -> DenseState:
+    """A kernel's state without the support indices at which every row came out exactly zero."""
+    nonzero = values.any(axis=0)
+    return DenseState._from_kernel(support[nonzero], values[:, nonzero], weights, qubit_labels)
 
 
 def tensor(left: DenseState, right: DenseState, at: int | None = None) -> DenseState:
     """Tensor product; the right register goes after the first ``at``
     qubits of the left one (by default after all of them)."""
     at = left.n_qubits if at is None else at
-    amps = left.amplitudes.reshape(len(left.weights), 1, 2**at, 1, -1) * right.amplitudes[None, :, None, :, None]
+    low = left.n_qubits - at  # left qubits after the right register
+    tail = left.support & ((1 << low) - 1)
+    support = ((left.support - tail) << right.n_qubits | tail)[:, None] | right.support << low
+    values = left.values[:, None, :, None] * right.values[None, :, None, :]
     weights = np.outer(left.weights, right.weights).reshape(-1)
     labels = left.qubit_labels[:at] + right.qubit_labels + left.qubit_labels[at:]
-    return DenseState._from_kernel(amps.reshape(len(weights), -1), weights, labels)
+    return DenseState._from_kernel(support.ravel(), values.reshape(len(weights), -1), weights, labels)
 
 
 @dataclass(frozen=True)
@@ -286,13 +353,6 @@ def _split(amps: np.ndarray, n: int, qubits: Sequence[int]) -> tuple[np.ndarray,
     return amps.reshape((len(amps),) + (2,) * n).transpose(order).reshape(len(amps), 2 ** len(qubits), -1), order
 
 
-def _apply_matrix(amps: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    """The one matrix ``u`` on the targets of every row of a (k, 2**n) batch."""
-    psi, order = _split(amps, n, targets)
-    psi = np.matmul(u, psi)  # rebinding frees the split copy before the transpose back copies again
-    return psi.reshape((len(psi),) + (2,) * n).transpose(np.argsort(order)).reshape(len(psi), -1)
-
-
 def check_unitary(u: np.ndarray) -> None:
     """Raise unless ``u`` (or each matrix of a stack) is unitary within 1e-12 (NaN fails)."""
     if not abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max() <= ATOL_CIRCUIT:
@@ -300,10 +360,15 @@ def check_unitary(u: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=256)
-def _check_unitary_once(shape: tuple[int, ...], data: bytes) -> None:
-    """:func:`check_unitary` memoised by content; a failed check raises
-    and is not cached, so a non-unitary matrix is rejected on every call."""
-    check_unitary(np.frombuffer(data, dtype=complex).reshape(shape))
+def _gate(shape: tuple[int, ...], data: bytes):
+    """:func:`check_unitary` memoised by content (a failure raises, uncached); for
+    a monomial matrix (one nonzero per column) each column's nonzero row and value."""
+    u = np.frombuffer(data, dtype=complex).reshape(shape)
+    check_unitary(u)
+    if (np.count_nonzero(u, axis=0) != 1).any():
+        return None
+    rows = np.argmax(u != 0, axis=0)
+    return rows, u[rows, np.arange(shape[1])]
 
 
 def _check_targets(n: int, targets: Sequence[int], cnots: Sequence[tuple[int, int]] = ()) -> None:
@@ -327,53 +392,42 @@ def apply_unitary(state: DenseState, u: np.ndarray, targets: Sequence[int]) -> D
     if u.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {u.shape} does not fit {k} target qubits")
     _check_targets(state.n_qubits, targets)
-    _check_unitary_once(u.shape, u.tobytes())
-    amps = _apply_matrix(state.amplitudes, state.n_qubits, u, targets)
-    return DenseState._from_kernel(amps, state.weights, state.qubit_labels)
-
-
-def _flip_index(n: int, x_targets: Sequence[int] = (), layers: Sequence[Sequence[tuple[int, int]]] = ()) -> np.ndarray:
-    """The 2**n index row of the C-NOT layers (control, target) in turn,
-    then X on ``x_targets``: ``amps[:, index]`` are the rows after the gates.
-    Each gate is its own inverse, so i runs through them last-first: X maps i
-    to i ^ bit(q), a C-NOT (whose control no gate of its layer targets) to
-    i ^ (bit_c(i) << t).  Both are affine over GF(2), so the high bits of i
-    (with X) and the low bits run apart and their images are XORed."""
-    low = n // 2
-    halves = np.arange(2 ** (n - low)) << np.array([[low], [0]])
-    halves[0] ^= sum(1 << (n - 1 - q) for q in x_targets)
-    for cnots in reversed(layers):
-        for c, t in cnots:
-            halves ^= ((halves >> (n - 1 - c)) & 1) << (n - 1 - t)
-    return (halves[0, :, None] ^ halves[1, : 2**low]).ravel()
-
-
-def _gather(amps: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``amps[:, index]`` into ``out`` (a new array by default); mode="wrap"
-    writes ``out`` directly, where the default mode buffers it."""
-    return np.take(amps, index, axis=1, out=np.empty_like(amps) if out is None else out, mode="wrap")
+    monomial = _gate(u.shape, u.tobytes())
+    split, spread = _index_tables(state.n_qubits, tuple(targets))
+    own, _ = split(state.support)
+    rest = state.support & ~spread[-1]
+    if monomial is not None:
+        rows, phases = monomial
+        return DenseState._from_kernel(rest | spread[rows[own]], state.values * phases[own], state.weights, state.qubit_labels)
+    rest, column = _group(rest)
+    blocks = np.zeros((len(state.weights), len(rest), 2**k), dtype=complex)
+    blocks[:, column, own] = state.values
+    values = (blocks @ u.T).reshape(len(state.weights), -1)
+    return _pruned((rest[:, None] | spread).ravel(), values, state.weights, state.qubit_labels)
 
 
 def apply_cnot_layers(state: DenseState, layers: Sequence[Sequence[tuple[int, int]]]) -> DenseState:
     """Each layer of C-NOTs, (control, target) pairs on distinct qubits, in turn
-    on every branch as one gather: amplitudes are moved, never multiplied or
-    added, so the rows equal those :func:`apply_unitary` gives with ``CNOT``."""
+    on every branch, as a map of the support (the values are not touched): the
+    rows equal those :func:`apply_unitary` gives with ``CNOT``."""
+    n, support = state.n_qubits, state.support
     for cnots in layers:
-        _check_targets(state.n_qubits, (), cnots)
-    amps = _gather(state.amplitudes, _flip_index(state.n_qubits, (), layers))
-    return DenseState._from_kernel(amps, state.weights, state.qubit_labels)
+        _check_targets(n, (), cnots)
+        for c, t in cnots:
+            support = support ^ (support >> (n - 1 - c) & 1) << (n - 1 - t)
+    return DenseState._from_kernel(support, state.values, state.weights, state.qubit_labels)
 
 
 def mix_flipped(state: DenseState, x_targets: Sequence[int]) -> DenseState:
     """The equal mixture of ``state`` and ``state`` with X on each of ``x_targets``:
     the rows, then the flipped rows, each at half its weight."""
     _check_targets(state.n_qubits, x_targets)
-    k = len(state.weights)
-    amps = np.empty((2 * k, 2**state.n_qubits), dtype=complex)
-    amps[:k] = state.amplitudes
-    _gather(state.amplitudes, _flip_index(state.n_qubits, x_targets), out=amps[k:])
+    flip = sum(1 << (state.n_qubits - 1 - q) for q in x_targets)
+    support, same, flipped = _union(state.support, state.support ^ flip)
+    values = np.zeros((2 * len(state.weights), len(support)), dtype=complex)
+    values[: len(state.weights), same], values[len(state.weights) :, flipped] = state.values, state.values
     half = 0.5 * state.weights
-    return DenseState._from_kernel(amps, np.concatenate([half, half]), state.qubit_labels)
+    return DenseState._from_kernel(support, values, np.concatenate([half, half]), state.qubit_labels)
 
 
 @lru_cache(maxsize=None)
@@ -386,22 +440,17 @@ def _bell_projector(pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     return signs.transpose(order).reshape(4**m, 4**m) * (0.5 ** (m // 2) / (_SQRT2 if m % 2 else 1.0))
 
 
-def _pauli_frame(subs: np.ndarray, receivers: Sequence[Sequence[int]]) -> np.ndarray:
-    """The projected rows ``subs`` (branch, outcome = m base-4 digits, kept qubits) with pair i's
-    correction X^a Z^b for outcome B(a, b) = 2a + b on receivers[i] (no qubit in two lists): Z in
-    place, (-1)^parity on b = 1 rows and also i^r on B4's (Y = iXZ); X as the deferred-measurement
-    C-NOTs from each pair's a bit onto its receivers, one gather of the flattened rows."""
-    m, r = len(receivers), subs.shape[-1].bit_length() - 1
-    v = subs.reshape((len(subs),) + (4,) * m + (2,) * r)
-    for i, qubits in enumerate(receivers):
-        outcome = (slice(None),) * (1 + i)
-        signs = np.ones((2,) * r)
-        for q in qubits:
-            signs[(slice(None),) * q + (1,)] *= -1
-        v[outcome + (1,)] *= signs
-        v[outcome + (3,)] *= signs * (1, 1j, -1, -1j)[len(qubits) % 4]
-    cnots = [(2 * i, 2 * m + q) for i, qubits in enumerate(receivers) for q in qubits]
-    return _gather(subs.reshape(len(subs), -1), _flip_index(2 * m + r, (), [cnots])).reshape(subs.shape)
+@lru_cache(maxsize=256)
+def _pauli_frame(n: int, receivers: tuple[tuple[int, ...], ...]):
+    """Per outcome o (base-4 digits, first pair first) each pair's correction X^a Z^b for
+    B(a, b) on its receivers (qubits of an n-qubit register): X XORs the index with
+    ``flip[o]``, Z signs it by the parity of its ``sign[o]`` bits, B4 adds i^r (Y = iXZ)."""
+    masks = np.array([sum(1 << (n - 1 - q) for q in qubits) for qubits in receivers])
+    digits = np.arange(4 ** len(receivers))[:, None] >> 2 * np.arange(len(receivers))[::-1] & 3
+    flip = np.bitwise_xor.reduce(np.where(digits >> 1, masks, 0), axis=1)
+    sign = np.bitwise_or.reduce(np.where(digits & 1, masks, 0), axis=1)
+    powers = np.array([(1, 1j, -1, -1j)[len(qubits) % 4] for qubits in receivers])
+    return flip, sign, np.prod(np.where(digits == 3, powers, 1), axis=1)
 
 
 def bell_measurement(state: DenseState, *pairs: tuple[int, int], receivers=None):
@@ -416,8 +465,7 @@ def bell_measurement(state: DenseState, *pairs: tuple[int, int], receivers=None)
     base-4 digits, first pair first, for several pairs).  The probability
     of an outcome is the total weight of its rows.  ``receivers`` lists,
     per pair, kept qubits that take its teleportation correction
-    (:func:`_pauli_frame`) before rows are picked; no kept qubit may be
-    listed twice.
+    (:func:`_pauli_frame`); no kept qubit may be listed twice.
     """
     pairs = tuple(tuple(sorted(pair)) for pair in pairs)
     measured = sorted(q for pair in pairs for q in pair)
@@ -426,22 +474,26 @@ def bell_measurement(state: DenseState, *pairs: tuple[int, int], receivers=None)
         raise ValueError("measurement needs two distinct register qubits")
     if n == len(measured):
         raise ValueError("dropping the measured pairs would leave no qubits")
-    # subs[b, o]: branch b's amplitudes on the other qubits after <B_o| on the pairs.
-    subs = _split(state.amplitudes, n, measured)[0]
+    # subs[b, o, j]: branch b's amplitude at rest[j] after <B_o| on the pairs.
+    blocks, rest, labels = _measured(state, measured)
     # One real product for the real and imaginary parts alike.
-    subs = (_bell_projector(pairs) @ np.ascontiguousarray(subs).view(np.float64)).view(complex)
+    subs = (_bell_projector(pairs) @ blocks.view(np.float64)).view(complex)
     p = _squared_row_norms(subs)  # p[b, o]: conditional probability of outcome o in branch b
+    keep = (p > 1e-14) & (state.weights @ p > 1e-14)
+    branch, outcome = np.nonzero(keep)
+    rows = subs[branch, outcome] / np.sqrt(p[keep])[:, None]
+    weights = (state.weights[:, None] * p)[keep]
+    support = rest
     if receivers is not None:
-        named, kept = [q for qubits in receivers for q in qubits], n - len(measured)
+        named, kept = [q for qubits in receivers for q in qubits], len(labels)
         if len(receivers) != len(pairs) or len(set(named)) != len(named) or not all(0 <= q < kept for q in named):
             raise ValueError("receivers must name distinct kept qubits, one list per measured pair")
-        subs = _pauli_frame(subs, receivers)
-    keep = (p > 1e-14) & (state.weights @ p > 1e-14)
-    rows = subs[keep]
-    rows /= np.sqrt(p[keep])[:, None]
-    weights = (state.weights[:, None] * p)[keep]
-    labels = tuple(label for q, label in enumerate(state.qubit_labels) if q not in measured)
-    return DenseState._from_kernel(rows, weights / weights.sum(), labels), np.nonzero(keep)[1]
+        flip, sign, phase = _pauli_frame(kept, tuple(map(tuple, receivers)))
+        odd = np.bitwise_count(rest & sign[outcome, None]) & 1
+        rows = rows * np.where(odd, -phase[outcome, None], phase[outcome, None])
+        support, column = _group((rest ^ flip[:, None]).ravel())
+        rows = _widened(rows, column.reshape(len(flip), -1)[outcome], len(support))
+    return _pruned(support, rows, weights / weights.sum(), labels), outcome
 
 
 def partial_trace(state: DenseState, keep: Iterable[int]) -> DenseState:
@@ -458,7 +510,7 @@ def partial_trace(state: DenseState, keep: Iterable[int]) -> DenseState:
         return state
     if len(keep) > MAX_DENSE_QUBITS:
         raise ValueError("kept block too large to materialize")
-    cols = np.sqrt(state.weights)[:, None, None] * _split(state.amplitudes, n, keep)[0]
+    cols = np.sqrt(state.weights)[:, None, None] * _measured(state, keep)[0]
     a = cols.transpose(1, 0, 2).reshape(2 ** len(keep), -1)
     a = _real_if_exact(a[:, a.any(axis=0)])  # an all-zero column adds nothing to A A^dagger
     return from_density_matrix(a @ a.conj().T, tuple(state.qubit_labels[q] for q in keep))
@@ -593,13 +645,21 @@ def log_negativity(state: DenseState, cut: Cut) -> float:
     return max(0.0, float(np.log2(np.sum(np.abs(eigs)))))
 
 
-def fidelity(state: DenseState, target: np.ndarray) -> float:
-    """Overlap <target| rho |target> with a unit pure target state."""
-    t = np.asarray(target, dtype=complex)
-    if t.shape != (2**state.n_qubits,):
-        raise ValueError("target dimension does not match the register")
-    _check_unit_norms(float(np.linalg.norm(t)), "target vector")
-    return float(state.weights @ np.abs(state.amplitudes @ t.conj()) ** 2)
+def fidelity(state: DenseState, target) -> float:
+    """Overlap <target| rho |target> with a unit pure target state: a 2**n amplitude
+    vector or a one-row state, read only at this state's support."""
+    if isinstance(target, DenseState):
+        if len(target.weights) != 1 or target.n_qubits != state.n_qubits:
+            raise ValueError("target must be a one-row state on the same register")
+        union, own, theirs = _union(state.support, target.support)
+        t = _widened(target.values, theirs, len(union))[0, own]
+    else:
+        t = np.asarray(target, dtype=complex)
+        if t.shape != (2**state.n_qubits,):
+            raise ValueError("target dimension does not match the register")
+        _check_unit_norms(float(np.linalg.norm(t)), "target vector")
+        t = t[state.support]
+    return float(state.weights @ np.abs(state.values @ t.conj()) ** 2)
 
 
 def trace_distance(state_a: DenseState, state_b: DenseState) -> float:
@@ -608,15 +668,16 @@ def trace_distance(state_a: DenseState, state_b: DenseState) -> float:
     The operators are projected onto the (exact) joint span of their
     branch vectors, which preserves the trace distance, so the
     eigenproblem is the size of that span's rank; no register-sized
-    density matrix is formed.  The vectors are first cut to their joint
-    support, the indices at which some row is exactly nonzero: the dropped
-    coordinates are zero in every vector and change no singular value or
-    span coordinate.  A Bell-product row on 2n qubits has 2^n of 4^n nonzero.
+    density matrix is formed.  The vectors live on the union of the two
+    supports (taken only when they differ), outside which all are zero.
     """
     if state_a.n_qubits != state_b.n_qubits:
         raise ValueError("states live on different register sizes")
-    support = state_a.amplitudes.any(axis=0) | state_b.amplitudes.any(axis=0)
-    vecs = _real_if_exact(np.concatenate([state_a.amplitudes[:, support], state_b.amplitudes[:, support]]).T)
+    a, b = state_a.values, state_b.values
+    if not np.array_equal(state_a.support, state_b.support):
+        union, in_a, in_b = _union(state_a.support, state_b.support)
+        a, b = _widened(a, in_a, len(union)), _widened(b, in_b, len(union))
+    vecs = _real_if_exact(np.concatenate([a, b]).T)
     signed = np.concatenate([state_a.weights, -state_b.weights])
     u, s, _ = np.linalg.svd(vecs, full_matrices=False)
     coords = u[:, s > 1e-13].conj().T @ vecs  # branch vectors in an orthonormal basis of their span

@@ -143,8 +143,8 @@ def _fidelity(name: str, state: dense.DenseState, target) -> Check:
 
 
 def dense_fidelity(dn: dense.DenseState, sym: BellEnsemble) -> Check:
-    """The dense route reproduces the symbolic output's first string."""
-    return _fidelity("dense-fidelity", dn, to_dense(sym).amplitudes[0])
+    """The dense route reproduces the symbolic output, a single string."""
+    return _fidelity("dense-fidelity", dn, to_dense(sym))
 
 
 def output_fidelity(out: dense.DenseState, label) -> Check:

@@ -412,3 +412,36 @@ class TestSharedChecks:
         code, out, _ = run_cli(capsys, "verify-all", "--output", str(tmp_path / "report.json"))
         assert code == 1
         assert "quasi-pure-reversibility: FAIL" in out
+
+
+class TestNoRegisterExpansion:
+    """No program path reads a state's (k, 2**n) ``amplitudes`` view above 10
+    qubits: every dense family at its largest certified size works on the
+    support and its values alone."""
+
+    #: Each family's run at its largest certified size, and the largest register it builds.
+    FAMILIES = [
+        (("clone", "--set", "four", "--input", "B3", "--n", "5", "--engine", "both"), 14),
+        (("clone", "--set", "two", "--pair", "B1,B2", "--input", "B1", "--n", "7", "--engine", "both"), 14),
+        (("prepare", "--m", "7", "--engine", "both"), 14),
+        (("distill", "--p", "0.4,0.1,0.3,0.2", "--n", "5", "--engine", "both"), 10),
+        (("teleport", "--channel", "smolin", "--input", "B1"), 8),
+        (("teleport", "--channel", "ideal", "--input", "B4"), 8),
+    ]
+
+    @pytest.mark.parametrize("argv, largest", FAMILIES, ids=lambda v: " ".join(v[:3]) if isinstance(v, tuple) else str(v))
+    def test_largest_certified_run_reads_no_expanded_register(self, argv, largest, capsys, monkeypatch):
+        from bellclone import dense
+
+        reads, registers = [], []
+        view, build = dense.DenseState.amplitudes, dense.DenseState._from_kernel.__func__
+        monkeypatch.setattr(dense.DenseState, "amplitudes", property(lambda s: reads.append(s.n_qubits) or view.fget(s)))
+
+        def counted(cls, support, values, weights, labels, **kw):
+            registers.append(len(labels))
+            return build(cls, support, values, weights, labels, **kw)
+
+        monkeypatch.setattr(dense.DenseState, "_from_kernel", classmethod(counted))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0 and max(registers) == largest
+        assert [n for n in reads if n > dense.MAX_DENSE_QUBITS] == []

@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -750,7 +751,7 @@ def ref_teleport(channel, input_state):
                     psi = np.moveaxis(np.tensordot(corr, psi, axes=(1, q + 1)), 0, q + 1)
             rows.append(psi.reshape(len(psi), -1))
             weights.append(pa * pb * out.weights)
-    return DenseState.from_arrays(np.concatenate(rows), np.concatenate(weights), pair_register(channel.n_qubits // 2 - 1))
+    return DenseState.from_arrays(np.concatenate(rows), np.concatenate(weights), channel.qubit_labels[2:])
 
 
 def assert_same_state(state, ref, atol=1e-13):
@@ -1453,7 +1454,8 @@ class TestPauliFrameCorrections:
         receivers = [list(range(0, 2 * n_receive, 2)), list(range(1, 2 * n_receive, 2))]  # Alice's, Bob's
         for inp in inputs:
             amps, plain = ref_corrected_rows(tensor(inp, channel, at=2), ((0, 2), (1, 3)), receivers)
-            want = DenseState._from_kernel(amps, plain.weights, pair_register(n_receive) + inp.qubit_labels[2:])
+            labels = channel.qubit_labels[2:] + inp.qubit_labels[2:]
+            want = DenseState._from_kernel(np.arange(amps.shape[1]), amps, plain.weights, labels)
             assert_identical_states(teleport_two_qubit(channel, inp), want)
 
     def test_bad_pairs_and_receivers_are_rejected(self):
@@ -1616,17 +1618,14 @@ class TestUnscaledKernelRows:
 
     def test_a_drifting_kernel_still_fails_the_norm_check(self, monkeypatch):
         """Each kernel output is still checked: rows scaled by 1 + 1e-6
-        inside a kernel raise, since nothing rescales them any more."""
+        on their way into a kernel's state raise, since nothing rescales them."""
         state = random_mixture(np.random.default_rng(1430), 6, (0.6, 0.4))
-        gather, apply_matrix = dense._gather, dense._apply_matrix
+        from_kernel = DenseState._from_kernel.__func__
 
-        def drifting_gather(amps, index, out=None):
-            out = gather(amps, index, out)
-            out *= 1 + 1e-6
-            return out
+        def drifting(cls, support, values, *rest, **kw):
+            return from_kernel(cls, support, values * (1 + 1e-6), *rest, **kw)
 
-        monkeypatch.setattr(dense, "_gather", drifting_gather)
-        monkeypatch.setattr(dense, "_apply_matrix", lambda *a: apply_matrix(*a) * (1 + 1e-6))
+        monkeypatch.setattr(DenseState, "_from_kernel", classmethod(drifting))
         for kernel in (
             lambda: dense.apply_cnot_layers(state, [[(0, 1)]]),
             lambda: dense.mix_flipped(state, [1, 3]),
@@ -1638,3 +1637,172 @@ class TestUnscaledKernelRows:
                 kernel()
         with pytest.raises(ValueError, match="not unitary"):
             apply_unitary(state, np.diag([1.0, 1.0 + 1e-6]), (0,))
+
+
+# ---------------------------------------------------------------------------
+# Support kernels against explicit full-register matrices
+# ---------------------------------------------------------------------------
+
+SUPPORT_SETTINGS = settings(
+    max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def sparse_states(draw, min_qubits=2, max_qubits=8):
+    """A state on a few random support indices: random complex rows; rows of
+    equal-magnitude entries (+-1, +-i) that are |+> or |-> on some qubits, whose
+    columns a Hadamard on one of those qubits cancels exactly; or Bell
+    products.  Returns the state and a generator for further draws."""
+    n = draw(st.integers(min_qubits, max_qubits))
+    kind = draw(st.sampled_from(["random", "cancelling", "bell"] if n % 2 == 0 else ["random", "cancelling"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "bell":
+        return to_dense(random_bell_ensemble(rng, n // 2)), rng
+    k = int(rng.integers(1, 4))
+    if kind == "cancelling":  # |+> or |-> on each flip qubit: a Hadamard on one cancels half the columns
+        flips = [1 << (n - 1 - int(q)) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+        corners = list(itertools.product((0, 1), repeat=len(flips)))
+        minus = rng.integers(0, 2, size=len(flips))
+        base = np.unique(rng.integers(0, 2**n, size=int(rng.integers(1, 5))) & ~sum(flips))
+        support = (base[:, None] | np.array([np.dot(flips, c) for c in corners])).ravel()
+        signs = np.array([(-1) ** int(np.dot(minus, c)) for c in corners])
+        values = (rng.choice(np.array([1, -1, 1j, -1j]), size=(k, len(base), 1)) * signs).reshape(k, -1)
+    else:
+        support = rng.choice(2**n, size=int(rng.integers(1, min(2**n, 24) + 1)), replace=False)
+        values = rng.normal(size=(k, len(support))) + 1j * rng.normal(size=(k, len(support)))
+    amps = np.zeros((k, 2**n), dtype=complex)
+    amps[:, support] = values
+    weights = rng.random(k) + 0.1
+    labels = tuple(QubitLabel(("alice", "bob")[q % 2], q // 2) for q in range(n))
+    return DenseState.from_arrays(amps / np.linalg.norm(amps, axis=1, keepdims=True), weights / weights.sum(), labels), rng
+
+
+def random_gate(rng, n, kind):
+    """A unitary of ``kind`` and its targets: a phased permutation ("monomial"),
+    an exact Hadamard product or a random unitary ("general"), or a global phase
+    on no qubit ("none")."""
+    m = 0 if kind == "none" else int(rng.integers(1, min(3, n) + 1))
+    targets = [int(q) for q in rng.permutation(n)[:m]]
+    phases = rng.choice(np.array([1, -1, 1j, -1j, np.exp(0.3j)]), size=2**m)
+    if kind == "general":
+        if rng.random() < 0.75:
+            return reduce(np.kron, [HADAMARD] * m), targets
+        return np.linalg.qr(rng.normal(size=(2**m, 2**m)) + 1j * rng.normal(size=(2**m, 2**m)))[0], targets
+    return np.eye(2**m, dtype=complex)[rng.permutation(2**m)] * phases, targets
+
+
+def assert_support_invariants(state):
+    """No support index twice, and no column that every row has zero."""
+    assert len(set(state.support.tolist())) == len(state.support)
+    assert state.values.any(axis=0).all()
+    assert state.values.shape == (len(state.weights), len(state.support))
+
+
+def ref_rows(state, u, targets):
+    return np.array([ref_apply_matrix(row, state.n_qubits, u, targets) for row in state.amplitudes])
+
+
+class TestSupportKernelsAgainstMatrices:
+    @settings(SUPPORT_SETTINGS, max_examples=150)
+    @given(sparse_states(), st.sampled_from(["monomial", "general", "none"]))
+    def test_apply_unitary(self, drawn, kind):
+        state, rng = drawn
+        u, targets = random_gate(rng, state.n_qubits, kind)
+        got = apply_unitary(state, u, targets)
+        assert np.abs(got.amplitudes - ref_rows(state, u, targets)).max() <= 1e-13
+        assert np.array_equal(got.weights, state.weights) and got.qubit_labels == state.qubit_labels
+        assert_support_invariants(got)
+
+    def test_exact_cancellation_drops_the_column(self):
+        plus = DenseState.pure(np.array([1, 1, 0, 0]) / SQ2, pair_register(1))
+        got = apply_unitary(plus, HADAMARD, (1,))
+        assert got.support.tolist() == [0] and got.amplitudes[0, 1] == 0
+
+    @SUPPORT_SETTINGS
+    @given(sparse_states())
+    def test_apply_cnot_layers(self, drawn):
+        state, rng = drawn
+        layers = random_cnot_layers(rng, state.n_qubits, int(rng.integers(1, 4)))
+        want = state
+        for cnots in layers:
+            for pair in cnots:
+                want = ref_apply_unitary(want, CNOT, pair)
+        got = dense.apply_cnot_layers(state, layers)
+        assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-15
+        assert_support_invariants(got)
+
+    @SUPPORT_SETTINGS
+    @given(sparse_states())
+    def test_mix_flipped(self, drawn):
+        state, rng = drawn
+        x_targets = [int(q) for q in rng.permutation(state.n_qubits)[: int(rng.integers(0, state.n_qubits + 1))]]
+        flipped = state.amplitudes
+        for q in x_targets:
+            flipped = np.array([ref_apply_matrix(row, state.n_qubits, pauli(1), (q,)) for row in flipped])
+        got = dense.mix_flipped(state, x_targets)
+        assert np.abs(got.amplitudes - np.concatenate([state.amplitudes, flipped])).max() <= 1e-15
+        assert np.array_equal(got.weights, np.concatenate([state.weights, state.weights]) / 2)
+        assert_support_invariants(got)
+
+    @SUPPORT_SETTINGS
+    @given(sparse_states(min_qubits=3), st.integers(1, 2), st.booleans())
+    def test_bell_measurement(self, drawn, m, corrected):
+        state, rng = drawn
+        n = state.n_qubits
+        m = min(m, (n - 1) // 2)
+        qubits = [int(q) for q in rng.permutation(n)]
+        pairs = [tuple(qubits[2 * i : 2 * i + 2]) for i in range(m)]
+        kept = n - 2 * m
+        receivers = [[int(q) for q in part] for part in np.array_split(rng.permutation(kept)[: int(rng.integers(0, kept + 1))], m)]
+        post, outcomes = bell_measurement(state, *pairs, receivers=receivers if corrected else None)
+        assert_support_invariants(post)
+        if corrected:
+            amps, plain = ref_corrected_rows(state, pairs, receivers)
+            assert np.array_equal(post.amplitudes, amps) and np.array_equal(post.weights, plain.weights)
+            return
+        measured = [q for pair in pairs for q in sorted(pair)]
+        psi = np.moveaxis(state.amplitudes.reshape((-1,) + (2,) * n), [q + 1 for q in measured], range(1, 2 * m + 1))
+        bras = reduce(np.kron, [np.array([bell_vector(label) for label in LABELS])] * m).conj()  # [o, measured bits]
+        subs = np.einsum("om,kmr->kor", bras, psi.reshape(len(state.weights), 4**m, -1))
+        p = np.einsum("kor,kor->ko", subs, subs.conj()).real
+        keep = (p > 1e-14) & (state.weights @ p > 1e-14)
+        assert np.array_equal(outcomes, np.nonzero(keep)[1])
+        assert np.abs(post.amplitudes - subs[keep] / np.sqrt(p[keep])[:, None]).max() <= 1e-13
+        weights = (state.weights[:, None] * p)[keep]
+        assert np.abs(post.weights - weights / weights.sum()).max() <= 1e-13
+        assert post.qubit_labels == tuple(l for q, l in enumerate(state.qubit_labels) if q not in measured)
+
+    @SUPPORT_SETTINGS
+    @given(sparse_states(min_qubits=1, max_qubits=5), sparse_states(min_qubits=1, max_qubits=3), st.integers(0, 5))
+    def test_tensor_at(self, left, right, at):
+        (left, _), (right, _) = left, right
+        at = min(at, left.n_qubits)
+        got = tensor(left, right, at=at)
+        nl, nr = left.n_qubits, right.n_qubits
+        rows = [np.kron(a, b).reshape((2,) * (nl + nr)) for a in left.amplitudes for b in right.amplitudes]
+        want = np.array([np.moveaxis(r, range(nl, nl + nr), range(at, at + nr)).reshape(-1) for r in rows])
+        assert np.abs(got.amplitudes - want).max() <= 1e-13
+        assert got.qubit_labels == left.qubit_labels[:at] + right.qubit_labels + left.qubit_labels[at:]
+        assert_support_invariants(got)
+
+    @SUPPORT_SETTINGS
+    @given(sparse_states())
+    def test_trace_distance_and_fidelity(self, drawn):
+        state, rng = drawn
+        other = state
+        for _ in range(2):  # another state on an overlapping support
+            u, targets = random_gate(rng, state.n_qubits, "general")
+            other = apply_unitary(other, u, targets)
+        for a, b in ((state, other), (other, state), (state, state)):
+            assert abs(trace_distance(a, b) - full_register_trace_distance(a, b)) <= 1e-14
+        target = other.amplitudes[0]
+        pure = DenseState.from_arrays(other.amplitudes[:1], [1.0], other.qubit_labels)
+        assert fidelity(state, target) == pytest.approx(ref_fidelity(state, target), abs=1e-13)
+        assert fidelity(state, pure) == pytest.approx(ref_fidelity(state, pure.amplitudes[0]), abs=1e-13)
+
+    def test_fidelity_target_state_is_one_row_on_the_register(self):
+        mixed = to_dense(BellEnsemble({(B1,): 0.5, (B2,): 0.5}))
+        for target in (mixed, to_dense(BellEnsemble.point((B1, B1)))):
+            with pytest.raises(ValueError, match="one-row state"):
+                fidelity(mixed, target)

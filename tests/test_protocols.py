@@ -270,9 +270,31 @@ class TestTeleportation:
         channel, source = prepare_rho_m(3)[0], BellEnsemble({(B2,): 0.3, (B4,): 0.7})
         got = teleport_two_qubit(to_dense(channel), to_dense(source, role="input"))
         want = calculus.apply_steps_dense(to_dense(channel), [("teleport", source)])
-        assert got.qubit_labels == want.qubit_labels == dense.pair_register(2)
+        assert got.qubit_labels == want.qubit_labels == to_dense(channel).qubit_labels[2:]  # channel pairs 1 and 2
         assert np.array_equal(got.amplitudes, want.amplitudes) and np.array_equal(got.weights, want.weights)
         assert dense.trace_distance(got, to_dense(calculus.teleport(channel, source))) <= 1e-12
+
+
+def tags_after_teleport(ledger):
+    """The qubits that the ledger lines after its last Bell measurement name, in order of first mention."""
+    last = max(i for i, line in enumerate(ledger.steps) if line.operation == "bell-measure")
+    return list(dict.fromkeys(q.tag for line in ledger.steps[last + 1 :] for q in line.qubits))
+
+
+class TestTeleportOutputNames:
+    """The dense output of a teleport names its qubits as the ledger's later lines do."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_clone_four_output_is_the_corrected_pairs(self, n):
+        out, ledger = protocols.clone_four_dense(B2, n), protocols.clone_four_1_to_n(B2, n)[1]
+        assert [q.tag for q in out.qubit_labels] == tags_after_teleport(ledger) == [f"{p}{k}" for k in range(1, n + 1) for p in "AB"]
+
+    def test_a_step_after_the_teleport_acts_on_the_named_qubits(self):
+        steps = (("teleport", BellEnsemble.point((B2,))), ("bxor", 0, 1))
+        program = protocols.Program(prepare_rho_m(3)[0], steps, inputs=3)
+        out, ledger = protocols.run_dense(program), protocols.derive_ledger(program)
+        assert [q.tag for q in out.qubit_labels] == tags_after_teleport(ledger) == ["A1", "B1", "A2", "B2"]
+        assert [line.operands for line in ledger.steps[-2:]] == [("A1", "A2"), ("B1", "B2")]
 
 
 class TestCloneFour:

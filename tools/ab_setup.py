@@ -11,9 +11,14 @@ count, which runs ``bench/run.py``'s ``SETUP_CODE``: it imports bellclone
 with its CLI, fills its lazy caches and reports the time taken, the
 quantity that ``bench/run.py`` reports as ``setup_s``.  After one untimed
 warm-up interpreter per tree, the two trees alternate, the side that
-goes first alternating too.  Printed as ``tools/ab_passes.py`` prints:
-each tree's median with its quartiles, the ratio of the medians (this
-checkout over ``OTHER_TREE``) and in how many runs this checkout was lower.
+goes first alternating too.  Printed first: whether each tree's
+``src/bellclone/__pycache__`` holds bytecode.  A tree without it compiles
+``src/`` in every interpreter that does not write bytecode (as under
+``PYTHONDONTWRITEBYTECODE=1``), which alone can move set-up by a quarter,
+so trees whose states differ are not compared: the exit status is 2.
+Then, as ``tools/ab_passes.py`` prints: each tree's median with its
+quartiles, the ratio of the medians (this checkout over ``OTHER_TREE``)
+and in how many runs this checkout was lower.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ def setup_seconds(tree: Path) -> float:
     return float(seconds)
 
 
+def has_bytecode(tree: Path) -> bool:
+    """Whether ``tree/src/bellclone/__pycache__`` holds compiled modules."""
+    return any((tree / "src" / "bellclone" / "__pycache__").glob("*.pyc"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_tree", type=Path, help="root of the baseline checkout")
@@ -53,6 +63,12 @@ def main(argv=None) -> int:
     if args.runs < 1:
         parser.error("--runs must be >= 1")
     trees = {"base": other, "this": ROOT}
+    cached = {side: has_bytecode(tree) for side, tree in trees.items()}
+    for side, tree in trees.items():
+        print(f"{side} {tree}: {'cached bytecode' if cached[side] else 'no cached bytecode'} in src/bellclone/__pycache__")
+    if cached["base"] != cached["this"]:
+        print("error: one tree has cached bytecode and the other not; give both the same state", file=sys.stderr)
+        return 2
     times: dict[str, list[float]] = {"base": [], "this": []}
     for tree in trees.values():
         setup_seconds(tree)
