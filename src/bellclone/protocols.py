@@ -8,8 +8,8 @@ measurements on small registers (through one interpreter,
 verification route.
 The ebit/classical-bit ledger is derived from the list
 (:func:`derive_ledger`), with every step Alice-local, Bob-local, or
-classical communication; each quantum line keeps the register qubits it
-acts on, which :meth:`ResourceLedger.locc_violations` audits.
+classical communication; its lines, built on read, name the register
+qubits they act on, whose owners :meth:`ResourceLedger.locc_violations` audits.
 
 Resource accounting: a shared |B1> counts as exactly 1 ebit; two-outcome
 Bell mixtures with maximum probability 1/2 are separable and count as 0.
@@ -18,8 +18,9 @@ The rule is applied to each initial pair that is not an input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -55,25 +56,33 @@ class LedgerStep(NamedTuple):
         return tuple(q.tag for q in self.qubits) + self.words
 
 
-@dataclass
 class ResourceLedger:
-    """Ebit and classical-communication accounting for one protocol run."""
+    """Ebit and classical-communication accounting for one protocol run.  ``steps`` is a ``list[LedgerStep]``:
+    the lines given or set by hand, then those of the segments :func:`derive_ledger` recorded, built on read."""
 
-    ebits_consumed: float = 0.0
-    ebits_distilled: float = 0.0
-    classical_bits: int = 0
-    steps: list[LedgerStep] = field(default_factory=list)
+    def __init__(self, ebits_consumed=0.0, ebits_distilled=0.0, classical_bits=0, steps: list | None = None):
+        self.ebits_consumed, self.ebits_distilled, self.classical_bits = ebits_consumed, ebits_distilled, classical_bits
+        self._lines, self._segments = [] if steps is None else steps, []
+
+    @property
+    def steps(self) -> list[LedgerStep]:
+        self._lines += [line for segment in self._segments for line in _segment_lines(*segment)]
+        self._segments.clear()
+        return self._lines
+
+    @steps.setter
+    def steps(self, lines: list[LedgerStep]) -> None:
+        self._lines, self._segments = lines, []
 
     def locc_violations(self) -> list[LedgerStep]:
-        """The lines acting on a register qubit that the other party holds."""
-        return [s for s in self.steps if any(q.party != s.party for q in s.qubits)]
+        """The lines acting on a register qubit that the other party holds.  A segment's lines
+        are built for this only if its owner table, read through party_qubit, crosses."""
+        crossing = [seg for seg in self._segments if any(q.party != p for p, qp in _qubits(seg[0]) for q in qp)]
+        lines = self._lines + [line for seg in crossing for line in _segment_lines(*seg)]
+        return [s for s in lines if any(q.party != s.party for q in s.qubits)]
 
     def to_dict(self) -> dict:
-        return {
-            "ebits_consumed": self.ebits_consumed,
-            "ebits_distilled": self.ebits_distilled,
-            "classical_bits": self.classical_bits,
-        }
+        return {key: getattr(self, key) for key in ("ebits_consumed", "ebits_distilled", "classical_bits")}
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +102,17 @@ class Program:
 
 
 def ebit_cost(e: BellEnsemble, *pairs: int) -> int:
-    """The accounting rule, summed over ``pairs`` of a product ensemble: 1
-    for a shared |B1>, 0 for a separable two-label mixture at most 1/2 each."""
-    probs = list(e.entries.values())
-    columns = list(zip(*e.entries))  # each pair's labels, string by string
-    cost = 0
-    for pair in pairs:
-        marginal: dict[BellLabel, float] = {}
-        for label, p in zip(columns[pair], probs):
-            marginal[label] = marginal.get(label, 0.0) + p
-        if set(marginal) == {B1}:
-            cost += 1
-        elif len(marginal) != 2 or max(marginal.values()) > 0.5 + 1e-12:
+    """The accounting rule, summed over ``pairs`` of a product ensemble, each read from its 2-bit field
+    of the packed strings: 1 for a shared |B1> (00), 0 for a separable two-label mixture at most 1/2 each."""
+    digits = [format(x, "b").zfill(2 * e.n_pairs) for x in e._probs]
+    held = format(reduce(or_, e._probs), "b").zfill(2 * e.n_pairs)  # 00 where every string holds B1
+    mixed = [k for k in pairs if held[2 * k : 2 * k + 2] != "00"]
+    for pair in mixed:
+        fields = [d[2 * pair : 2 * pair + 2] for d in digits]
+        marginal = [sum(p for g, p in zip(fields, e._probs.values()) if g == f) for f in set(fields)]
+        if len(marginal) != 2 or max(marginal) > 0.5 + 1e-12:
             raise ValueError(f"no ebit rule for pair {pair}: neither |B1> nor a separable two-label mixture")
-    return cost
+    return len(pairs) - len(mixed)
 
 
 def _qubits(register: tuple[QubitLabel, ...]) -> list[tuple[str, list[QubitLabel]]]:
@@ -115,51 +121,63 @@ def _qubits(register: tuple[QubitLabel, ...]) -> list[tuple[str, list[QubitLabel
     return [(party, [register[calculus.party_qubit(k, party)] for k in range(len(register) // 2)]) for party in PARTIES]
 
 
-def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> ResourceLedger:
-    """The program's ledger (appended to ``ledger`` if given): ebits from the charged
-    initial pairs, one line per party and step, and the bits each classical line
-    sends.  A step that :func:`apply_steps` rejects raises its message here too."""
-    ledger = ResourceLedger() if ledger is None else ledger
-    e, n = program.initial, program.initial.n_pairs
-    ledger.ebits_consumed += ebit_cost(e, *range(program.inputs, n))
-    register = dense.pair_register(n)
+def _segment_lines(register: tuple[QubitLabel, ...], ops: tuple[tuple, ...]) -> list[LedgerStep]:
+    """The lines of the steps ``ops`` run on ``register``: one per party and step, one per message."""
     (_, qa), (_, qb) = q = _qubits(register)
     lines: list[LedgerStep] = []
-    steps = iter(program.steps)
-    for op in steps:
+    for op in ops:
         name = op[0]
         if name == "bxor":
             _, s, t = op
-            if not (0 <= s < n and 0 <= t < n and s != t):
-                calculus._step_columns(n, op)
             lines += (LedgerStep("alice", "cnot", (qa[s], qa[t])), LedgerStep("bob", "cnot", (qb[s], qb[t])))
         elif name == "local_clifford":
             _, k, red = op
-            if not 0 <= k < n:
-                calculus._check_pair(n, k)
             words = (red.alice_word, red.bob_word)
             lines += [LedgerStep(party, "unitary", (qp[k],), (w,)) for (party, qp), w in zip(q, words)]
         elif name == "random_pauli_x":
             lines.append(LedgerStep("bob", "random-pauli-x", tuple(qb)))
         elif name == "parity_measure":
-            calculus._check_pair(n, op[1])
-            calculus._check_last(steps)
             lines += [LedgerStep(party, "measure-z", (qp[op[1]],)) for party, qp in q]
             lines.append(LedgerStep("classical", "compare-parity", (), (2,)))
-        elif name == "teleport":  # the input pair joins the register in front
-            calculus._check_teleport(n, op[1].n_pairs)
-            joint = _qubits(dense.pair_register(1, role="input") + register)
-            lines += [LedgerStep(party, "bell-measure", (qp[0], qp[1])) for party, qp in joint]
+        else:  # a teleport: pair 0 is its input pair, and channel pair k - 1 is pair k
+            lines += [LedgerStep(party, "bell-measure", (qp[0], qp[1])) for party, qp in q]
             lines.append(LedgerStep("classical", "broadcast-outcomes", (), (4,)))
-            # channel pair k - 1 is pair k of the joint register
-            lines += [LedgerStep(p, "pauli-correct", (qp[k],)) for k in range(2, n + 1) for p, qp in joint]
+            lines += [LedgerStep(p, "pauli-correct", (qp[k],)) for k in range(2, len(qa)) for p, qp in q]
+    return lines
+
+
+def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> ResourceLedger:
+    """The program's ledger (appended to ``ledger`` if given): ebits from the charged initial
+    pairs, the bits each classical step sends, and each register segment with the program's
+    steps run on it; a teleport runs alone on the register with its input pair in front, then
+    starts a new segment.  A step that :func:`apply_steps` rejects raises its message here too."""
+    ledger = ResourceLedger() if ledger is None else ledger
+    e, n = program.initial, program.initial.n_pairs
+    ledger.ebits_consumed += ebit_cost(e, *range(program.inputs, n))
+    register, start, bits, segments = dense.pair_register(n), 0, 0, []
+    steps = iter(program.steps)
+    for i, op in enumerate(steps):
+        name = op[0]
+        if name == "bxor":
+            _, s, t = op
+            if not (0 <= s < n and 0 <= t < n and s != t):
+                calculus._step_columns(n, op)
+        elif name == "local_clifford":
+            calculus._check_pair(n, op[1])
+        elif name == "parity_measure":
+            calculus._check_pair(n, op[1])
+            calculus._check_last(steps)
+            bits += 2
+        elif name == "teleport":
+            calculus._check_teleport(n, op[1].n_pairs)
+            bits += 4
+            segments += [(register, program.steps[start:i]), (dense.pair_register(1, role="input") + register, (op,))]
             # the Bell measurements consumed channel pair 0; later steps act on the rest
-            register, n = register[2:], n - 1
-            (_, qa), (_, qb) = q = _qubits(register)
-        else:
+            register, n, start = register[2:], n - 1, i + 1
+        elif name != "random_pauli_x":
             raise ValueError(f"no ledger rule for step {name!r}")
-    ledger.classical_bits += sum(line.words[0] for line in lines if line.party == "classical")
-    ledger.steps += lines
+    ledger.classical_bits += bits
+    ledger._segments += segments + [(register, program.steps[start:])]
     return ledger
 
 

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bellclone import calculus, dense, protocols
+from bellclone import calculus, dense, protocols, verify
 from bellclone.calculus import PARTIES, BellEnsemble, mix, to_dense
 from bellclone.dense import DenseState, pauli
 from bellclone.labels import B1, B2, B3, B4, LABELS
@@ -616,6 +618,21 @@ def _ledger_programs():
 
 LEDGER_PROGRAMS = dict(_ledger_programs())
 
+#: Register layouts for the LOCC audit: party_qubit as built, with the
+#: parties swapped, with Bob's qubit of each pair on Alice's, and with the
+#: parties swapped on pair 1 only.
+LAYOUTS = {
+    "as-built": calculus.party_qubit,
+    "swapped": lambda pair, party: 2 * pair + (party == "alice"),
+    "bob-on-alice": lambda pair, party: 2 * pair,
+    "pair-1-swapped": lambda pair, party: 2 * pair + ((party == "bob") != (pair == 1)),
+}
+
+
+def line_audit(lines: list[LedgerStep]) -> list[LedgerStep]:
+    """The LOCC audit read line by line: each line naming a qubit of another party."""
+    return [s for s in lines if any(q.party != s.party for q in s.qubits)]
+
 
 class TestDerivedLedger:
     @pytest.mark.parametrize("name", list(LEDGER_PROGRAMS))
@@ -689,7 +706,9 @@ class TestDerivedLedger:
     def test_ledger_and_symbolic_run_accept_the_same_programs(self, data):
         """On random short step lists: derive_ledger raises exactly when
         apply_steps does, with its message, and an accepted program's ledger
-        never names a channel qubit that an earlier Bell measurement consumed."""
+        never names a channel qubit that an earlier Bell measurement consumed;
+        under each register layout, its LOCC audit flags exactly the lines
+        that a line-by-line audit of its steps flags."""
         n = data.draw(st.integers(1, 5), label="pairs")
         index = st.integers(-1, n)
         source = st.lists(st.sampled_from(LABELS), min_size=1, max_size=2).map(lambda s: BellEnsemble.point(tuple(s)))
@@ -714,6 +733,11 @@ class TestDerivedLedger:
             assert not consumed & set(line.qubits), line
             if line.operation == "bell-measure":  # each teleport brings a fresh input pair
                 consumed.update(q for q in line.qubits if q.role != "input")
+        layout = data.draw(st.sampled_from(sorted(LAYOUTS)), label="layout")
+        with mock.patch.object(calculus, "party_qubit", LAYOUTS[layout]):
+            ledger = protocols.derive_ledger(program)
+            violations = ledger.locc_violations()
+            assert violations == line_audit(ledger.steps)
 
     def test_appends_to_a_given_ledger(self):
         ledger = ResourceLedger(ebits_consumed=1.0, classical_bits=3, steps=[LedgerStep("classical", "x", (), (3,))])
@@ -742,3 +766,64 @@ class TestDerivedLedger:
             LedgerStep("classical", "oops", (a0,)),
         ]
         assert ResourceLedger(steps=lines).locc_violations() == [lines[1], lines[2], lines[5]]
+
+    @pytest.mark.parametrize("layout", ["as-built", "pair-1-swapped"])
+    def test_audit_of_hand_built_and_derived_lines(self, layout):
+        """Hand-built lines before and between derived segments: the audit
+        flags, in order, what the line-by-line audit of ``steps`` flags."""
+        b0 = dense.pair_register(1)[1]
+        crossing, clean = LedgerStep("alice", "measure-z", (b0,)), LedgerStep("bob", "measure-z", (b0,))
+        ledger = ResourceLedger(steps=[crossing, clean])
+        with mock.patch.object(calculus, "party_qubit", LAYOUTS[layout]):
+            protocols.derive_ledger(LEDGER_PROGRAMS["clone_four-2"], ledger)
+            ledger.steps += [crossing]
+            protocols.derive_ledger(LEDGER_PROGRAMS["distill-3"], ledger)
+            violations = ledger.locc_violations()
+            lines = ledger.steps
+        assert type(lines) is list
+        assert len(lines) == 3 + sum(len(ref_derive_ledger(LEDGER_PROGRAMS[k]).steps) for k in ("clone_four-2", "distill-3"))
+        assert violations == line_audit(lines)
+        assert [s for s in violations if s is crossing] == [crossing, crossing]
+        # The pair-1 swap crosses both teleport Bell measurements and both C-NOTs from pair 1.
+        assert len(violations) == (2 if layout == "as-built" else 6)
+        assert ledger.locc_violations() == violations
+
+    def test_swapped_parties_fail_the_audit_once_caches_are_warm(self, monkeypatch):
+        """Once every cache is warm, party_qubit swaps the parties: a fresh ledger
+        of each protocol, the teleport segment on its own too, fails the LOCC
+        audit, and passes again once the swap is undone.  The owner table is
+        read at audit time, so none outlives the swap."""
+        quasi_pure, _ = prepare_quasi_pure((0.4, 0.1, 0.3, 0.2), 3)
+
+        def fresh_ledgers():
+            return {
+                "rho_m": prepare_rho_m(5)[1],
+                "clone_pair": clone_pair_1_to_n(B1, (B1, B3), 3)[1],
+                "clone_four": clone_four_1_to_n(B1, 2)[1],
+                "teleport": protocols.derive_ledger(protocols._clone_four_program(B1, 2)[0]),
+                "distill": distill_quasi_pure(quasi_pure)[1],
+            }
+
+        for name, ledger in fresh_ledgers().items():
+            assert verify.locc_audit(ledger).passed, name
+        monkeypatch.setattr(calculus, "party_qubit", LAYOUTS["swapped"])
+        for name, ledger in fresh_ledgers().items():
+            assert not verify.locc_audit(ledger).passed, name
+            assert ledger.locc_violations() == line_audit(ledger.steps), name
+        monkeypatch.undo()
+        for name, ledger in fresh_ledgers().items():
+            assert verify.locc_audit(ledger).passed, name
+
+    def test_ledger_and_audit_allocate_little(self):
+        """Deriving rho_16384's ledger and auditing it stay within 4 MiB of traced
+        allocation: no line is built.  The program and the register, which is
+        cached and shared, are built before tracing starts."""
+        program = protocols._rho_m_program(16384)
+        dense.pair_register(program.initial.n_pairs)
+        tracemalloc.start()
+        try:
+            assert protocols.derive_ledger(program).locc_violations() == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
