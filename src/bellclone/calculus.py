@@ -484,15 +484,17 @@ def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float
 
 def apply_steps_dense(state: dense.DenseState, steps: Iterable[tuple]):
     """Run a step list (see :func:`apply_steps`) on explicit state vectors,
-    pair k on the qubits :func:`party_qubit` gives it: each run of bxor steps
-    as one :func:`~bellclone.dense.apply_cnot_layers` permutation, every other step, once
-    :func:`apply_steps`'s checks pass, as its gates or measurement.  This is the oracle
-    side of the symbolic/dense equivalence checks."""
+    pair k on the qubits :func:`party_qubit` gives it, each step once
+    :func:`apply_steps`'s checks pass: each run of bxor steps as one
+    :func:`~bellclone.dense.apply_cnot_layers` permutation, every other step as its gates
+    or measurement.  This is the oracle side of the symbolic/dense equivalence checks."""
     steps = iter(steps)
     for is_bxor, ops in groupby(steps, key=lambda op: op[0] == "bxor"):
         if is_bxor:
+            # _step_columns raises on an invalid pair and returns a valid step's (non-empty) columns.
+            pairs = [op[1:] for op in ops if _step_columns(state.n_qubits // 2, op)]
             # A bilateral C-NOT: each party C-NOTs its qubit of the source pair onto its qubit of the target pair.
-            layers = [[(party_qubit(s, p), party_qubit(t, p)) for p in PARTIES] for _, s, t in ops]
+            layers = [[(party_qubit(s, p), party_qubit(t, p)) for p in PARTIES] for s, t in pairs]
             state = dense.apply_cnot_layers(state, layers)
             continue
         for op in ops:

@@ -5,13 +5,13 @@ matrix) held by its nonzeros: ``support``, the distinct basis indices at
 which some branch is nonzero, in no set order, and ``values``, one row per
 branch there; a Bell-product row on 2n qubits has 2^n of 4^n entries
 nonzero.  ``amplitudes``, the rows over the whole register, is a
-read-only view built on first read, for the density matrices below (up
-to 10 qubits); no kernel reads it.  Every state checks each row norm
-(within 1e-9) and its weight total.  One built from outside arrays
-divides a row only when its computed norm is not exactly 1.0 (the
-weights likewise); a kernel's output is never rescaled, since moves,
-checked unitaries, products and +-1/+-i phases keep unit rows unit, and
-a measurement divides each kept row once by its probability's root.
+read-only view built on first read, for callers and ``branches``; no
+kernel reads it.  Every state checks each row norm (within 1e-9) and its
+weight total.  One built from outside arrays divides a row only when its
+computed norm is not exactly 1.0 (the weights likewise); a kernel's
+output is never rescaled, since moves, checked unitaries, products and
++-1/+-i phases keep unit rows unit, and a measurement divides each kept
+row once by its probability's root.
 A C-NOT maps the support (i -> i ^ (bit_c(i) << t)) and leaves the values
 alone; a gate with one nonzero per column permutes and phases them; any
 other is a matrix product over the support grouped by its non-target
@@ -19,8 +19,9 @@ bits, which drops the columns that come out exactly zero.  A Bell
 measurement drops the pairs it measured, several at once with a Pauli
 frame on disjoint receivers, so teleportation takes no trace or spectrum.
 A trace distance works in the joint span of both states' branches, on
-the union of their supports; log-negativity diagonalizes the connected
-blocks of the partial transpose that nonzero amplitudes produce.  A
+the union of their supports; log-negativity reads the support split by
+the cut and diagonalizes the connected blocks of the partial transpose
+that nonzero amplitudes produce, up to the 14-qubit register limit.  A
 density matrix (up to 10 qubits) is materialized only for dense rows'
 log-negativity, a partial trace's kept block, and on request
 (``density_matrix``, ``partial_transpose``, Choi matrices, one channel
@@ -235,10 +236,11 @@ class DenseState:
         return cls.from_arrays([amplitudes], [1.0], qubit_labels)
 
     def density_matrix(self) -> np.ndarray:
-        """Materialize the density operator (registers up to 10 qubits)."""
+        """Materialize the density operator (registers up to 10 qubits) from the rows widened to the register."""
         if self.n_qubits > MAX_DENSE_QUBITS:
             raise ValueError(f"refusing to materialize a {self.n_qubits}-qubit density matrix")
-        return (self.amplitudes.T * self.weights) @ self.amplitudes.conj()
+        rows = _widened(self.values, self.support, 2**self.n_qubits)
+        return (rows.T * self.weights) @ rows.conj()
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,10 +289,15 @@ def _index_tables(n: int, qubits: tuple[int, ...]):
     return split, (x[:, None] >> np.arange(len(qubits))[::-1] & 1) @ (1 << (n - 1 - np.array(qubits, dtype=int)))
 
 
-def _measured(state: DenseState, qubits: Sequence[int]):
+def _measured(state: DenseState, qubits: Sequence[int] | Cut):
     """The rows as (k, 2**len(qubits), r) blocks: [b, x, j] is branch b's
     amplitude with ``qubits`` in state x and the others in ``rest[j]``, an
-    index of the register without them.  Returns blocks, rest (ascending), labels."""
+    index of the register without them; a :class:`Cut` of the register stands
+    for its left side, ascending.  Returns blocks, rest (ascending), labels."""
+    if isinstance(qubits, Cut):
+        if qubits.left | qubits.right != frozenset(range(state.n_qubits)):
+            raise ValueError("cut does not partition this register")
+        qubits = sorted(qubits.left)
     own, rest = _index_tables(state.n_qubits, tuple(qubits))[0](state.support)
     rest, column = _group(rest)
     blocks = np.zeros((len(state.weights), 2 ** len(qubits), len(rest)), dtype=complex)
@@ -345,12 +352,6 @@ class Cut:
     @classmethod
     def one_vs_rest(cls, state: DenseState, qubit: int) -> "Cut":
         return cls.of(state.n_qubits, (qubit,))
-
-
-def _split(amps: np.ndarray, n: int, qubits: Sequence[int]) -> tuple[np.ndarray, list[int]]:
-    """Rows of a (k, 2**n) batch as (k, 2**len(qubits), rest) matrices, and the axis order."""
-    order = [0] + [q + 1 for q in qubits] + [q + 1 for q in range(n) if q not in qubits]
-    return amps.reshape((len(amps),) + (2,) * n).transpose(order).reshape(len(amps), 2 ** len(qubits), -1), order
 
 
 def check_unitary(u: np.ndarray) -> None:
@@ -531,33 +532,29 @@ def _real_if_exact(m: np.ndarray) -> np.ndarray:
     return m.real if np.iscomplexobj(m) and not m.imag.any() else m
 
 
-def _check_cut(state: DenseState, cut: Cut) -> None:
-    """Raise unless the cut partitions the register and its partial
-    transpose is small enough to materialize."""
-    if cut.left | cut.right != frozenset(range(state.n_qubits)):
-        raise ValueError("cut does not partition this register")
-    if state.n_qubits > MAX_DENSE_QUBITS:
-        raise ValueError("register too large to materialize a partial transpose")
-
-
 def partial_transpose(state: DenseState, cut: Cut) -> np.ndarray:
     """Density operator transposed on the cut's left side.
 
-    The register is reordered to (left..., right...) before reshaping, so
-    the returned matrix is indexed by (left bits, right bits).
+    The register is reordered to (left..., right...), so the returned
+    matrix is indexed by (left bits, right bits).
     """
-    _check_cut(state, cut)
-    n = state.n_qubits
-    m = _split(state.amplitudes, n, sorted(cut.left))[0]
+    return _whole_partial_transpose(state, *_measured(state, cut)[:2])
+
+
+def _whole_partial_transpose(state: DenseState, blocks: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The partial transpose from the cut's split (:func:`_measured`), as one matrix of at most 10 qubits."""
+    n, (k, dl, _) = state.n_qubits, blocks.shape
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError("register too large to materialize a partial transpose")
+    m = _widened(blocks.reshape(k * dl, -1), rest, 2**n // dl).reshape(k, dl, -1)
     # einsum sums the branches in order, without fused multiply-adds.
-    pt = np.einsum("bkj,bil->ijkl", state.weights[:, None, None] * m, m.conj())
-    return pt.reshape(2**n, 2**n)
+    return np.einsum("bkj,bil->ijkl", state.weights[:, None, None] * m, m.conj()).reshape(2**n, 2**n)
 
 
-def _partial_transpose_blocks(weights: np.ndarray, m: np.ndarray) -> list[np.ndarray] | None:
+def _partial_transpose_blocks(weights: np.ndarray, m: np.ndarray, n: int) -> list[np.ndarray] | None:
     """The partial transpose of sum_b weights[b] |m_b><m_b| (``m``: (k, left,
-    right) branch matrices) as its connected diagonal blocks, one
-    (count, s, s) stack per block size s.
+    right) branch matrices of an n-qubit register, :func:`_measured`'s split)
+    as its connected diagonal blocks, one (count, s, s) stack per block size s.
 
     Entry ((i,j),(k,l)) is w_b m_b[k,j] conj(m_b[i,l]) summed over the
     branches in order, as in :func:`partial_transpose`, but only over each
@@ -565,16 +562,16 @@ def _partial_transpose_blocks(weights: np.ndarray, m: np.ndarray) -> list[np.nda
     hold the entries on and below the diagonal, the triangle eigvalsh
     reads, in ascending index order; indices that no nonzero entry touches
     would each add an eigenvalue 0 and belong to no block.  Returns None
-    when 8 sum_b nnz_b^2 reaches dim^2: the arrays of the terms (about 90
-    bytes each) would then outweigh the dense matrix (32 bytes per entry
-    with its eigvalsh copy).
+    when 8 sum_b nnz_b^2 reaches dim^2, dim = 2^min(n, 10): the terms (about
+    90 bytes each) would then outweigh the largest dense matrix that may be
+    materialized (32 bytes per entry with its eigvalsh copy).
     """
     k, dl, dr = m.shape
     dim = dl * dr
     flat = m.reshape(k, dim)
     branch, pos = np.divmod(np.flatnonzero(flat), dim)  # branch-major
     nnz = np.bincount(branch, minlength=k)
-    if 8 * (nnz @ nnz) >= dim * dim:
+    if 8 * (nnz @ nnz) >= 4 ** min(n, MAX_DENSE_QUBITS):
         return None
     amp = flat[branch, pos]
     # Every pair (p, q) of nonzeros of one row, branch-major: p repeats, q runs over p's row.
@@ -631,16 +628,14 @@ def log_negativity(state: DenseState, cut: Cut) -> float:
     The partial transpose is diagonalized block by block, one batched
     eigvalsh per block size, and only the entries that the rows' nonzero
     amplitudes produce are built (:func:`_partial_transpose_blocks`).  The
-    whole matrix is formed and diagonalized at once instead when the rows
-    are dense (8 sum_b nnz_b^2 >= 4^n).
-    Matrices whose entries are exactly real are diagonalized in real
-    arithmetic.
+    whole matrix is formed from the same split and diagonalized at once when
+    the rows are dense (8 sum_b nnz_b^2 >= 4^min(n, 10); refused above 10
+    qubits).  Exactly real matrices are diagonalized in real arithmetic.
     """
-    _check_cut(state, cut)
-    m = _split(state.amplitudes, state.n_qubits, sorted(cut.left))[0]
-    blocks = _partial_transpose_blocks(state.weights, m)
+    m, rest, _ = _measured(state, cut)
+    blocks = _partial_transpose_blocks(state.weights, m, state.n_qubits)
     if blocks is None:
-        blocks = [partial_transpose(state, cut)]
+        blocks = [_whole_partial_transpose(state, m, rest)]
     eigs = np.concatenate([np.linalg.eigvalsh(_real_if_exact(b)).ravel() for b in blocks])
     return max(0.0, float(np.log2(np.sum(np.abs(eigs)))))
 

@@ -18,10 +18,11 @@ The rule is applied to each initial pair that is not an input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,14 +102,15 @@ class Program:
     inputs: int = 0
 
 
-def ebit_cost(e: BellEnsemble, *pairs: int) -> int:
-    """The accounting rule, summed over ``pairs`` of a product ensemble, each read from its 2-bit field
-    of the packed strings: 1 for a shared |B1> (00), 0 for a separable two-label mixture at most 1/2 each."""
-    digits = [format(x, "b").zfill(2 * e.n_pairs) for x in e._probs]
-    held = format(reduce(or_, e._probs), "b").zfill(2 * e.n_pairs)  # 00 where every string holds B1
-    mixed = [k for k in pairs if held[2 * k : 2 * k + 2] != "00"]
+def ebit_cost(e: BellEnsemble, pairs: Collection[int] = ()) -> int:
+    """The accounting rule, summed over the distinct ``pairs`` of a product ensemble, each read from its 2-bit
+    field of the packed strings: 1 for a shared |B1> (00), 0 for a separable two-label mixture at most 1/2 each."""
+    n, held = e.n_pairs, reduce(or_, e._probs)
+    # "1" at 2k + 1 where pair k's field is not 00 in some string, the only pairs that can cost 0
+    flags = format((held | held >> 1) & (4**n - 1) // 3, "b").zfill(2 * n)
+    mixed = [k for k in (m.start() // 2 for m in re.finditer("1", flags)) if k in pairs]
     for pair in mixed:
-        fields = [d[2 * pair : 2 * pair + 2] for d in digits]
+        fields = [x >> 2 * (n - 1 - pair) & 3 for x in e._probs]
         marginal = [sum(p for g, p in zip(fields, e._probs.values()) if g == f) for f in set(fields)]
         if len(marginal) != 2 or max(marginal) > 0.5 + 1e-12:
             raise ValueError(f"no ebit rule for pair {pair}: neither |B1> nor a separable two-label mixture")
@@ -153,7 +155,7 @@ def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> Res
     starts a new segment.  A step that :func:`apply_steps` rejects raises its message here too."""
     ledger = ResourceLedger() if ledger is None else ledger
     e, n = program.initial, program.initial.n_pairs
-    ledger.ebits_consumed += ebit_cost(e, *range(program.inputs, n))
+    ledger.ebits_consumed += ebit_cost(e, range(program.inputs, n))
     register, start, bits, segments = dense.pair_register(n), 0, 0, []
     steps = iter(program.steps)
     for i, op in enumerate(steps):

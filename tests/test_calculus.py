@@ -355,13 +355,17 @@ class TestDenseStepRoutes:
         for op in [("bxor", 0, 2), ("bxor", 2, 1), ("random_pauli_x",)]:
             apply_steps_dense(state, [op])
 
-    def test_bxor_pair_errors_unchanged(self):
-        state = to_dense(BellEnsemble.point((B1, B2)))
-        with pytest.raises(ValueError, match="target qubits must be distinct"):
-            apply_steps_dense(state, [("bxor", 1, 1)])
-        for s, t in [(0, 2), (-1, 0), (3, 5)]:
-            with pytest.raises(ValueError, match="target qubit out of range"):
-                apply_steps_dense(state, [("bxor", s, t)])
+    def test_bxor_pair_errors_are_the_symbolic_ones(self):
+        e = BellEnsemble.point((B1, B2))
+        for op, message in [
+            (("bxor", 1, 1), "source and target pair must differ"),
+            (("bxor", 0, 2), "pair index 2 out of range for 2 pairs"),
+            (("bxor", -1, 0), "pair index -1 out of range for 2 pairs"),
+            (("bxor", 3, 5), "pair index 3 out of range for 2 pairs"),
+        ]:
+            for run in (lambda: apply_steps(e, [op]), lambda: apply_steps_dense(to_dense(e), [("bxor", 0, 1), op])):
+                with pytest.raises(ValueError, match=message):
+                    run()
 
 
 class TestFromTextBoundary:

@@ -415,9 +415,10 @@ class TestSharedChecks:
 
 
 class TestNoRegisterExpansion:
-    """No program path reads a state's (k, 2**n) ``amplitudes`` view above 10
-    qubits: every dense family at its largest certified size works on the
-    support and its values alone."""
+    """No program path reads a state's (k, 2**n) ``amplitudes`` view, at any
+    size: every dense family at its largest certified size, and every claim
+    of ``verify-all`` (Choi matrices and log-negativity included), works on
+    the support and its values alone."""
 
     #: Each family's run at its largest certified size, and the largest register it builds.
     FAMILIES = [
@@ -427,6 +428,7 @@ class TestNoRegisterExpansion:
         (("distill", "--p", "0.4,0.1,0.3,0.2", "--n", "5", "--engine", "both"), 10),
         (("teleport", "--channel", "smolin", "--input", "B1"), 8),
         (("teleport", "--channel", "ideal", "--input", "B4"), 8),
+        (("verify-all",), 10),
     ]
 
     @pytest.mark.parametrize("argv, largest", FAMILIES, ids=lambda v: " ".join(v[:3]) if isinstance(v, tuple) else str(v))
@@ -444,4 +446,4 @@ class TestNoRegisterExpansion:
         monkeypatch.setattr(dense.DenseState, "_from_kernel", classmethod(counted))
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0 and max(registers) == largest
-        assert [n for n in reads if n > dense.MAX_DENSE_QUBITS] == []
+        assert reads == []

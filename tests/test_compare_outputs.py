@@ -73,19 +73,19 @@ def test_main_ends_with_the_gate_verdict(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tool.jobs, "dense_argv_space", lambda: [["moved"]])
     monkeypatch.setattr(tool, "run_cli", lambda tree, argv, workdir: runs[argv[0] if argv[0] in runs else "identical"][tree == tool.ROOT])
     assert tool.main([str(tmp_path)]) == 1
-    assert capsys.readouterr().out.splitlines()[-2:] == ["1 of 2 outputs identical", "moved leaves within the gate's tolerances"]
+    assert capsys.readouterr().out.splitlines()[-2:] == ["2 of 3 outputs identical", "moved leaves within the gate's tolerances"]
 
     monkeypatch.setattr(tool.jobs, "dense_argv_space", lambda: [["moved"], ["broken"]])
     assert tool.main([str(tmp_path)]) == 1
     assert capsys.readouterr().out.splitlines()[-3:] == [
-        "1 of 3 outputs identical",
+        "2 of 4 outputs identical",
         "leaves beyond the gate's tolerances:",
         "  broken: stdout $.checks[0].measured: 1e-09 not within 1e-10 of 0.0",
     ]
 
     monkeypatch.setattr(tool.jobs, "dense_argv_space", lambda: [])
     assert tool.main([str(tmp_path)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["1 of 1 outputs identical"]
+    assert capsys.readouterr().out.splitlines() == ["2 of 2 outputs identical"]
 
 
 def test_stderr_is_shown_but_not_judged():
@@ -128,4 +128,28 @@ def test_main_reads_the_recorded_error_from_the_reference(tmp_path, monkeypatch,
     assert tool.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "  stderr:" in out
-    assert out[-2:] == ["1 of 2 outputs identical", "moved leaves within the gate's tolerances"]
+    assert out[-2:] == ["2 of 3 outputs identical", "moved leaves within the gate's tolerances"]
+
+
+def test_api_job_prints_the_repr_of_its_value(tmp_path):
+    """The benchmark's API job runs in a fresh interpreter; rho_5 across Alice:Bob reads exactly 4.0."""
+    assert tool.API_JOB == ["log_negativity", "rho_5", "alice:bob"]
+    assert tool.run_cli(tool.ROOT, tool.API_JOB, tmp_path) == {"exit": 0, "stdout": "4.0\n", "stderr": ""}
+
+
+def test_api_job_is_compared_and_judged_exactly(tmp_path, monkeypatch, capsys):
+    (tmp_path / "src" / "bellclone").mkdir(parents=True)
+    (tmp_path / "src" / "bellclone" / "__init__.py").touch()
+    old, new = ({"exit": 0, "stdout": value, "stderr": ""} for value in ("4.0\n", "3.9999999999999996\n"))
+    assert tool.beyond_gate(old, new) == ["stdout $: 3.9999999999999996 != 4.0"]
+    monkeypatch.setattr(tool.jobs, "dense_argv_space", lambda: [])
+    monkeypatch.setattr(tool, "run_cli", lambda tree, argv, workdir: (new if tree == tool.ROOT else old) if argv == tool.API_JOB else _run(0.0))
+    assert tool.main([str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "log_negativity rho_5 alice:bob",
+        "  stdout:",
+        "    $: 4.0 -> 3.9999999999999996",
+        "1 of 2 outputs identical",
+        "leaves beyond the gate's tolerances:",
+        "  log_negativity rho_5 alice:bob: stdout $: 3.9999999999999996 != 4.0",
+    ]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -1044,42 +1045,75 @@ def random_qubit_unitary(rng):
 
 
 def block_stacks(state, cut):
-    m = dense._split(state.amplitudes, state.n_qubits, sorted(cut.left))[0]
-    return dense._partial_transpose_blocks(state.weights, m)
+    return dense._partial_transpose_blocks(state.weights, dense._measured(state, cut)[0], state.n_qubits)
+
+
+#: The partial transpose of one pair's Bell projectors, in the Bell basis
+#: (LABELS order): column j is the image of LABELS[j]'s projector.
+BELL_PARTIAL_TRANSPOSE = 0.5 * np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
+
+
+def bell_diagonal_log_negativity(e, cut):
+    """Log-negativity of a Bell-diagonal ensemble (pair k on qubits 2k and
+    2k + 1), exact at any size: the partial transpose stays Bell-diagonal,
+    mapped by BELL_PARTIAL_TRANSPOSE on each pair the cut splits and left
+    alone on the others (a Bell projector is real and symmetric), so the
+    trace norm is the sum of |(M^(x)S (x) I) p|."""
+    p = np.zeros((4,) * e.n_pairs)
+    for string, weight in e.items():
+        p[tuple(LABELS.index(label) for label in string)] = weight
+    for k in range(e.n_pairs):
+        if (2 * k in cut.left) != (2 * k + 1 in cut.left):
+            p = np.moveaxis(np.tensordot(BELL_PARTIAL_TRANSPOSE, p, axes=(1, k)), 0, k)
+    return max(0.0, float(np.log2(np.abs(p).sum())))
 
 
 @st.composite
-def bell_diagonal_cuts(draw):
-    """A random Bell-diagonal ensemble on 1-5 pairs, sometimes with one
-    random single-qubit unitary applied, and a random cut."""
-    n_pairs = draw(st.integers(1, 5))
+def bell_diagonal_cuts(draw, pairs=(1, 5), rotate=True):
+    """A random Bell-diagonal ensemble on ``pairs`` (least, most) pairs, its
+    dense state, with ``rotate`` sometimes with one random single-qubit
+    unitary applied, and a random cut."""
+    n_pairs = draw(st.integers(*pairs))
     strings = draw(st.lists(st.tuples(*[st.sampled_from(LABELS)] * n_pairs), min_size=1, max_size=6, unique=True))
     weights = [draw(st.floats(0.1, 1.0)) for _ in strings]
-    state = to_dense(BellEnsemble({s: w / sum(weights) for s, w in zip(strings, weights)}))
+    e = BellEnsemble({s: w / sum(weights) for s, w in zip(strings, weights)})
+    state = to_dense(e)
     n = state.n_qubits
-    if draw(st.booleans()):
+    if rotate and draw(st.booleans()):
         u = random_qubit_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
         state = apply_unitary(state, u, (draw(st.integers(0, n - 1)),))
-    return state, Cut.of(n, draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    return e, state, Cut.of(n, draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
 
 
 class TestBlockLogNegativity:
     @pytest.fixture
     def full_route(self, monkeypatch):
-        """One entry per call that log_negativity makes to partial_transpose."""
-        calls = []
-        original = dense.partial_transpose
-        monkeypatch.setattr(dense, "partial_transpose", lambda *a: calls.append(1) or original(*a))
+        """One entry per log_negativity call that forms the whole matrix, as
+        its block route declined."""
+        calls, original = [], dense._partial_transpose_blocks
+
+        def counted(*args):
+            blocks = original(*args)
+            calls.extend([1] if blocks is None else [])
+            return blocks
+
+        monkeypatch.setattr(dense, "_partial_transpose_blocks", counted)
         return calls
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_rho_m_on_every_cut_class(self, full_route, m):
-        state = rho(m)
+        e = protocols.prepare_rho_m(m)[0]
+        state = to_dense(e)
         cuts = cuts_of(state)
         for cut in cuts:
-            assert log_negativity(state, cut) == pytest.approx(ref_log_negativity(state, cut), abs=1e-12)
-        # rho_3..rho_5 take the block route; the 4-qubit rows of rho_2 count as dense.
-        assert len(full_route) == (len(cuts) if m == 2 else 0)
+            value = log_negativity(state, cut)
+            assert value == pytest.approx(bell_diagonal_log_negativity(e, cut), abs=1e-12)
+            if state.n_qubits <= dense.MAX_DENSE_QUBITS:  # the whole-matrix reference too
+                assert value == pytest.approx(ref_log_negativity(state, cut), abs=1e-12)
+        # rho_m holds m - 1 ebits across Alice:Bob at odd m, m - 2 at even m.
+        assert abs(log_negativity(state, Cut.alice_bob(state)) - (m - 2 + m % 2)) <= dense.ATOL_EIG
+        # rho_3..rho_7 take the block route; the 4-qubit rows of rho_2 count as dense.
+        assert len(full_route) == (len(cuts) + 1 if m == 2 else 0)
 
     def test_rho5_alice_bob_is_exactly_four(self):
         # The benchmark gate compares this value exactly.
@@ -1128,15 +1162,29 @@ class TestBlockLogNegativity:
         state = rho(3)
         with pytest.raises(ValueError, match="does not partition"):
             log_negativity(state, Cut.of(4, {0}))
-        big = rho(6)
-        with pytest.raises(ValueError, match="too large"):
-            log_negativity(big, Cut.alice_bob(big))
+        for n in (11, 14):  # dense rows, whose partial transpose takes the whole matrix
+            big = random_mixture(np.random.default_rng(n), n, (1.0,))
+            for route in (log_negativity, partial_transpose):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ValueError, match="register too large to materialize a partial transpose"):
+                        route(big, Cut.alice_bob(big))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 8 * 16 * 2**n  # a few copies of the row (16 bytes an entry), never the matrix
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(bell_diagonal_cuts())
     def test_random_bell_diagonal_ensembles(self, case):
-        state, cut = case
+        _, state, cut = case
         assert log_negativity(state, cut) == pytest.approx(ref_log_negativity(state, cut), abs=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(bell_diagonal_cuts(pairs=(5, 7), rotate=False))
+    def test_bell_diagonal_ensembles_up_to_fourteen_qubits(self, case):
+        e, state, cut = case
+        assert log_negativity(state, cut) == pytest.approx(bell_diagonal_log_negativity(e, cut), abs=1e-12)
 
 
 class TestBatchedState:

@@ -507,9 +507,9 @@ class TestPrograms:
 
     def test_ebit_rule(self):
         e = BellEnsemble({(B1, B1, B3): 0.5, (B1, B2, B3): 0.5})
-        assert [protocols.ebit_cost(e, k) for k in range(2)] == [1, 0]
+        assert [protocols.ebit_cost(e, (k,)) for k in range(2)] == [1, 0]
         with pytest.raises(ValueError, match="no ebit rule"):
-            protocols.ebit_cost(e, 2)  # a pure B3 pair is not a shared |B1>
+            protocols.ebit_cost(e, (2,))  # a pure B3 pair is not a shared |B1>
 
     def test_input_pairs_are_not_charged(self):
         program = protocols.Program(BellEnsemble.point((B1, B1, B1)), (("bxor", 0, 2),), inputs=1)
@@ -679,6 +679,8 @@ class TestDerivedLedger:
             calculus.apply_steps(program.initial, program.steps)
         with pytest.raises(ValueError, match=message):
             protocols.derive_ledger(program)
+        with pytest.raises(ValueError, match=message):
+            calculus.apply_steps_dense(to_dense(program.initial), program.steps)
 
     @pytest.mark.parametrize("after", [("bxor", 1, 2), ("parity_measure", 1), ("random_pauli_x",)])
     def test_no_step_follows_a_parity_measurement(self, after):
@@ -704,11 +706,11 @@ class TestDerivedLedger:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_ledger_and_symbolic_run_accept_the_same_programs(self, data):
-        """On random short step lists: derive_ledger raises exactly when
-        apply_steps does, with its message, and an accepted program's ledger
-        never names a channel qubit that an earlier Bell measurement consumed;
-        under each register layout, its LOCC audit flags exactly the lines
-        that a line-by-line audit of its steps flags."""
+        """On random short step lists: derive_ledger and apply_steps_dense
+        raise exactly when apply_steps does, with its message, and an accepted
+        program's ledger never names a channel qubit that an earlier Bell
+        measurement consumed; under each register layout, its LOCC audit flags
+        exactly the lines that a line-by-line audit of its steps flags."""
         n = data.draw(st.integers(1, 5), label="pairs")
         index = st.integers(-1, n)
         source = st.lists(st.sampled_from(LABELS), min_size=1, max_size=2).map(lambda s: BellEnsemble.point(tuple(s)))
@@ -724,10 +726,12 @@ class TestDerivedLedger:
         try:
             calculus.apply_steps(program.initial, program.steps)
         except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                protocols.derive_ledger(program)
-            assert str(got.value) == str(exc)
+            for run in (protocols.derive_ledger, lambda p: calculus.apply_steps_dense(to_dense(p.initial), p.steps)):
+                with pytest.raises(ValueError) as got:
+                    run(program)
+                assert str(got.value) == str(exc)
             return
+        calculus.apply_steps_dense(to_dense(program.initial), program.steps)
         consumed = set()
         for line in protocols.derive_ledger(program).steps:
             assert not consumed & set(line.qubits), line
@@ -750,10 +754,10 @@ class TestDerivedLedger:
     def test_ebit_rule_over_many_pairs(self):
         e = BellEnsemble({(B1, B1, B3, B1, B2): 0.5, (B1, B2, B3, B1, B4): 0.5})
         assert protocols.ebit_cost(e) == 0
-        assert protocols.ebit_cost(e, 0, 1, 3) == 2
+        assert protocols.ebit_cost(e, (0, 1, 3)) == 2
         with pytest.raises(ValueError, match="no ebit rule for pair 2"):
-            protocols.ebit_cost(e, 0, 2, 4)
-        assert protocols.ebit_cost(e, 4, 1) == 0
+            protocols.ebit_cost(e, (0, 2, 4))
+        assert protocols.ebit_cost(e, (4, 1)) == 0
 
     def test_audit_flags_each_crossing_line_once(self):
         a0, b0, a1, b1 = dense.pair_register(2)
@@ -815,9 +819,10 @@ class TestDerivedLedger:
             assert verify.locc_audit(ledger).passed, name
 
     def test_ledger_and_audit_allocate_little(self):
-        """Deriving rho_16384's ledger and auditing it stay within 4 MiB of traced
-        allocation: no line is built.  The program and the register, which is
-        cached and shared, are built before tracing starts."""
+        """Deriving rho_16384's ledger and auditing it stay within 0.5 MiB of traced
+        allocation: no line is built, and the charged pairs are not listed one
+        by one.  The program and the register, which is cached and shared, are
+        built before tracing starts."""
         program = protocols._rho_m_program(16384)
         dense.pair_register(program.initial.n_pairs)
         tracemalloc.start()
@@ -826,4 +831,4 @@ class TestDerivedLedger:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        assert peak <= 2**19

@@ -6,12 +6,15 @@
 ``OTHER_TREE`` is the root of another bellclone checkout, the baseline
 (for example a ``git archive`` of the parent commit unpacked into a
 directory).  Both trees run ``verify-all`` (stdout, JSON report, exit
-code) and every CLI run of ``bench/jobs.py::dense_argv_space()``, each
-in a fresh interpreter with its own ``src/`` first on the path and the
-benchmark's BLAS thread count.  For every output that differs, the job
-and the part that differs are printed; for JSON outputs, each leaf that
-moved is printed as ``path: old -> new`` (old is ``OTHER_TREE``), and
-for text the differing lines.  Last, every moved output is checked
+code), every CLI run of ``bench/jobs.py::dense_argv_space()`` and the
+benchmark's one API job, ``log_negativity rho_5 alice:bob``
+(``bench/jobs.py::log_negativity_rho5``, whose stdout is the ``repr`` of
+its value), each in a fresh interpreter with its own ``src/`` first on
+the path and the benchmark's BLAS thread count.  For every output that
+differs, the job and the part that differs are printed; for JSON
+outputs, each leaf that moved is printed as ``path: old -> new`` (old is
+``OTHER_TREE``; the path of a bare value is ``$``), and for text the
+differing lines.  Last, every moved output is checked
 by the benchmark's correctness gate, as ``bench/jobs.py`` judges it:
 stderr is printed but not judged, since the benchmark never reads it; a
 run whose ``bench/reference.json`` entry records an error passes if it
@@ -42,18 +45,24 @@ import jobs  # noqa: E402
 import run  # noqa: E402  (for BLAS_THREADS, the benchmark's BLAS thread count)
 
 
+#: The benchmark's API job, by its reference key, and the code that prints its value's repr.
+API_JOB = jobs.LOG_NEGATIVITY_KEY.split()
+API_CODE = "import sys, bellclone; sys.path.insert(0, sys.argv[1]); import jobs; print(repr(jobs.log_negativity_rho5(bellclone)))"
+
+
 def run_cli(tree: Path, argv: list[str], workdir: Path) -> dict:
-    """One CLI run of ``tree`` in a fresh interpreter: its exit code,
-    stdout, the last stderr line and, for ``verify-all``, the report."""
+    """One CLI run (or, for ``API_JOB``, the API job) of ``tree`` in a fresh
+    interpreter: its exit code, stdout, the last stderr line and, for
+    ``verify-all``, the report."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(run.BLAS_THREADS)
     report = workdir / "report.json"
     report.unlink(missing_ok=True)
     extra = ["--output", str(report)] if argv == ["verify-all"] else []
+    command = ["-c", API_CODE, str(ROOT / "bench")] if argv == API_JOB else ["-m", "bellclone.cli", *argv, *extra]
     proc = subprocess.run(
-        [sys.executable, "-m", "bellclone.cli", *argv, *extra],
-        cwd=workdir, env=env, capture_output=True, text=True, check=False,
+        [sys.executable, *command], cwd=workdir, env=env, capture_output=True, text=True, check=False,
     )
     lines = proc.stderr.strip().splitlines()
     out = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": lines[-1] if lines else ""}
@@ -85,7 +94,7 @@ def describe(old: str | None, new: str | None) -> list[str]:
         return repr(leaves[path]) if path in leaves else "(absent)"
 
     moved = [
-        f"{path}: {show(old_leaves, path)} -> {show(new_leaves, path)}"
+        f"{path or '$'}: {show(old_leaves, path)} -> {show(new_leaves, path)}"
         for path in sorted(old_leaves.keys() | new_leaves.keys())
         if show(old_leaves, path) != show(new_leaves, path)
     ]
@@ -125,7 +134,7 @@ def main(argv=None) -> int:
     other = args.other_tree.resolve()
     if not (other / "src" / "bellclone" / "__init__.py").is_file():
         parser.error(f"no bellclone package under {other / 'src'}")
-    runs = [["verify-all"]] + jobs.dense_argv_space()
+    runs = [["verify-all"]] + jobs.dense_argv_space() + [API_JOB]
     reference = json.loads((ROOT / "bench" / "reference.json").read_text())
     differing, beyond = 0, []
     with tempfile.TemporaryDirectory() as tmp:
