@@ -482,31 +482,37 @@ def _parity_measure(state: dense.DenseState, pair: int) -> list[tuple[int, float
     return out
 
 
+def _step_gate(op: tuple) -> tuple:
+    """The :func:`~bellclone.dense.apply_gates` gate of a valid affine step: a bxor
+    is one layer of two C-NOTs, each party's from its qubit of the source pair
+    onto its qubit of the target pair; a Pauli is one 2x2 gate on the side's
+    qubit; a Hadamard or local Clifford one 4x4 gate on the pair's two qubits."""
+    name, pair = op[0], op[1]
+    if name == "bxor":
+        return None, [(party_qubit(pair, party), party_qubit(op[2], party)) for party in PARTIES]
+    if name == "one_sided_pauli":
+        return dense.pauli(op[2]), (party_qubit(pair, op[3]),)
+    u = _BILATERAL_HADAMARD if name == "bilateral_hadamard" else op[2].pair_matrix
+    return u, [party_qubit(pair, party) for party in PARTIES]
+
+
 def apply_steps_dense(state: dense.DenseState, steps: Iterable[tuple]):
     """Run a step list (see :func:`apply_steps`) on explicit state vectors,
     pair k on the qubits :func:`party_qubit` gives it, each step once
-    :func:`apply_steps`'s checks pass: each run of bxor steps as one
-    :func:`~bellclone.dense.apply_cnot_layers` permutation, every other step as its gates
-    or measurement.  This is the oracle side of the symbolic/dense equivalence checks."""
+    :func:`apply_steps`'s checks pass.  Each maximal run of affine steps, the
+    runs :func:`apply_steps` rewrites at once, is one
+    :func:`~bellclone.dense.apply_gates` pass with one state check at its end
+    (:func:`_step_gate`); every other step is its measurement or mixture.
+    This is the oracle side of the symbolic/dense equivalence checks."""
     steps = iter(steps)
-    for is_bxor, ops in groupby(steps, key=lambda op: op[0] == "bxor"):
-        if is_bxor:
-            # _step_columns raises on an invalid pair and returns a valid step's (non-empty) columns.
-            pairs = [op[1:] for op in ops if _step_columns(state.n_qubits // 2, op)]
-            # A bilateral C-NOT: each party C-NOTs its qubit of the source pair onto its qubit of the target pair.
-            layers = [[(party_qubit(s, p), party_qubit(t, p)) for p in PARTIES] for s, t in pairs]
-            state = dense.apply_cnot_layers(state, layers)
+    # groupby reads a step, and so validates it, only once the one before it has run.
+    for affine, ops in groupby(steps, key=lambda op: _step_columns(state.n_qubits // 2, op) is not None):
+        if affine:
+            state = dense.apply_gates(state, map(_step_gate, ops))
             continue
         for op in ops:
             name, n_pairs = op[0], state.n_qubits // 2
-            _step_columns(n_pairs, op)  # raises on an invalid affine step
-            if name == "one_sided_pauli":
-                _, k, idx, side = op
-                state = dense.apply_unitary(state, dense.pauli(idx), (party_qubit(k, side),))
-            elif name in ("bilateral_hadamard", "local_clifford"):
-                u = _BILATERAL_HADAMARD if name == "bilateral_hadamard" else op[2].pair_matrix
-                state = dense.apply_unitary(state, u, [party_qubit(op[1], party) for party in PARTIES])
-            elif name == "random_pauli_x":
+            if name == "random_pauli_x":
                 state = dense.mix_flipped(state, [party_qubit(k, "bob") for k in range(n_pairs)])
             elif name == "parity_measure":
                 _check_pair(n_pairs, op[1])

@@ -15,7 +15,10 @@ row once by its probability's root.
 A C-NOT maps the support (i -> i ^ (bit_c(i) << t)) and leaves the values
 alone; a gate with one nonzero per column permutes and phases them; any
 other is a matrix product over the support grouped by its non-target
-bits, which drops the columns that come out exactly zero.  A Bell
+bits, which drops the columns that come out exactly zero.  A run of gates
+is one pass (:func:`apply_gates`) that carries the bare support and values
+from gate to gate and builds and checks one state at its end; a program's
+run of affine steps is one such pass, and a single gate a pass of one.  A Bell
 measurement drops the pairs it measured, several at once with a Pauli
 frame on disjoint receivers, so teleportation takes no trace or spectrum.
 A trace distance works in the joint span of both states' branches, on
@@ -386,37 +389,54 @@ def apply_unitary(state: DenseState, u: np.ndarray, targets: Sequence[int]) -> D
 
     ``u`` must be 2**k x 2**k for k targets (first target is the most
     significant bit of u's index) and unitary to within 1e-12; each
-    distinct matrix (by content) is checked once.
+    distinct matrix (by content) is checked once.  One gate of
+    :func:`apply_gates`.
     """
-    u = np.asarray(u, dtype=complex)
-    k = len(targets)
-    if u.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {u.shape} does not fit {k} target qubits")
-    _check_targets(state.n_qubits, targets)
-    monomial = _gate(u.shape, u.tobytes())
-    split, spread = _index_tables(state.n_qubits, tuple(targets))
-    own, _ = split(state.support)
-    rest = state.support & ~spread[-1]
-    if monomial is not None:
-        rows, phases = monomial
-        return DenseState._from_kernel(rest | spread[rows[own]], state.values * phases[own], state.weights, state.qubit_labels)
-    rest, column = _group(rest)
-    blocks = np.zeros((len(state.weights), len(rest), 2**k), dtype=complex)
-    blocks[:, column, own] = state.values
-    values = (blocks @ u.T).reshape(len(state.weights), -1)
-    return _pruned((rest[:, None] | spread).ravel(), values, state.weights, state.qubit_labels)
+    return apply_gates(state, [(u, targets)])
 
 
 def apply_cnot_layers(state: DenseState, layers: Sequence[Sequence[tuple[int, int]]]) -> DenseState:
     """Each layer of C-NOTs, (control, target) pairs on distinct qubits, in turn
     on every branch, as a map of the support (the values are not touched): the
-    rows equal those :func:`apply_unitary` gives with ``CNOT``."""
-    n, support = state.n_qubits, state.support
-    for cnots in layers:
-        _check_targets(n, (), cnots)
-        for c, t in cnots:
-            support = support ^ (support >> (n - 1 - c) & 1) << (n - 1 - t)
-    return DenseState._from_kernel(support, state.values, state.weights, state.qubit_labels)
+    rows equal those :func:`apply_unitary` gives with ``CNOT``.  One C-NOT layer
+    per gate of :func:`apply_gates`."""
+    return apply_gates(state, [(None, cnots) for cnots in layers])
+
+
+def apply_gates(state: DenseState, gates: Iterable[tuple]) -> DenseState:
+    """Apply ``gates`` in turn to every branch: ``(u, targets)`` is a unitary on
+    those qubits, as :func:`apply_unitary` takes it, and ``(None, cnots)`` one
+    layer of C-NOTs, as :func:`apply_cnot_layers` takes it.  Each gate is
+    checked as it comes (``gates`` may be a lazy iterable), and the bare
+    support and values pass from gate to gate; the state is built, and its
+    rows and weights checked, once at the end."""
+    n, support, values = state.n_qubits, state.support, state.values
+    for u, targets in gates:
+        if u is None:  # a C-NOT maps i to i ^ (bit_c(i) << t) and leaves the values alone
+            _check_targets(n, (), targets)
+            for c, t in targets:
+                support = support ^ (support >> (n - 1 - c) & 1) << (n - 1 - t)
+            continue
+        u = np.asarray(u, dtype=complex)
+        k = len(targets)
+        if u.shape != (2**k, 2**k):
+            raise ValueError(f"operator shape {u.shape} does not fit {k} target qubits")
+        _check_targets(n, targets)
+        monomial = _gate(u.shape, u.tobytes())
+        split, spread = _index_tables(n, tuple(targets))
+        own, _ = split(support)
+        rest = support & ~spread[-1]
+        if monomial is not None:
+            rows, phases = monomial
+            support, values = rest | spread[rows[own]], values * phases[own]
+            continue
+        rest, column = _group(rest)
+        blocks = np.zeros((len(values), len(rest), 2**k), dtype=complex)
+        blocks[:, column, own] = values
+        values = (blocks @ u.T).reshape(len(values), -1)
+        nonzero = values.any(axis=0)  # drop the columns that came out exactly zero
+        support, values = (rest[:, None] | spread).ravel()[nonzero], values[:, nonzero]
+    return DenseState._from_kernel(support, values, state.weights, state.qubit_labels)
 
 
 def mix_flipped(state: DenseState, x_targets: Sequence[int]) -> DenseState:

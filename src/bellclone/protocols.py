@@ -106,6 +106,13 @@ def ebit_cost(e: BellEnsemble, pairs: Collection[int] = ()) -> int:
     """The accounting rule, summed over the distinct ``pairs`` of a product ensemble, each read from its 2-bit
     field of the packed strings: 1 for a shared |B1> (00), 0 for a separable two-label mixture at most 1/2 each."""
     n, held = e.n_pairs, reduce(or_, e._probs)
+    if isinstance(pairs, range):  # distinct, with its least and greatest pair at its two ends
+        checked = (pairs[0], pairs[-1]) if pairs else ()
+    else:
+        pairs = set(pairs)
+        checked = sorted(pairs)
+    for pair in checked:
+        calculus._check_pair(n, pair)
     # "1" at 2k + 1 where pair k's field is not 00 in some string, the only pairs that can cost 0
     flags = format((held | held >> 1) & (4**n - 1) // 3, "b").zfill(2 * n)
     mixed = [k for k in (m.start() // 2 for m in re.finditer("1", flags)) if k in pairs]
@@ -269,7 +276,11 @@ class PairReduction:
         return {v: k for k, v in self.label_map.items()}
 
     def inverse(self) -> "PairReduction":
-        """The local unitaries undoing this reduction (adjoint matrices)."""
+        """The local unitaries undoing this reduction (adjoint matrices), built once per reduction."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "PairReduction":
         words = (f"inv({self.alice_word})", f"inv({self.bob_word})")
         adjoints = (self.alice_matrix.conj().T, self.bob_matrix.conj().T)
         return PairReduction(self.pair, *words, *adjoints, self.inverse_map)
@@ -390,14 +401,17 @@ def ideal_channel() -> DenseState:
     return DenseState.pure(vec, dense.pair_register(2, role="ancilla"))
 
 
+@lru_cache(maxsize=None)
 def eq_filter_choi() -> np.ndarray:
     """Choi matrix of the Bell-diagonal filter map, assembled term by
     term from the 16 two-qubit Pauli products (sum over the 4 diagonal
-    ones of (s_i (x) s_i) (x) (s_i (x) s_i)^T / 16)."""
+    ones of (s_i (x) s_i) (x) (s_i (x) s_i)^T / 16); built on first use
+    and shared, read-only."""
     choi = np.zeros((16, 16), dtype=complex)
     for i in range(4):
         op = np.kron(pauli(i), pauli(i))
         choi += np.kron(op, op.T) / 16.0
+    choi.flags.writeable = False
     return choi
 
 
@@ -415,14 +429,16 @@ def _as_distribution(input_state: BellLabel | Sequence[float]) -> tuple[float, f
     return q
 
 
-def _clone_four_program(input_state: BellLabel | Sequence[float], n: int) -> tuple[Program, ResourceLedger]:
-    """The program teleporting the input through rho_(n+1), and rho_(n+1)'s ledger."""
+def _clone_four_program(input_state: BellLabel | Sequence[float], n: int) -> tuple[Program, Program]:
+    """The program teleporting the input through rho_(n+1), and rho_(n+1)'s own
+    program, whose steps alone prepare the channel here: only
+    :func:`clone_four_1_to_n` derives its ledger."""
     if n < 1:
         raise ValueError(f"copy count must be >= 1, got {n}")
     q = _as_distribution(input_state)
-    channel, ledger = prepare_rho_m(n + 1)
+    rho = _rho_m_program(n + 1)
     source = BellEnsemble({(label,): qk for label, qk in zip(LABELS, q) if qk > 0})
-    return Program(channel, (("teleport", source),), inputs=n + 1), ledger
+    return Program(apply_steps(rho.initial, rho.steps), (("teleport", source),), inputs=n + 1), rho
 
 
 def clone_four_1_to_n(input_state: BellLabel | Sequence[float], n: int) -> tuple[BellEnsemble, ResourceLedger]:
@@ -435,13 +451,14 @@ def clone_four_1_to_n(input_state: BellLabel | Sequence[float], n: int) -> tuple
     for even n and n-1 for odd n (the ancilla's preparation cost) plus 4
     classical bits.
     """
-    return _run(*_clone_four_program(input_state, n))
+    program, rho = _clone_four_program(input_state, n)
+    return _run(program, derive_ledger(rho))
 
 
 def clone_four_dense(input_state: BellLabel | Sequence[float], n: int) -> DenseState:
     """Dense teleportation route for :func:`clone_four_1_to_n` (n <= 5:
     the input and rho_(n+1) take 2n+4 qubits).  The limit is checked
-    before rho_(n+1) is prepared."""
+    before rho_(n+1) is prepared, and its ledger is not derived."""
     _check_dense_fit(n + 1, ("teleport",))
     return run_dense(_clone_four_program(input_state, n)[0])
 

@@ -349,11 +349,14 @@ class TestDenseStepRoutes:
         state = to_dense(BellEnsemble({(B1, B2, B3): 0.25, (B4, B1, B3): 0.75}))
 
         def refuse(*args):
-            raise AssertionError("apply_unitary called")
+            raise AssertionError("matrix gate applied")
 
-        monkeypatch.setattr(dense, "apply_unitary", refuse)
+        passes, apply_gates = [], dense.apply_gates
+        monkeypatch.setattr(dense, "_gate", refuse)  # every matrix gate, monomial or not, is checked through it
+        monkeypatch.setattr(dense, "apply_gates", lambda s, gates: passes.append(s) or apply_gates(s, gates))
         for op in [("bxor", 0, 2), ("bxor", 2, 1), ("random_pauli_x",)]:
             apply_steps_dense(state, [op])
+        assert len(passes) == 2  # each bxor went through the gate pass, as C-NOT layers only
 
     def test_bxor_pair_errors_are_the_symbolic_ones(self):
         e = BellEnsemble.point((B1, B2))

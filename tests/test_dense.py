@@ -1387,6 +1387,20 @@ def _random_rows(rng, k: int, n_qubits: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def count_gate_shapes(monkeypatch) -> list[list[tuple]]:
+    """Record, per :func:`dense.apply_gates` pass, the shape of each matrix gate
+    (``None`` for a C-NOT layer); the pass runs as before."""
+    calls, apply_gates = [], dense.apply_gates
+
+    def counted(state, gates):
+        gates = list(gates)
+        calls.append([None if u is None else np.shape(u) for u, _ in gates])
+        return apply_gates(state, gates)
+
+    monkeypatch.setattr(dense, "apply_gates", counted)
+    return calls
+
+
 class TestPairGates:
     """A step on both qubits of one pair is one 4x4 gate."""
 
@@ -1404,14 +1418,13 @@ class TestPairGates:
         assert reduction.pair_matrix is reduction.pair_matrix  # built once per reduction
         rng = np.random.default_rng(41)
         state = DenseState.from_arrays(_random_rows(rng, 3, 10), [0.5, 0.3, 0.2], pair_register(5))
-        calls = []
-        monkeypatch.setattr(dense, "apply_unitary", lambda s, u, t: calls.append(u.shape) or apply_unitary(s, u, t))
-        for k in range(5):
+        wants = [apply_unitary(apply_unitary(state, reduction.alice_matrix, (2 * k,)), reduction.bob_matrix, (2 * k + 1,)) for k in range(5)]
+        calls = count_gate_shapes(monkeypatch)
+        for k, want in enumerate(wants):
             got = apply_steps_dense(state, [("local_clifford", k, reduction)])
-            want = apply_unitary(apply_unitary(state, reduction.alice_matrix, (2 * k,)), reduction.bob_matrix, (2 * k + 1,))
             assert abs(got.amplitudes - want.amplitudes).max() <= 1e-15
             assert np.array_equal(got.weights, state.weights)
-        assert calls == [(4, 4)] * 5
+        assert calls == [[(4, 4)]] * 5  # one pass per step, of one 4x4 gate
 
     def test_bilateral_hadamard_is_one_pair_gate(self, monkeypatch):
         from bellclone.calculus import _BILATERAL_HADAMARD, apply_steps_dense
@@ -1419,13 +1432,12 @@ class TestPairGates:
         assert np.array_equal(_BILATERAL_HADAMARD * 2, np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]))  # exact halves
         rng = np.random.default_rng(43)
         state = DenseState.from_arrays(_random_rows(rng, 3, 10), [0.5, 0.3, 0.2], pair_register(5))
-        calls = []
-        monkeypatch.setattr(dense, "apply_unitary", lambda s, u, t: calls.append(u.shape) or apply_unitary(s, u, t))
-        for k in range(5):
+        wants = [apply_unitary(apply_unitary(state, HADAMARD, (2 * k,)), HADAMARD, (2 * k + 1,)) for k in range(5)]
+        calls = count_gate_shapes(monkeypatch)
+        for k, want in enumerate(wants):
             got = apply_steps_dense(state, [("bilateral_hadamard", k)])
-            want = apply_unitary(apply_unitary(state, HADAMARD, (2 * k,)), HADAMARD, (2 * k + 1,))
             assert abs(got.amplitudes - want.amplitudes).max() <= 1e-15
-        assert calls == [(4, 4)] * 5
+        assert calls == [[(4, 4)]] * 5
 
     def test_no_targets_is_a_global_phase(self):
         rng = np.random.default_rng(9)
@@ -1854,3 +1866,79 @@ class TestSupportKernelsAgainstMatrices:
         for target in (mixed, to_dense(BellEnsemble.point((B1, B1)))):
             with pytest.raises(ValueError, match="one-row state"):
                 fidelity(mixed, target)
+
+
+# ---------------------------------------------------------------------------
+# A run of affine steps as one gate pass, against one kernel call per step
+# ---------------------------------------------------------------------------
+
+#: The six pair reductions and their inverses.
+ALL_REDUCTIONS = TestPairGates.REDUCTIONS + [r.inverse() for r in TestPairGates.REDUCTIONS]
+
+
+@st.composite
+def affine_runs(draw):
+    """Rows on 1-7 pairs (:func:`sparse_states`) and a run of 1-12 affine steps
+    of every kind on them: every Pauli index and side, and every reduction."""
+    pairs = draw(st.integers(1, 7))
+    state, _ = draw(sparse_states(2 * pairs, 2 * pairs))
+    pair = st.integers(0, pairs - 1)
+    kinds = [
+        st.tuples(st.just("bilateral_hadamard"), pair),
+        st.tuples(st.just("one_sided_pauli"), pair, st.integers(1, 3), st.sampled_from(["alice", "bob"])),
+        st.tuples(st.just("local_clifford"), pair, st.sampled_from(ALL_REDUCTIONS)),
+    ]
+    if pairs > 1:
+        kinds.append(st.lists(pair, min_size=2, max_size=2, unique=True).map(lambda ends: ("bxor", *ends)))
+    return state, draw(st.lists(st.one_of(kinds), min_size=1, max_size=12))
+
+
+def one_step(state, op):
+    """An affine step as its own kernel call, pair k on qubits 2k (Alice) and 2k + 1 (Bob)."""
+    from bellclone.calculus import _BILATERAL_HADAMARD
+
+    name, k = op[0], op[1]
+    if name == "bxor":
+        return dense.apply_cnot_layers(state, [[(2 * k, 2 * op[2]), (2 * k + 1, 2 * op[2] + 1)]])
+    if name == "one_sided_pauli":
+        return apply_unitary(state, pauli(op[2]), (2 * k + (op[3] == "bob"),))
+    return apply_unitary(state, _BILATERAL_HADAMARD if name == "bilateral_hadamard" else op[2].pair_matrix, (2 * k, 2 * k + 1))
+
+
+def sorted_columns(state):
+    order = np.argsort(state.support)
+    return state.support[order], state.values[:, order]
+
+
+class TestAffineRunIsOnePass:
+    @settings(SUPPORT_SETTINGS, max_examples=80)
+    @given(affine_runs())
+    def test_run_equals_one_kernel_call_per_step(self, drawn):
+        from bellclone.calculus import apply_steps_dense
+
+        state, steps = drawn
+        got = apply_steps_dense(state, steps)
+        want = reduce(one_step, steps, state)
+        for a, b in zip(sorted_columns(got), sorted_columns(want)):
+            assert np.array_equal(a, b)
+        assert got.weights is state.weights and got.qubit_labels == state.qubit_labels
+        assert_support_invariants(got)
+
+    def test_a_run_builds_one_state(self, monkeypatch):
+        from bellclone.calculus import apply_steps_dense
+
+        red = protocols.pair_reduction_table(B2, B4)
+        steps = [("bilateral_hadamard", 0), ("bxor", 0, 2), ("one_sided_pauli", 1, 2, "bob"), ("local_clifford", 2, red)]
+        steps += [("bxor", 2, 1), ("local_clifford", 0, red.inverse()), ("one_sided_pauli", 2, 3, "alice")]
+        state = to_dense(BellEnsemble({(B1, B2, B3): 0.25, (B4, B1, B3): 0.75}))
+        built, from_kernel = [], DenseState._from_kernel.__func__
+
+        def counted(cls, *args, **kw):
+            built.append(args[0].size)
+            return from_kernel(cls, *args, **kw)
+
+        monkeypatch.setattr(DenseState, "_from_kernel", classmethod(counted))
+        got = apply_steps_dense(state, steps)
+        assert built == [got.support.size]  # one state, at the end of the run
+        monkeypatch.undo()
+        assert np.array_equal(got.amplitudes, reduce(one_step, steps, state).amplitudes)

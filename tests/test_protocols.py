@@ -143,6 +143,13 @@ class TestPairReduction:
         with pytest.raises(ValueError):
             pair_reduction_table(B2, B2)
 
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
+    def test_inverse_is_built_once(self, pair):
+        red = pair_reduction_table(*pair)
+        assert red.inverse() is red.inverse()
+        assert red.inverse().pair_matrix is red.inverse().pair_matrix
+        assert red.inverse().label_map == red.inverse_map
+
 
 class TestClonePair:
     def test_point_inputs_clone_exactly(self):
@@ -257,6 +264,14 @@ class TestTeleportation:
         choi = dense.choi_matrix(lambda s: teleport_two_qubit(channel, s))
         residual = np.max(np.abs(choi - eq_filter_choi()))
         assert residual < 1e-9
+
+    def test_filter_choi_is_built_once_read_only(self):
+        terms = [np.kron(np.kron(pauli(i), pauli(i)), np.kron(pauli(i), pauli(i)).T) / 16.0 for i in range(4)]
+        choi = eq_filter_choi()
+        assert choi is eq_filter_choi() and not choi.flags.writeable
+        assert np.array_equal(choi, sum(terms, np.zeros((16, 16), dtype=complex)))
+        with pytest.raises(ValueError, match="read-only"):
+            choi[0, 0] = 1.0
 
     def test_filter_choi_equals_kraus_assembly(self):
         omega = np.zeros(16, dtype=complex)
@@ -511,6 +526,20 @@ class TestPrograms:
         with pytest.raises(ValueError, match="no ebit rule"):
             protocols.ebit_cost(e, (2,))  # a pure B3 pair is not a shared |B1>
 
+    @pytest.mark.parametrize("pair", [5, -1])
+    def test_ebit_cost_rejects_a_pair_outside_the_ensemble(self, pair):
+        e = BellEnsemble.point((B1, B1))
+        with pytest.raises(ValueError, match=f"pair index {pair} out of range for 2 pairs"):
+            protocols.ebit_cost(e, (pair,))
+        with pytest.raises(ValueError, match=f"pair index {pair} out of range for 2 pairs"):
+            protocols.ebit_cost(e, (0, pair))
+
+    def test_ebit_cost_counts_each_distinct_pair_once(self):
+        assert protocols.ebit_cost(BellEnsemble.point((B1, B1)), (0, 0)) == 1
+        assert protocols.ebit_cost(BellEnsemble.point((B1, B1)), [1, 0, 1]) == 2
+        assert protocols.ebit_cost(BellEnsemble({(B1, B1): 0.5, (B1, B2): 0.5}), (1, 0, 1, 0)) == 1
+        assert protocols.ebit_cost(BellEnsemble.point((B1,) * 3), range(2, -1, -1)) == 3
+
     def test_input_pairs_are_not_charged(self):
         program = protocols.Program(BellEnsemble.point((B1, B1, B1)), (("bxor", 0, 2),), inputs=1)
         ledger = protocols.derive_ledger(program)
@@ -540,13 +569,19 @@ class TestPrograms:
 
     def test_four_state_dense_limit_checked_before_preparation(self, monkeypatch):
         calls = []
-        original = protocols.prepare_rho_m
-        monkeypatch.setattr(protocols, "prepare_rho_m", lambda m: calls.append(m) or original(m))
+        original = protocols._rho_m_program
+        monkeypatch.setattr(protocols, "_rho_m_program", lambda m: calls.append(m) or original(m))
         with pytest.raises(protocols.DenseLimitError):
             clone_four_dense(B1, 6)
         assert calls == []
         clone_four_dense(B1, 2)  # a fitting register still prepares rho_3
         assert calls == [3]
+
+    def test_four_state_dense_route_derives_no_ledger(self, monkeypatch):
+        want = clone_four_dense(B2, 3)
+        monkeypatch.setattr(protocols, "derive_ledger", lambda *args: pytest.fail("ledger derived"))
+        got = clone_four_dense(B2, 3)
+        assert np.array_equal(got.support, want.support) and np.array_equal(got.values, want.values)
 
 
 # ---------------------------------------------------------------------------
