@@ -249,14 +249,15 @@ _PAULIS = [_affine([v ^ flip for v in range(4)]) for flip in (0b10, 0b11, 0b01)]
 
 
 def _step_columns(n_pairs: int, op: tuple) -> tuple | None:
-    """The validated column step of an affine step on ``n_pairs`` pairs (a bilateral
-    C-NOT or Hadamard, a one-sided Pauli or a local Clifford); None for any other."""
+    """The one check of a step on ``n_pairs`` pairs, which :func:`apply_steps`, :func:`apply_steps_dense`
+    and :func:`~bellclone.protocols.derive_ledger` all run: raises its first fault; returns the column step
+    of an affine step (bilateral C-NOT or Hadamard, one-sided Pauli, local Clifford), else None."""
     name = op[0]
     if name == "bxor":
         _, source, target = op
-        _check_pair(n_pairs, source)
-        _check_pair(n_pairs, target)
-        if source == target:
+        if not (0 <= source < n_pairs and 0 <= target < n_pairs and source != target):
+            _check_pair(n_pairs, source)
+            _check_pair(n_pairs, target)
             raise ValueError("source and target pair must differ")
         return 2 * source + 1, 2 * target + 1, 2 * target, 2 * source
     if name == "bilateral_hadamard":
@@ -276,6 +277,13 @@ def _step_columns(n_pairs: int, op: tuple) -> tuple | None:
             raise ValueError("label map must be a permutation of the four labels")
         _check_pair(n_pairs, op[1])
         return (2 * op[1], 2 * op[1] + 1) + _affine(table)
+    if name == "parity_measure":
+        _check_pair(n_pairs, op[1])
+    elif name == "teleport":
+        if op[1].n_pairs != 1 or n_pairs < 2:
+            raise ValueError("teleportation needs a one-pair input and a channel of two or more pairs")
+    elif name != "random_pauli_x":
+        raise ValueError(f"unknown rewrite step {name!r}")
     return None
 
 
@@ -348,19 +356,13 @@ def discriminate_sets(
     return out
 
 
-def _check_teleport(channel_pairs: int, source_pairs: int) -> None:
-    """Raise unless a ``source_pairs``-pair input can teleport through a channel of ``channel_pairs``."""
-    if source_pairs != 1 or channel_pairs < 2:
-        raise ValueError("teleportation needs a one-pair input and a channel of two or more pairs")
-
-
 def teleport(channel: BellEnsemble, source: BellEnsemble) -> BellEnsemble:
     """Joint teleportation of the one-pair ``source`` through channel pair 0:
     each party Bell-measures its input qubit with its half of pair 0, and
     the broadcast outcomes Pauli-correct every other pair.  Receiver k ends
     up with label x ^ c0 ^ ck (input x, channel labels c0 and ck)."""
+    _step_columns(channel.n_pairs, ("teleport", source))
     n = channel.n_pairs - 1
-    _check_teleport(n + 1, source.n_pairs)
     low = (1 << 2 * n) - 1
     ones = int("01" * n, 2)
     out: dict[int, float] = {}
@@ -443,10 +445,15 @@ def teleport_two_qubit(channel: dense.DenseState, input_state: dense.DenseState)
     joint register with the corrections as one Pauli frame; the output has
     one unmerged row per (branch, Alice outcome, Bob outcome), divided once
     by the root of its probability.  No partial trace or spectrum is taken.
+    The channel must be an even register whose pair k has Alice's qubit at
+    ``party_qubit(k, "alice")`` and Bob's at ``party_qubit(k, "bob")``, and the
+    input must start with one Alice qubit then one Bob qubit.
     """
-    n_receive = channel.n_qubits // 2 - 1
-    if n_receive < 1:
+    n_pairs, odd = divmod(channel.n_qubits, 2)
+    if n_pairs < 2:
         raise ValueError("channel needs at least two pairs")
+    if odd or any(channel.qubit_labels[party_qubit(k, p)].party != p for k in range(n_pairs) for p in PARTIES):
+        raise ValueError("channel must hold one Alice qubit then one Bob qubit per pair")
     if input_state.n_qubits < 2:
         raise ValueError("teleportation input must be a two-qubit state")
     if tuple(q.party for q in input_state.qubit_labels[:2]) != PARTIES:
@@ -457,7 +464,7 @@ def teleport_two_qubit(channel: dense.DenseState, input_state: dense.DenseState)
     # dropped, channel pair k + 1 is pair k of what is left.
     state = dense.tensor(input_state, channel, at=2)
     measured = [(party_qubit(0, party), party_qubit(1, party)) for party in PARTIES]
-    receivers = [[party_qubit(k, party) for k in range(n_receive)] for party in PARTIES]
+    receivers = [[party_qubit(k, party) for k in range(n_pairs - 1)] for party in PARTIES]
     return dense.bell_measurement(state, *measured, receivers=receivers)[0]
 
 
@@ -499,8 +506,8 @@ def _step_gate(op: tuple) -> tuple:
 def apply_steps_dense(state: dense.DenseState, steps: Iterable[tuple]):
     """Run a step list (see :func:`apply_steps`) on explicit state vectors,
     pair k on the qubits :func:`party_qubit` gives it, each step once
-    :func:`apply_steps`'s checks pass.  Each maximal run of affine steps, the
-    runs :func:`apply_steps` rewrites at once, is one
+    :func:`apply_steps`'s check, :func:`_step_columns`, passes.  Each maximal
+    run of affine steps, the runs :func:`apply_steps` rewrites at once, is one
     :func:`~bellclone.dense.apply_gates` pass with one state check at its end
     (:func:`_step_gate`); every other step is its measurement or mixture.
     This is the oracle side of the symbolic/dense equivalence checks."""
@@ -511,24 +518,19 @@ def apply_steps_dense(state: dense.DenseState, steps: Iterable[tuple]):
             state = dense.apply_gates(state, map(_step_gate, ops))
             continue
         for op in ops:
-            name, n_pairs = op[0], state.n_qubits // 2
-            if name == "random_pauli_x":
-                state = dense.mix_flipped(state, [party_qubit(k, "bob") for k in range(n_pairs)])
-            elif name == "parity_measure":
-                _check_pair(n_pairs, op[1])
+            if op[0] == "random_pauli_x":
+                state = dense.mix_flipped(state, [party_qubit(k, "bob") for k in range(state.n_qubits // 2)])
+            elif op[0] == "parity_measure":
                 state = _parity_measure(state, op[1])
                 _check_last(steps)  # groupby has not read past this step yet
-            elif name == "teleport":
-                _check_teleport(n_pairs, op[1].n_pairs)
+            else:  # a teleport
                 state = teleport_two_qubit(state, to_dense(op[1], role="input"))
-            else:
-                raise ValueError(f"unknown rewrite step {name!r}")
     return state
 
 
 def apply_steps(e: BellEnsemble, steps: Iterable[tuple]):
-    """Run a step list symbolically (the branch list if it ends in a measurement),
-    each run of affine steps in one :func:`_rewrite` once all its steps are valid.
+    """Run a step list symbolically (the branch list if it ends in a measurement), each step
+    checked by :func:`_step_columns`, each run of affine steps in one :func:`_rewrite` once all pass.
     Steps: ("bxor", source, target), ("bilateral_hadamard", pair),
     ("one_sided_pauli", pair, index, side), ("local_clifford", pair, reduction)
     with a :class:`~bellclone.protocols.PairReduction`, ("random_pauli_x",)
@@ -542,15 +544,12 @@ def apply_steps(e: BellEnsemble, steps: Iterable[tuple]):
             run.append(columns)
             continue
         e, run = _rewrite(e, run), []
-        name = op[0]
-        if name == "random_pauli_x":
+        if op[0] == "random_pauli_x":
             mask = int("10" * e.n_pairs, 2)  # x on every pair: each a bit flips
             e = mix([e, _permuted(e, [x ^ mask for x in e._probs])], [0.5, 0.5])
-        elif name == "parity_measure":
+        elif op[0] == "parity_measure":
             e = discriminate_sets(e, op[1])
             _check_last(steps)
-        elif name == "teleport":
+        else:  # a teleport
             e = teleport(e, op[1])
-        else:
-            raise ValueError(f"unknown rewrite step {name!r}")
     return _rewrite(e, run)

@@ -316,8 +316,11 @@ def _pruned(support, values, weights, qubit_labels) -> DenseState:
 
 def tensor(left: DenseState, right: DenseState, at: int | None = None) -> DenseState:
     """Tensor product; the right register goes after the first ``at``
-    qubits of the left one (by default after all of them)."""
+    qubits of the left one (by default after all of them), where
+    ``0 <= at <= left.n_qubits``."""
     at = left.n_qubits if at is None else at
+    if not 0 <= at <= left.n_qubits:
+        raise ValueError(f"tensor position {at} outside 0..{left.n_qubits}")
     low = left.n_qubits - at  # left qubits after the right register
     tail = left.support & ((1 << low) - 1)
     support = ((left.support - tail) << right.n_qubits | tail)[:, None] | right.support << low

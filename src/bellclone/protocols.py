@@ -139,10 +139,12 @@ def _segment_lines(register: tuple[QubitLabel, ...], ops: tuple[tuple, ...]) -> 
         if name == "bxor":
             _, s, t = op
             lines += (LedgerStep("alice", "cnot", (qa[s], qa[t])), LedgerStep("bob", "cnot", (qb[s], qb[t])))
-        elif name == "local_clifford":
-            _, k, red = op
-            words = (red.alice_word, red.bob_word)
-            lines += [LedgerStep(party, "unitary", (qp[k],), (w,)) for (party, qp), w in zip(q, words)]
+        elif name in ("local_clifford", "bilateral_hadamard"):
+            words = (op[2].alice_word, op[2].bob_word) if name == "local_clifford" else ("H", "H")
+            lines += [LedgerStep(party, "unitary", (qp[op[1]],), (w,)) for (party, qp), w in zip(q, words)]
+        elif name == "one_sided_pauli":
+            _, k, index, side = op
+            lines.append(LedgerStep(side, "unitary", ((qa if side == "alice" else qb)[k],), ("XYZ"[index - 1],)))
         elif name == "random_pauli_x":
             lines.append(LedgerStep("bob", "random-pauli-x", tuple(qb)))
         elif name == "parity_measure":
@@ -159,32 +161,29 @@ def derive_ledger(program: Program, ledger: ResourceLedger | None = None) -> Res
     """The program's ledger (appended to ``ledger`` if given): ebits from the charged initial
     pairs, the bits each classical step sends, and each register segment with the program's
     steps run on it; a teleport runs alone on the register with its input pair in front, then
-    starts a new segment.  A step that :func:`apply_steps` rejects raises its message here too."""
-    ledger = ResourceLedger() if ledger is None else ledger
+    starts a new segment.  A step that both interpreters' check (:func:`~bellclone.calculus._step_columns`)
+    rejects raises its message here too, before ``ledger`` is charged anything."""
     e, n = program.initial, program.initial.n_pairs
-    ledger.ebits_consumed += ebit_cost(e, range(program.inputs, n))
+    ebits = ebit_cost(e, range(program.inputs, n))
     register, start, bits, segments = dense.pair_register(n), 0, 0, []
     steps = iter(program.steps)
     for i, op in enumerate(steps):
         name = op[0]
         if name == "bxor":
             _, s, t = op
-            if not (0 <= s < n and 0 <= t < n and s != t):
-                calculus._step_columns(n, op)
-        elif name == "local_clifford":
-            calculus._check_pair(n, op[1])
-        elif name == "parity_measure":
-            calculus._check_pair(n, op[1])
+            if 0 <= s < n and 0 <= t < n and s != t:
+                continue  # valid: _step_columns would only build its column step
+        calculus._step_columns(n, op)
+        if name == "parity_measure":
             calculus._check_last(steps)
             bits += 2
         elif name == "teleport":
-            calculus._check_teleport(n, op[1].n_pairs)
             bits += 4
             segments += [(register, program.steps[start:i]), (dense.pair_register(1, role="input") + register, (op,))]
             # the Bell measurements consumed channel pair 0; later steps act on the rest
             register, n, start = register[2:], n - 1, i + 1
-        elif name != "random_pauli_x":
-            raise ValueError(f"no ledger rule for step {name!r}")
+    ledger = ResourceLedger() if ledger is None else ledger
+    ledger.ebits_consumed += ebits
     ledger.classical_bits += bits
     ledger._segments += segments + [(register, program.steps[start:])]
     return ledger

@@ -1014,6 +1014,30 @@ class TestOneRunChoi:
         assert np.array_equal(out.weights, ref.weights)
         assert out.qubit_labels == tuple(ref.qubit_labels[q] for q in order)
 
+    def test_tensor_position_is_checked(self):
+        rng = np.random.default_rng(80)
+        left, right = random_mixture(rng, 4, (1.0,)), random_mixture(rng, 2, (1.0,))
+        for at in (0, 4):
+            out = tensor(left, right, at=at)
+            assert out.qubit_labels == left.qubit_labels[:at] + right.qubit_labels + left.qubit_labels[at:]
+            assert out.support.max() < 2**6
+        for at in (-1, 5):
+            with pytest.raises(ValueError, match=f"tensor position {at} outside 0..4"):
+                tensor(left, right, at=at)
+
+    def test_teleport_channel_checks(self):
+        """A channel must hold Alice's then Bob's qubit of every pair: swapped
+        owners would Bell-measure Alice's input with Bob's qubit, and an odd
+        qubit would be kept with no correction."""
+        rng = np.random.default_rng(81)
+        channel, inp = protocols.ideal_channel(), random_pure(rng, pair_register(1, role="input"))
+        a0, b0, a1, b1 = channel.qubit_labels
+        swapped = DenseState.from_arrays(channel.amplitudes, channel.weights, (b0, a0, a1, b1))
+        stray = tensor(channel, random_pure(rng, (QubitLabel("bob", 9),)))
+        for bad in (swapped, stray):
+            with pytest.raises(ValueError, match="channel must hold one Alice qubit then one Bob qubit per pair"):
+                teleport_two_qubit(bad, inp)
+
     def test_teleport_input_checks(self):
         channel = protocols.ideal_channel()
         rng = np.random.default_rng(78)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from unittest import mock
@@ -612,6 +613,11 @@ def ref_step_lines(op: tuple, register) -> list[LedgerStep]:
         _, k, red = op
         words = (red.alice_word, red.bob_word)
         return [ref_line(register, party, "unitary", (k,), word) for party, word in zip(PARTIES, words)]
+    if name == "bilateral_hadamard":
+        return [ref_line(register, party, "unitary", op[1:], "H") for party in PARTIES]
+    if name == "one_sided_pauli":
+        _, k, index, side = op
+        return [ref_line(register, side, "unitary", (k,), "XYZ"[index - 1])]
     if name == "random_pauli_x":
         return [ref_line(register, "bob", "random-pauli-x", range(len(register) // 2))]
     if name == "parity_measure":
@@ -653,6 +659,13 @@ def _ledger_programs():
 
 LEDGER_PROGRAMS = dict(_ledger_programs())
 
+#: The six pair reductions, then their inverses.
+REDUCTIONS = [pair_reduction_table(*p) for p in ALL_PAIRS]
+REDUCTIONS += [r.inverse() for r in REDUCTIONS]
+
+#: A reduction whose label map sends B2 to B1 as well: no local Clifford.
+NOT_A_PERMUTATION = dataclasses.replace(REDUCTIONS[0], label_map={B1: B1, B2: B1, B3: B3, B4: B4})
+
 #: Register layouts for the LOCC audit: party_qubit as built, with the
 #: parties swapped, with Bob's qubit of each pair on Alice's, and with the
 #: parties swapped on pair 1 only.
@@ -669,6 +682,81 @@ def line_audit(lines: list[LedgerStep]) -> list[LedgerStep]:
     return [s for s in lines if any(q.party != s.party for q in s.qubits)]
 
 
+#: The most rows a drawn program's dense route may reach: a teleport
+#: multiplies them by up to 16 per source string (one per pair of outcomes),
+#: random_pauli_x by 2, and a closing parity measurement at most doubles them.
+MAX_DENSE_ROWS = 256
+
+
+@st.composite
+def whole_programs(draw):
+    """A valid Program with every step kind: 2-6 pairs (a teleport needs 2n + 2
+    <= 14 qubits), 1-6 strings with dyadic weights, then 1-12 steps drawn from
+    bxor, bilateral_hadamard, one_sided_pauli, local_clifford (the six reductions
+    and their inverses), random_pauli_x and a teleport of a random one-pair
+    source, while the dense rows stay within MAX_DENSE_ROWS; maybe a parity
+    measurement last."""
+    n = draw(st.integers(2, 6), label="pairs")
+    strings = draw(st.lists(st.tuples(*[st.sampled_from(LABELS)] * n), min_size=1, max_size=6, unique=True))
+    weights = [1.0]
+    for _ in strings[1:]:  # halve one weight: every weight stays a power of 1/2
+        i = draw(st.integers(0, len(weights) - 1))
+        weights[i : i + 1] = [weights[i] / 2] * 2
+    initial, rows, steps = BellEnsemble(dict(zip(strings, weights))), len(strings), []
+    for _ in range(draw(st.integers(1, 12), label="steps")):
+        pair = st.integers(0, n - 1)
+        kinds = ["teleport"] * (n > 1 and 32 * rows <= MAX_DENSE_ROWS) + ["random_pauli_x"] * (2 * rows <= MAX_DENSE_ROWS)
+        kinds += ["bxor"] * (n > 1) + ["bilateral_hadamard", "one_sided_pauli", "local_clifford"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "bxor":
+            steps.append(("bxor", *draw(st.lists(pair, min_size=2, max_size=2, unique=True))))
+        elif kind == "bilateral_hadamard":
+            steps.append((kind, draw(pair)))
+        elif kind == "one_sided_pauli":
+            steps.append((kind, draw(pair), draw(st.integers(1, 3)), draw(st.sampled_from(PARTIES))))
+        elif kind == "local_clifford":
+            steps.append((kind, draw(pair), draw(st.sampled_from(REDUCTIONS))))
+        elif kind == "random_pauli_x":
+            steps.append((kind,))
+            rows *= 2
+        else:
+            labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=2, unique=True))
+            steps.append((kind, BellEnsemble({(label,): 1 / len(labels) for label in labels})))
+            n, rows = n - 1, 16 * len(labels) * rows
+    if draw(st.booleans()):
+        steps.append(("parity_measure", draw(st.integers(0, n - 1))))
+    return protocols.Program(initial, tuple(steps), inputs=initial.n_pairs)
+
+
+class TestRandomWholePrograms:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(program=whole_programs())
+    def test_interpreters_and_ledger_agree(self, program):
+        """apply_steps and apply_steps_dense give the same state (trace distance
+        < 1e-10), or the same branches with probabilities within 1e-12; the
+        ledger passes the LOCC audit, and the dense result's qubits are the
+        ledger's final register (less a measured pair)."""
+        sym = calculus.apply_steps(program.initial, program.steps)
+        got = calculus.apply_steps_dense(to_dense(program.initial), program.steps)
+        ledger = protocols.derive_ledger(program)
+        final = ledger._segments[-1][0]
+        assert ledger.locc_violations() == [] and line_audit(ledger.steps) == []
+        if program.steps[-1][0] != "parity_measure":
+            assert dense.trace_distance(to_dense(sym), got) < 1e-10
+            assert got.qubit_labels == final
+            return
+        measured = [calculus.party_qubit(program.steps[-1][1], party) for party in PARTIES]
+        kept = tuple(q for i, q in enumerate(final) if i not in measured)
+        assert [bit for bit, _, _ in got] == [bit for bit, _, _ in sym]
+        for (_, prob, cond), (_, dprob, dstate) in zip(sym, got):
+            assert abs(prob - dprob) <= 1e-12
+            if cond is None:
+                assert dstate is None and kept == ()
+            else:
+                assert dense.trace_distance(to_dense(cond), dstate) < 1e-10
+                assert dstate.qubit_labels == kept
+
+
 class TestDerivedLedger:
     @pytest.mark.parametrize("name", list(LEDGER_PROGRAMS))
     def test_matches_line_by_line_derivation(self, name):
@@ -681,15 +769,46 @@ class TestDerivedLedger:
             assert all(q is r for q, r in zip(line.qubits, ref.qubits))
         assert got.locc_violations() == []
 
-    @pytest.mark.parametrize("inputs", [0, 1])
-    def test_sigma_round_trip_fails_as_before(self, inputs):
+    def test_sigma_round_trip_has_a_ledger(self):
+        """Bilateral Hadamards and C-NOTs: one H or C-NOT line per party and step."""
         build = build_sigma_n(0.3, 4)
-        program = protocols.Program(build.start, build.steps + build.inverse_steps, inputs=inputs)
-        with pytest.raises(ValueError) as want:
-            ref_derive_ledger(program)
-        with pytest.raises(ValueError) as got:
-            protocols.derive_ledger(program)
-        assert str(got.value) == str(want.value)
+        program = protocols.Program(build.start, build.steps + build.inverse_steps, inputs=1)
+        got, want = protocols.derive_ledger(program), ref_derive_ledger(program)
+        assert got.to_dict() == want.to_dict() == {"ebits_consumed": 3.0, "ebits_distilled": 0.0, "classical_bits": 0}
+        assert got.steps == want.steps
+        assert len(got.steps) == 32
+        assert got.locc_violations() == []
+
+    def test_sigma_round_trip_charging_its_seed_breaks_the_ebit_rule(self):
+        build = build_sigma_n(0.3, 4)
+        program = protocols.Program(build.start, build.steps + build.inverse_steps, inputs=0)
+        for derive in (ref_derive_ledger, protocols.derive_ledger):
+            with pytest.raises(ValueError, match="no ebit rule for pair 0"):
+                derive(program)
+
+    def test_pauli_lines_name_the_side_that_applies_them(self):
+        steps = (("one_sided_pauli", 1, 2, "alice"), ("one_sided_pauli", 0, 3, "bob"), ("one_sided_pauli", 1, 1, "bob"))
+        ledger = protocols.derive_ledger(protocols.Program(BellEnsemble.point((B1, B1)), steps))
+        assert [(line.party, line.operation, line.operands) for line in ledger.steps] == [
+            ("alice", "unitary", ("A1", "Y")),
+            ("bob", "unitary", ("B0", "Z")),
+            ("bob", "unitary", ("B1", "X")),
+        ]
+        assert ledger.locc_violations() == []
+
+    def test_a_rejected_program_leaves_a_given_ledger_as_it_was(self):
+        ledger = protocols.derive_ledger(LEDGER_PROGRAMS["distill-3"], ResourceLedger(ebits_consumed=1.0, classical_bits=3))
+        before, lines = ledger.to_dict(), list(ledger.steps)
+        channel = BellEnsemble.point((B1, B1, B1))
+        for steps in (
+            (("bxor", 0, 7),),
+            (("teleport", BellEnsemble.point((B2,))), ("parity_measure", 0), ("random_pauli_x",)),
+            (("random_pauli_x",), ("teleport", BellEnsemble.point((B2,))), ("swap", 0, 1)),
+        ):
+            with pytest.raises(ValueError):
+                protocols.derive_ledger(protocols.Program(channel, steps), ledger)
+            assert ledger.to_dict() == before
+            assert ledger.steps == lines
 
     @pytest.mark.parametrize(
         "op, message",
@@ -741,20 +860,24 @@ class TestDerivedLedger:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_ledger_and_symbolic_run_accept_the_same_programs(self, data):
-        """On random short step lists: derive_ledger and apply_steps_dense
-        raise exactly when apply_steps does, with its message, and an accepted
-        program's ledger never names a channel qubit that an earlier Bell
-        measurement consumed; under each register layout, its LOCC audit flags
-        exactly the lines that a line-by-line audit of its steps flags."""
+        """On random short step lists of every kind, valid or not: derive_ledger
+        and apply_steps_dense raise exactly when apply_steps does, with its
+        message, and an accepted program's ledger never names a channel qubit
+        that an earlier Bell measurement consumed; under each register layout,
+        its LOCC audit flags exactly the lines that a line-by-line audit of its
+        steps flags."""
         n = data.draw(st.integers(1, 5), label="pairs")
         index = st.integers(-1, n)
         source = st.lists(st.sampled_from(LABELS), min_size=1, max_size=2).map(lambda s: BellEnsemble.point(tuple(s)))
         step = st.one_of(
             st.tuples(st.just("bxor"), index, index),
-            st.tuples(st.just("local_clifford"), index, st.sampled_from(ALL_PAIRS).map(lambda p: pair_reduction_table(*p))),
+            st.tuples(st.just("bilateral_hadamard"), index),
+            st.tuples(st.just("one_sided_pauli"), index, st.integers(0, 4), st.sampled_from(["alice", "bob", "carol"])),
+            st.tuples(st.just("local_clifford"), index, st.sampled_from(REDUCTIONS + [NOT_A_PERMUTATION])),
             st.just(("random_pauli_x",)),
             st.tuples(st.just("parity_measure"), index),
             st.tuples(st.just("teleport"), source),
+            st.tuples(st.just("swap"), index),
         )
         initial = BellEnsemble.point(tuple(data.draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))))
         program = protocols.Program(initial, tuple(data.draw(st.lists(step, max_size=6), label="steps")), inputs=n)
