@@ -25,6 +25,7 @@ transpositions (byte translations, in C) and a sort, plus O(s) column ops.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import chain, groupby
 from typing import Iterable
 
@@ -391,6 +392,20 @@ def mix(ensembles: list[BellEnsemble], weights: list[float]) -> BellEnsemble:
     return BellEnsemble._make(n, _canonical(out))
 
 
+@lru_cache(maxsize=None)
+def _bell_row_tables(n: int):
+    """What every ``to_dense`` on n pairs shares: the mask of a packed
+    string's A bits, the bits that put x on both qubits of each pair, the
+    bits that put it on the Bob qubits alone (where B's bits sit, so their
+    AND's parity is B.x) and the entries +-2^(-n/2); all read-only."""
+    alice = dense._index_tables(2 * n, tuple(range(0, 2 * n, 2)))[1]  # bit k of x on pair k's Alice qubit
+    bob = alice >> 1
+    both = alice | bob
+    entries = np.array([1.0, -1.0]) * math.prod([1 / dense._SQRT2] * n)
+    both.flags.writeable = bob.flags.writeable = entries.flags.writeable = False
+    return int("10" * n, 2), both, bob, entries
+
+
 def to_dense(e: BellEnsemble, role: str = "source") -> dense.DenseState:
     """Render an ensemble as a dense mixture of Bell-product branches.
 
@@ -402,14 +417,14 @@ def to_dense(e: BellEnsemble, role: str = "source") -> dense.DenseState:
         raise ValueError(f"{n} pairs need {2 * n} qubits; register too large")
     # String (A, B) has amplitude (-1)^(B.x) 2^(-n/2) at x on both qubits of each pair, then A
     # on the Bob qubits: one block of 2^n columns per distinct A, entries as np.kron forms them.
+    a_mask, both, bob, entries = _bell_row_tables(n)
     blocks: dict[int, int] = {}
-    block = [blocks.setdefault(x & int("10" * n, 2), len(blocks)) for x in e._probs]
-    alice = dense._index_tables(2 * n, tuple(range(0, 2 * n, 2)))[1]  # bit k of x on pair k's Alice qubit
-    entries = np.array([1.0, -1.0]) * math.prod([1 / dense._SQRT2] * n)
+    block = [blocks.setdefault(x & a_mask, len(blocks)) for x in e._probs]
+    strings = np.fromiter(e._probs, np.int64, len(block))
     values = np.zeros((len(block), len(blocks), 2**n), dtype=complex)
-    values[np.arange(len(block)), block] = entries[np.bitwise_count(np.array(list(e._probs))[:, None] & alice >> 1) & 1]
-    support = (alice | alice >> 1 ^ np.array(list(blocks))[:, None] >> 1).ravel()
-    weights = np.array(list(e._probs.values()))
+    values[np.arange(len(block)), block] = entries[np.bitwise_count(strings[:, None] & bob) & 1]
+    support = (both ^ np.fromiter(blocks, np.int64, len(blocks))[:, None] >> 1).ravel()
+    weights = np.fromiter(e._probs.values(), float, len(block))
     return dense.DenseState._from_kernel(support, values.reshape(len(block), -1), weights, dense.pair_register(n, role), rescale=True)
 
 

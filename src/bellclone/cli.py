@@ -269,22 +269,17 @@ def cmd_distill(args) -> int:
 
 
 def _sigma_curve_rows(n: int, grid: int) -> list[dict]:
-    rows = []
-    for k in range(1, grid + 1):
-        p = k / (grid + 1)
-        ec1, ed1 = measures.ec_sigma1(p), measures.ed_sigma1(p)
-        ecn, edn = measures.ec_sigma_n(p, n), measures.ed_sigma_n(p, n)
-        rows.append(
-            {
-                "p": p,
-                "ec_sigma1": ec1,
-                "ed_sigma1": ed1,
-                "ec_sigmaN": ecn,
-                "ed_sigmaN": edn,
-                "gap": ecn - edn,
-            }
-        )
-    return rows
+    p = np.arange(1, grid + 1) / (grid + 1)  # entry k-1 is k / (grid + 1)
+    ecn, edn = measures.ec_sigma_n(p, n), measures.ed_sigma_n(p, n)
+    columns = {
+        "p": p,
+        "ec_sigma1": measures.ec_sigma1(p),
+        "ed_sigma1": measures.ed_sigma1(p),
+        "ec_sigmaN": ecn,
+        "ed_sigmaN": edn,
+        "gap": ecn - edn,
+    }
+    return [dict(zip(columns, row)) for row in zip(*(column.tolist() for column in columns.values()))]
 
 
 def cmd_measures(args) -> int:

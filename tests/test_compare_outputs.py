@@ -73,19 +73,19 @@ def test_main_ends_with_the_gate_verdict(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tool.jobs, "dense_argv_space", lambda: [["moved"]])
     monkeypatch.setattr(tool, "run_cli", lambda tree, argv, workdir: runs[argv[0] if argv[0] in runs else "identical"][tree == tool.ROOT])
     assert tool.main([str(tmp_path)]) == 1
-    assert capsys.readouterr().out.splitlines()[-2:] == ["2 of 3 outputs identical", "moved leaves within the gate's tolerances"]
+    assert capsys.readouterr().out.splitlines()[-2:] == ["15 of 16 outputs identical", "moved leaves within the gate's tolerances"]
 
     monkeypatch.setattr(tool.jobs, "dense_argv_space", lambda: [["moved"], ["broken"]])
     assert tool.main([str(tmp_path)]) == 1
     assert capsys.readouterr().out.splitlines()[-3:] == [
-        "2 of 4 outputs identical",
+        "15 of 17 outputs identical",
         "leaves beyond the gate's tolerances:",
         "  broken: stdout $.checks[0].measured: 1e-09 not within 1e-10 of 0.0",
     ]
 
     monkeypatch.setattr(tool.jobs, "dense_argv_space", lambda: [])
     assert tool.main([str(tmp_path)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["2 of 2 outputs identical"]
+    assert capsys.readouterr().out.splitlines() == ["15 of 15 outputs identical"]
 
 
 def test_stderr_is_shown_but_not_judged():
@@ -128,7 +128,7 @@ def test_main_reads_the_recorded_error_from_the_reference(tmp_path, monkeypatch,
     assert tool.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "  stderr:" in out
-    assert out[-2:] == ["2 of 3 outputs identical", "moved leaves within the gate's tolerances"]
+    assert out[-2:] == ["15 of 16 outputs identical", "moved leaves within the gate's tolerances"]
 
 
 def test_api_job_prints_the_repr_of_its_value(tmp_path):
@@ -149,7 +149,44 @@ def test_api_job_is_compared_and_judged_exactly(tmp_path, monkeypatch, capsys):
         "log_negativity rho_5 alice:bob",
         "  stdout:",
         "    $: 4.0 -> 3.9999999999999996",
-        "1 of 2 outputs identical",
+        "14 of 15 outputs identical",
         "leaves beyond the gate's tolerances:",
         "  log_negativity rho_5 alice:bob: stdout $: 3.9999999999999996 != 4.0",
     ]
+
+
+def test_measures_runs_cover_the_curves_and_the_table():
+    sigma = {(run[4], run[6], run[8]) for run in tool.MEASURES_RUNS[:-1]}
+    assert sigma == {(n, grid, fmt) for n in ("1", "9") for grid in ("19", "999") for fmt in ("csv", "text", "json")}
+    assert len(tool.MEASURES_RUNS) == 13
+    assert tool.MEASURES_RUNS[-1] == ["measures", "--state", "rhoM", "--m", "2..64"]
+
+
+def test_measures_runs_are_judged_exactly(tmp_path, monkeypatch, capsys):
+    """A measures run passes only when identical: a last-bit move of a value or a new stderr line is beyond the gate."""
+    (tmp_path / "src" / "bellclone").mkdir(parents=True)
+    (tmp_path / "src" / "bellclone" / "__init__.py").touch()
+    json_run, csv_run = tool.MEASURES_RUNS[2], tool.MEASURES_RUNS[-1]
+    moved = {
+        " ".join(json_run): ({"exit": 0, "stdout": '[{"gap": 0.5}]\n', "stderr": ""}, {"exit": 0, "stdout": '[{"gap": 0.5000000000000001}]\n', "stderr": ""}),
+        " ".join(csv_run): ({"exit": 0, "stdout": "m,ed_rhoM\n2,0\n", "stderr": ""}, {"exit": 0, "stdout": "m,ed_rhoM\n2,0\n", "stderr": "note"}),
+    }
+    monkeypatch.setattr(tool.jobs, "dense_argv_space", lambda: [])
+    monkeypatch.setattr(tool, "run_cli", lambda tree, argv, workdir: moved[" ".join(argv)][tree == tool.ROOT] if " ".join(argv) in moved else _run(0.0))
+    assert tool.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:] == [
+        "13 of 15 outputs identical",
+        "leaves beyond the gate's tolerances:",
+        f"  {' '.join(json_run)}: stdout differs",
+        f"  {' '.join(csv_run)}: stderr differs",
+    ]
+    assert "    [0].gap: 0.5 -> 0.5000000000000001" in out
+
+
+def test_a_measures_run_reads_the_table(tmp_path):
+    """The rho_m table runs in a fresh interpreter like every other run."""
+    result = tool.run_cli(tool.ROOT, tool.MEASURES_RUNS[-1], tmp_path)
+    assert result["exit"] == 0 and result["stderr"] == ""
+    lines = result["stdout"].splitlines()
+    assert lines[:3] == ["m,ed_rhoM", "2,0", "3,2"] and lines[-1] == "64,62" and len(lines) == 64

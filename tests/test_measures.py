@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 from mpmath import log as mplog
 from mpmath import sqrt as mpsqrt
 
-from bellclone import dense
+from bellclone import cli, dense, measures, verify
 from bellclone.calculus import BellEnsemble, bxor, to_dense
 from bellclone.dense import Cut
 from bellclone.labels import B1, B3
@@ -225,3 +226,213 @@ class TestMeasureReport:
     def test_unknown_provenance_rejected(self):
         with pytest.raises(ValueError):
             MeasureReport("log-negativity", 0.5, "smolin", "alice:bob", "guess")
+
+
+# -- the array forms against the one-number formulas they replaced ----------------------------
+
+def ref_binary_entropy(x):
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"binary entropy needs x in [0, 1], got {x}")
+    if x in (0.0, 1.0):
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def ref_check_p(p):
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"mixing probability must lie in (0, 1), got {p}")
+
+
+def ref_check_n(n):
+    if n < 1:
+        raise ValueError(f"number of pairs must be >= 1, got {n}")
+
+
+def ref_ec_sigma1(p):
+    ref_check_p(p)
+    return ref_binary_entropy(min(1.0, 0.5 + math.sqrt(p * (1.0 - p))))
+
+
+def ref_ed_sigma1(p):
+    ref_check_p(p)
+    return 1.0 - ref_binary_entropy(p)
+
+
+def ref_ec_sigma_n(p, n):
+    ref_check_n(n)
+    return ref_ec_sigma1(p) + (n - 1)
+
+
+def ref_ed_sigma_n(p, n):
+    ref_check_n(n)
+    return ref_ed_sigma1(p) + (n - 1)
+
+
+def ref_irreversibility_gap(p, n=1):
+    ref_check_p(p)
+    ref_check_n(n)
+    if p == 0.5:
+        raise ValueError("gap vanishes at p = 1/2; not an irreversibility witness")
+    return ref_ec_sigma_n(p, n) - ref_ed_sigma_n(p, n)
+
+
+#: Grids of p in (0, 1): the formula-suite claim's (0.5 is entry 499), the two
+#: golden ``measures --curve sigma`` runs' (--grid 9 and 19), the CLI tests'
+#: (--grid 99), and p = 1/2 with the floats within 2^-52 of either end.
+EDGES = [5e-324, 2.0**-1074 * 3, 2.0**-53, 2.0**-52, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+GRIDS = {
+    "claim": np.arange(1, 1000) / 1000.0,
+    "grid-9": np.arange(1, 10) / 10,
+    "grid-19": np.arange(1, 20) / 20,
+    "grid-99": np.arange(1, 100) / 100,
+    "edges": np.array(EDGES),
+}
+
+
+def same(array, values):
+    """Bit-identical entry by entry, as np.array_equal sees it."""
+    return array.dtype == np.float64 and np.array_equal(array, np.array(values, dtype=float).reshape(array.shape))
+
+
+class TestArrayForms:
+    def test_claim_grid_matches_the_division_it_replaced(self):
+        grid = GRIDS["claim"]
+        assert grid.tolist() == [k / 1000.0 for k in range(1, 1000)]
+        assert grid[499] == 0.5 and np.count_nonzero(grid == 0.5) == 1
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_single_pair_forms_are_bit_identical(self, grid):
+        ps = GRIDS[grid]
+        assert same(binary_entropy(ps), [ref_binary_entropy(p) for p in ps.tolist()])
+        assert same(binary_entropy(1.0 - ps), [ref_binary_entropy(1.0 - p) for p in ps.tolist()])
+        assert same(ec_sigma1(ps), [ref_ec_sigma1(p) for p in ps.tolist()])
+        assert same(ed_sigma1(ps), [ref_ed_sigma1(p) for p in ps.tolist()])
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_n_pair_forms_broadcast_bit_identically(self, grid):
+        ps, ns = GRIDS[grid], (1, 2, 5, 9)
+        column = np.array(ns)[:, None]
+        for fn, ref in ((ec_sigma_n, ref_ec_sigma_n), (ed_sigma_n, ref_ed_sigma_n)):
+            assert same(fn(ps, column), [[ref(p, n) for p in ps.tolist()] for n in ns])
+            for n in ns:
+                assert same(fn(ps, n), [ref(p, n) for p in ps.tolist()])
+        off = ps[ps != 0.5]
+        assert same(irreversibility_gap(off, column), [[ref_irreversibility_gap(p, n) for p in off.tolist()] for n in ns])
+
+    def test_numbers_give_python_floats(self):
+        for p in EDGES:
+            for fn, ref in ((binary_entropy, ref_binary_entropy), (ec_sigma1, ref_ec_sigma1), (ed_sigma1, ref_ed_sigma1)):
+                assert type(fn(p)) is float and fn(p) == ref(p)
+            for n in (1, 2, 5, 9):
+                for fn, ref in ((ec_sigma_n, ref_ec_sigma_n), (ed_sigma_n, ref_ed_sigma_n)):
+                    assert type(fn(p, n)) is float and fn(p, n) == ref(p, n)
+                if p != 0.5:
+                    assert type(irreversibility_gap(p, n)) is float
+                    assert irreversibility_gap(p, n) == ref_irreversibility_gap(p, n)
+        for x in (0.0, 1.0, 0, 1):
+            assert type(binary_entropy(x)) is float and binary_entropy(x) == 0.0
+        assert same(binary_entropy(np.array([0.0, 1.0, 0.5])), [0.0, 0.0, ref_binary_entropy(0.5)])
+
+    def test_shape_is_kept(self):
+        ps = GRIDS["grid-19"].reshape(1, 19)
+        assert binary_entropy(ps).shape == ec_sigma_n(ps, 3).shape == (1, 19)
+        assert ec_sigma_n(ps, np.array([[2], [3]])).shape == (2, 19)
+        assert ed_sigma_n(0.25, np.array([2, 3])).shape == (2,)
+        assert isinstance(binary_entropy([0.25]), np.ndarray)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (binary_entropy, (-0.1,)),
+            (binary_entropy, (1.1,)),
+            (binary_entropy, (-1,)),
+            (binary_entropy, (float("nan"),)),
+            (ec_sigma1, (0.0,)),
+            (ed_sigma1, (1.0,)),
+            (ec_sigma1, (-0.5,)),
+            (ed_sigma1, (2,)),
+            (ec_sigma_n, (0.3, 0)),
+            (ed_sigma_n, (0.3, -2)),
+            (ec_sigma_n, (1.5, 0)),  # the pair count is checked first
+            (irreversibility_gap, (0.5,)),
+            (irreversibility_gap, (0.0, 0)),  # then p before n
+            (irreversibility_gap, (0.5, 0)),
+        ],
+    )
+    def test_scalar_messages_are_unchanged(self, fn, args):
+        ref = globals()[f"ref_{fn.__name__}"]
+        with pytest.raises(ValueError) as want:
+            ref(*args)
+        with pytest.raises(ValueError) as got:
+            fn(*args)
+        assert str(got.value) == str(want.value)
+
+    def test_array_errors_name_the_first_entry_outside_the_domain(self):
+        with pytest.raises(ValueError, match=r"^binary entropy needs x in \[0, 1\], got -0\.5 \(at index 2\)$"):
+            binary_entropy(np.array([0.0, 0.5, -0.5, 2.0]))
+        with pytest.raises(ValueError, match=r"^mixing probability must lie in \(0, 1\), got 1\.0 \(at index 3\)$"):
+            ec_sigma1(np.array([0.1, 0.2, 0.3, 1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"^mixing probability must lie in \(0, 1\), got 0\.0 \(at index \(1, 0\)\)$"):
+            ed_sigma1(np.array([[0.1, 0.2], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"^number of pairs must be >= 1, got 0 \(at index 1\)$"):
+            ec_sigma_n(0.3, np.array([2, 0, -1]))
+        with pytest.raises(ValueError, match=r"^number of pairs must be >= 1, got -1 \(at index \(2, 0\)\)$"):
+            ed_sigma_n(GRIDS["grid-9"], np.array([[2], [5], [-1]]))
+        with pytest.raises(ValueError, match=r"^gap vanishes at p = 1/2; not an irreversibility witness \(at index 499\)$"):
+            irreversibility_gap(GRIDS["claim"], 3)
+        with pytest.raises(ValueError, match=r"^mixing probability must lie in \(0, 1\), got nan \(at index 0\)$"):
+            irreversibility_gap([float("nan"), 0.5])
+
+
+MEASURE_FNS = ("binary_entropy", "ec_sigma1", "ed_sigma1", "ec_sigma_n", "ed_sigma_n", "irreversibility_gap")
+
+
+@pytest.fixture
+def measure_calls(monkeypatch):
+    """Every call of a sigma_n closed form, nested calls included, as (name, args)."""
+    calls = []
+    for name in MEASURE_FNS:
+        def counted(*args, _name=name, _fn=getattr(measures, name)):
+            calls.append((_name, args))
+            return _fn(*args)
+
+        monkeypatch.setattr(measures, name, counted)
+    return calls
+
+
+class TestOnePassPerFormula:
+    def test_formula_suite_makes_at_most_twelve_calls(self, measure_calls):
+        record = verify.claim_formula_suite()
+        assert record.passed
+        assert len(measure_calls) <= 12
+        # No call is per point: every p argument is an array of the grid's size
+        # (the two endpoints of H2 aside), so the count does not grow with the grid.
+        for name, args in measure_calls:
+            assert np.size(args[0]) >= 998 or (name == "binary_entropy" and np.size(args[0]) == 2)
+
+    def test_formula_suite_records_plain_values(self):
+        measured = verify.claim_formula_suite().to_dict()["measured"]
+        assert {key: type(value) for key, value in measured.items()} == {
+            "strict_gap_everywhere": bool,
+            "values_at_half": float,
+            "worst_gap_n_dependence": float,
+            "worst_entropy_asymmetry": float,
+        }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_sigma_curve_rows_are_the_one_number_rows(self, n, measure_calls):
+        counts = []
+        for grid in (1, 19, 99, 999):
+            measure_calls.clear()
+            rows = cli._sigma_curve_rows(n, grid)
+            counts.append(len(measure_calls))
+            want = []
+            for k in range(1, grid + 1):
+                p = k / (grid + 1)
+                ecn, edn = ref_ec_sigma_n(p, n), ref_ed_sigma_n(p, n)
+                want.append(
+                    {"p": p, "ec_sigma1": ref_ec_sigma1(p), "ed_sigma1": ref_ed_sigma1(p), "ec_sigmaN": ecn, "ed_sigmaN": edn, "gap": ecn - edn}
+                )
+            assert rows == want and all(list(row) == list(ref) for row, ref in zip(rows, want))
+            assert all(type(value) is float for row in rows for value in row.values())
+        assert len(set(counts)) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 from unittest import mock
@@ -644,20 +645,30 @@ def ref_derive_ledger(program: protocols.Program) -> ResourceLedger:
     return ledger
 
 
-def _ledger_programs():
+def _ledger_program_builders():
+    """Each ledger program's name, and a function that builds it.  The names
+    are fixed at import, the programs built on first use: a fault in the
+    engine that builds them then fails the tests that use them instead of
+    the collection of this module."""
     for pair in ALL_PAIRS:
         for n in range(1, 7):
-            yield f"clone_pair-{pair[0]}{pair[1]}-{n}", protocols._clone_pair_program(pair[1], pair, n)
+            yield f"clone_pair-{pair[0]}{pair[1]}-{n}", lambda pair=pair, n=n: protocols._clone_pair_program(pair[1], pair, n)
     for m in range(2, 41):
-        yield f"rho_{m}", protocols._rho_m_program(m)
+        yield f"rho_{m}", lambda m=m: protocols._rho_m_program(m)
     for n in range(1, 6):
-        yield f"clone_four-{n}", protocols._clone_four_program((0.25, 0.25, 0.25, 0.25), n)[0]
+        yield f"clone_four-{n}", lambda n=n: protocols._clone_four_program((0.25, 0.25, 0.25, 0.25), n)[0]
     for n in (3, 5, 7):
-        quasi_pure, _ = prepare_quasi_pure((0.4, 0.1, 0.3, 0.2), n)
-        yield f"distill-{n}", protocols._distill_program(quasi_pure)
+        yield f"distill-{n}", lambda n=n: protocols._distill_program(prepare_quasi_pure((0.4, 0.1, 0.3, 0.2), n)[0])
 
 
-LEDGER_PROGRAMS = dict(_ledger_programs())
+LEDGER_PROGRAM_BUILDERS = dict(_ledger_program_builders())
+
+
+@functools.cache
+def ledger_program(name: str) -> protocols.Program:
+    """The ledger program ``name``, built once."""
+    return LEDGER_PROGRAM_BUILDERS[name]()
+
 
 #: The six pair reductions, then their inverses.
 REDUCTIONS = [pair_reduction_table(*p) for p in ALL_PAIRS]
@@ -758,9 +769,9 @@ class TestRandomWholePrograms:
 
 
 class TestDerivedLedger:
-    @pytest.mark.parametrize("name", list(LEDGER_PROGRAMS))
+    @pytest.mark.parametrize("name", list(LEDGER_PROGRAM_BUILDERS))
     def test_matches_line_by_line_derivation(self, name):
-        program = LEDGER_PROGRAMS[name]
+        program = ledger_program(name)
         got, want = protocols.derive_ledger(program), ref_derive_ledger(program)
         assert got.to_dict() == want.to_dict()
         assert got.steps == want.steps
@@ -797,7 +808,7 @@ class TestDerivedLedger:
         assert ledger.locc_violations() == []
 
     def test_a_rejected_program_leaves_a_given_ledger_as_it_was(self):
-        ledger = protocols.derive_ledger(LEDGER_PROGRAMS["distill-3"], ResourceLedger(ebits_consumed=1.0, classical_bits=3))
+        ledger = protocols.derive_ledger(ledger_program("distill-3"), ResourceLedger(ebits_consumed=1.0, classical_bits=3))
         before, lines = ledger.to_dict(), list(ledger.steps)
         channel = BellEnsemble.point((B1, B1, B1))
         for steps in (
@@ -903,7 +914,7 @@ class TestDerivedLedger:
 
     def test_appends_to_a_given_ledger(self):
         ledger = ResourceLedger(ebits_consumed=1.0, classical_bits=3, steps=[LedgerStep("classical", "x", (), (3,))])
-        program = LEDGER_PROGRAMS["distill-3"]
+        program = ledger_program("distill-3")
         protocols.derive_ledger(program, ledger)
         want = ref_derive_ledger(program)
         assert (ledger.ebits_consumed, ledger.classical_bits) == (1.0 + want.ebits_consumed, 3 + want.classical_bits)
@@ -937,13 +948,13 @@ class TestDerivedLedger:
         crossing, clean = LedgerStep("alice", "measure-z", (b0,)), LedgerStep("bob", "measure-z", (b0,))
         ledger = ResourceLedger(steps=[crossing, clean])
         with mock.patch.object(calculus, "party_qubit", LAYOUTS[layout]):
-            protocols.derive_ledger(LEDGER_PROGRAMS["clone_four-2"], ledger)
+            protocols.derive_ledger(ledger_program("clone_four-2"), ledger)
             ledger.steps += [crossing]
-            protocols.derive_ledger(LEDGER_PROGRAMS["distill-3"], ledger)
+            protocols.derive_ledger(ledger_program("distill-3"), ledger)
             violations = ledger.locc_violations()
             lines = ledger.steps
         assert type(lines) is list
-        assert len(lines) == 3 + sum(len(ref_derive_ledger(LEDGER_PROGRAMS[k]).steps) for k in ("clone_four-2", "distill-3"))
+        assert len(lines) == 3 + sum(len(ref_derive_ledger(ledger_program(k)).steps) for k in ("clone_four-2", "distill-3"))
         assert violations == line_audit(lines)
         assert [s for s in violations if s is crossing] == [crossing, crossing]
         # The pair-1 swap crosses both teleport Bell measurements and both C-NOTs from pair 1.

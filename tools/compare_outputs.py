@@ -6,19 +6,22 @@
 ``OTHER_TREE`` is the root of another bellclone checkout, the baseline
 (for example a ``git archive`` of the parent commit unpacked into a
 directory).  Both trees run ``verify-all`` (stdout, JSON report, exit
-code), every CLI run of ``bench/jobs.py::dense_argv_space()`` and the
+code), every CLI run of ``bench/jobs.py::dense_argv_space()``, the
 benchmark's one API job, ``log_negativity rho_5 alice:bob``
 (``bench/jobs.py::log_negativity_rho5``, whose stdout is the ``repr`` of
-its value), each in a fresh interpreter with its own ``src/`` first on
-the path and the benchmark's BLAS thread count.  For every output that
-differs, the job and the part that differs are printed; for JSON
-outputs, each leaf that moved is printed as ``path: old -> new`` (old is
-``OTHER_TREE``; the path of a bare value is ``$``), and for text the
-differing lines.  Last, every moved output is checked
-by the benchmark's correctness gate, as ``bench/jobs.py`` judges it:
-stderr is printed but not judged, since the benchmark never reads it; a
-run whose ``bench/reference.json`` entry records an error passes if it
-raises that error or ends with the closed-form output
+its value), and ``MEASURES_RUNS``, the closed-form ``measures`` runs
+that the benchmark never makes, each in a fresh interpreter with its own
+``src/`` first on the path and the benchmark's BLAS thread count.  For
+every output that differs, the job and the part that differs are
+printed; for JSON outputs, each leaf that moved is printed as
+``path: old -> new`` (old is ``OTHER_TREE``; the path of a bare value is
+``$``), and for text the differing lines.  Last, every moved output is
+judged.  A ``measures`` run passes only if every part of it, stderr
+included, is identical.  Every other run is checked by the benchmark's
+correctness gate, as ``bench/jobs.py`` judges it: stderr is printed but
+not judged, since the benchmark never reads it; a run whose
+``bench/reference.json`` entry records an error passes if it raises that
+error or ends with the closed-form output
 (``jobs._fixed_defect_problems``); any other run is compared with the
 baseline's by ``jobs.mismatches``, dense-derived values within their
 pinned tolerances and everything else exactly.  The tool prints either
@@ -48,6 +51,15 @@ import run  # noqa: E402  (for BLAS_THREADS, the benchmark's BLAS thread count)
 #: The benchmark's API job, by its reference key, and the code that prints its value's repr.
 API_JOB = jobs.LOG_NEGATIVITY_KEY.split()
 API_CODE = "import sys, bellclone; sys.path.insert(0, sys.argv[1]); import jobs; print(repr(jobs.log_negativity_rho5(bellclone)))"
+
+#: The ``measures`` runs: the sigma_n curves at n = 1 and 9 on grids of 19
+#: and 999 points in every format, and the rho_m table for m = 2..64.
+MEASURES_RUNS = [
+    ["measures", "--curve", "sigma", "--n", n, "--grid", grid, "--format", fmt]
+    for n in ("1", "9")
+    for grid in ("19", "999")
+    for fmt in ("csv", "text", "json")
+] + [["measures", "--state", "rhoM", "--m", "2..64"]]
 
 
 def run_cli(tree: Path, argv: list[str], workdir: Path) -> dict:
@@ -134,7 +146,7 @@ def main(argv=None) -> int:
     other = args.other_tree.resolve()
     if not (other / "src" / "bellclone" / "__init__.py").is_file():
         parser.error(f"no bellclone package under {other / 'src'}")
-    runs = [["verify-all"]] + jobs.dense_argv_space() + [API_JOB]
+    runs = [["verify-all"]] + jobs.dense_argv_space() + [API_JOB] + MEASURES_RUNS
     reference = json.loads((ROOT / "bench" / "reference.json").read_text())
     differing, beyond = 0, []
     with tempfile.TemporaryDirectory() as tmp:
@@ -150,6 +162,9 @@ def main(argv=None) -> int:
                 print(f"  {part}:")
                 lines = describe(old[part], new[part]) if isinstance(new[part], str) else [f"{old[part]} -> {new[part]}"]
                 print("\n".join(f"    {line}" for line in lines))
+            if argv in MEASURES_RUNS:
+                beyond += [f"{' '.join(argv)}: {part} differs" for part in parts]
+                continue
             recorded = reference.get(" ".join(argv), {}).get("error")
             beyond += [f"{' '.join(argv)}: {line}" for line in beyond_gate(old, new, argv, recorded)]
     print(f"{len(runs) - differing} of {len(runs)} outputs identical")
