@@ -10,9 +10,10 @@ against the dense oracle (:func:`to_dense` bridges the two).
 Packed layout: a string of n labels is one Python ``int`` of 2n bits.
 Pair 0 holds the most significant two-bit field and each field holds
 ``a`` above ``b`` (label index - 1), so integer order is lexicographic
-label order.  Only the constructor, :meth:`~BellEnsemble.from_text`,
-:func:`mix`, :func:`teleport` and the conditionals of :func:`discriminate_sets`
-merge, prune and check; the bijective rewrites just re-sort.
+label order.  Only the constructor, :meth:`~BellEnsemble.from_text`, :func:`mix`,
+:func:`teleport` and the conditionals of :func:`discriminate_sets` merge, prune and check;
+:func:`_canonical` prunes and checks packed builds from caller-supplied probabilities;
+:meth:`~BellEnsemble.point` and ``_make`` wrap strings as given; the bijective rewrites re-sort.
 
 Column layout: :func:`apply_steps` runs each maximal run of affine steps
 (bilateral C-NOT and Hadamard, one-sided Pauli, local Clifford) on the
@@ -103,7 +104,10 @@ class BellEnsemble:
 
     @classmethod
     def point(cls, string: BellString) -> "BellEnsemble":
-        return cls({tuple(string): 1.0})
+        """The point mass on ``string``, packed as given; an empty string or a non-label entry raises as ``__init__`` does."""
+        if not (string := tuple(string)):
+            raise ValueError("Bell strings must have at least one pair")
+        return cls._make(len(string), {_pack(string): 1.0})
 
     @classmethod
     def uniform_strings(cls, n_pairs: int) -> "BellEnsemble":
@@ -148,9 +152,9 @@ class BellEnsemble:
 
     @classmethod
     def from_text(cls, text: str) -> "BellEnsemble":
-        """Parse :meth:`to_text` output; a malformed or repeated string is
-        rejected with the number of the line that holds it."""
-        entries, lines = {}, {}
+        """Parse :meth:`to_text` output; a malformed, repeated or unequal-length
+        string or a bad probability is rejected with the number of its line."""
+        entries, lines, width = {}, {}, None
         for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
@@ -159,12 +163,22 @@ class BellEnsemble:
                 if not bits:
                     raise ValueError("no Bell labels after the probability")
                 string, prob = tuple(label_from_bits(b) for b in bits), float(head)
+                if not math.isfinite(prob) or prob < 0:
+                    raise ValueError(f"probability {prob} is not a finite non-negative number")
+                if prob > PRUNE_EPS and (width := width or len(bits)) != len(bits):
+                    raise ValueError(f"strings of unequal length: {sorted({width, len(bits)})}")
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from exc
             if string in lines:
                 raise ValueError(f"line {number}: duplicate string {' '.join(bits)} (first on line {lines[string]})")
             entries[string], lines[string] = prob, number
         return cls(entries)
+
+
+def _constant_strings(e: BellEnsemble) -> bool:
+    """Whether every string of ``e`` repeats one label."""
+    ones = (4**e.n_pairs - 1) // 3
+    return all(x == (x & 3) * ones for x in e._probs)
 
 
 def _check_pair(n_pairs: int, pair: int) -> int:

@@ -203,7 +203,7 @@ def cmd_clone(args) -> int:
     dn = _dense_route(args, dense_run)
     if dn is not None:
         checks.append(verify.dense_agreement(ensemble, dn))
-        if len(ensemble.entries) == 1:
+        if len(ensemble) == 1:
             checks.append(verify.dense_fidelity(dn, ensemble))
     return _finish_run(_protocol_record("clone", args, params, ledger, checks, ensemble=ensemble.to_text()), args)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import repeat
 from operator import or_
 from typing import Collection, Iterable, NamedTuple, Sequence
 
@@ -312,7 +313,7 @@ def _clone_pair_program(input_state: BellLabel | BellEnsemble, pair: Iterable[Be
         input_state = BellEnsemble.point((input_state,))
     if input_state.n_pairs != 1:
         raise ValueError("clone input must be a single-pair state")
-    support = {s[0] for s in input_state.entries}
+    support = {LABELS[x] for x in input_state._probs}
     if not support <= set(pair):
         bad = ", ".join(sorted(l.name for l in support - set(pair)))
         raise ValueError(f"input state {bad} lies outside the declared pair")
@@ -348,18 +349,19 @@ def clone_pair_dense(input_state: BellLabel | BellEnsemble, pair: Iterable[BellL
 
 
 def _rho_m_program(m: int) -> Program:
+    """rho_m's program (see :func:`prepare_rho_m`), its initial packed directly: the last pair's
+    field is B1 (0) or B2 (1), and for even m pair 0's is B1 or B3 (2 << 2(m - 1))."""
     if m < 2:
         raise ValueError(f"rho_m needs m >= 2 pairs, got {m}")
     last = m - 1
+    fan_in = zip(repeat("bxor"), range(last), repeat(last))  # every earlier pair C-NOTed onto the last
     if m % 2:
-        initial = BellEnsemble({(B1,) * last + (tail,): 0.5 for tail in (B1, B2)})
-        steps = [("random_pauli_x",)] + [("bxor", k, last) for k in range(last)]
+        initial, steps = BellEnsemble._make(m, {0: 0.5, 1: 0.5}), (("random_pauli_x",), *fan_in)
     else:
-        initial = BellEnsemble(
-            {(first,) + (B1,) * (m - 2) + (tail,): 0.25 for first in (B1, B3) for tail in (B1, B2)}
-        )
-        steps = [("bxor", 0, k) for k in range(1, last)] + [("bxor", k, last) for k in range(last)]
-    return Program(initial, tuple(steps))
+        b3 = 2 << 2 * last
+        initial = BellEnsemble._make(m, {0: 0.25, 1: 0.25, b3: 0.25, b3 | 1: 0.25})
+        steps = (*zip(repeat("bxor"), repeat(0), range(1, last)), *fan_in)
+    return Program(initial, steps)
 
 
 def prepare_rho_m(m: int) -> tuple[BellEnsemble, ResourceLedger]:
@@ -436,7 +438,7 @@ def _clone_four_program(input_state: BellLabel | Sequence[float], n: int) -> tup
         raise ValueError(f"copy count must be >= 1, got {n}")
     q = _as_distribution(input_state)
     rho = _rho_m_program(n + 1)
-    source = BellEnsemble({(label,): qk for label, qk in zip(LABELS, q) if qk > 0})
+    source = BellEnsemble._make(1, calculus._canonical({x: qk for x, qk in enumerate(q) if qk > 0}))
     return Program(apply_steps(rho.initial, rho.steps), (("teleport", source),), inputs=n + 1), rho
 
 
@@ -491,9 +493,8 @@ def _distill_program(e: BellEnsemble) -> Program:
     n = e.n_pairs
     if n < 2:
         raise ValueError("distillation needs at least two pairs")
-    for s in e.entries:
-        if any(label != s[0] for label in s):
-            raise ValueError("input must be a mixture of constant Bell strings")
+    if not calculus._constant_strings(e):
+        raise ValueError("input must be a mixture of constant Bell strings")
     last = n - 1
     steps = [("bxor", k, last) for k in range(last)] + [("parity_measure", last)]
     return Program(e, tuple(steps), inputs=n)
@@ -510,7 +511,7 @@ def distill_quasi_pure(e: BellEnsemble) -> tuple[list[tuple[int, float, BellEnse
     pure.
     """
     branches, ledger = _run(_distill_program(e))
-    if all(cond is not None and len(cond.entries) == 1 for _, _, cond in branches):
+    if all(cond is not None and len(cond) == 1 for _, _, cond in branches):
         ledger.ebits_distilled = float(e.n_pairs - 1)
     return branches, ledger
 
@@ -552,9 +553,7 @@ def build_sigma_n(p: float, n: int) -> SigmaBuild:
         raise ValueError(f"mixing probability must lie in (0, 1), got {p}")
     if n < 1:
         raise ValueError(f"number of pairs must be >= 1, got {n}")
-    start = BellEnsemble(
-        {(B1,) + (B1,) * (n - 1): p, (B2,) + (B1,) * (n - 1): 1.0 - p}
-    )
+    start = BellEnsemble._make(n, calculus._canonical({0: float(p), 1 << 2 * (n - 1): float(1.0 - p)}))
     steps = (("bilateral_hadamard", 0),) + tuple(("bxor", 0, k) for k in range(1, n))
     steps += tuple(("bilateral_hadamard", k) for k in range(n))
     return SigmaBuild(apply_steps(start, steps), steps, start)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dense, measures, protocols
-from .calculus import BellEnsemble, apply_steps_dense, bxor, to_dense
+from .calculus import BellEnsemble, _constant_strings, apply_steps_dense, bxor, mix, to_dense
 from .dense import Cut
 from .labels import B1, B2, B3, LABELS
 
@@ -39,13 +39,12 @@ class Check(NamedTuple):
 
 def symbolic_target(e: BellEnsemble, target) -> Check:
     """The symbolic output is the point mass on the string ``target``."""
-    return Check("symbolic-target", e.entries == {target: 1.0}, "exact point mass", "exact")
+    return Check("symbolic-target", e == BellEnsemble.point(target), "exact point mass", "exact")
 
 
 def correlated_clones(e: BellEnsemble) -> Check:
     """Every string of the symbolic output repeats one label."""
-    correlated = all(len(set(s)) == 1 for s in e.entries)
-    return Check("symbolic-structure", correlated, "perfectly correlated clones", "exact")
+    return Check("symbolic-structure", _constant_strings(e), "perfectly correlated clones", "exact")
 
 
 def uniform_structure(e: BellEnsemble) -> Check:
@@ -120,7 +119,7 @@ def branch_agreement(branches, dense_branches) -> Check:
 
 def pure_branches(branches) -> Check:
     """Every distillation branch is a single Bell string."""
-    sizes = [len(cond.entries) for _, _, cond in branches]
+    sizes = [len(cond) for _, _, cond in branches]
     return Check("pure-branches", all(size == 1 for size in sizes), sizes, "single string per branch")
 
 
@@ -131,9 +130,9 @@ def exact_branch_probabilities(branches, expected: dict[int, float]) -> Check:
     return Check("branch-probabilities", probs == expected, [probs.get(bit, 0.0) for bit in sorted(expected)], "exact")
 
 
-def exact_conditionals(branches, expected: dict[int, dict]) -> Check:
+def exact_conditionals(branches, expected: dict[int, BellEnsemble]) -> Check:
     """The conditional ensemble of each outcome bit is exactly ``expected``."""
-    same = {bit: cond.entries for bit, _, cond in branches} == expected
+    same = {bit: cond for bit, _, cond in branches} == expected
     return Check("exact-conditionals", same, same, "exact")
 
 
@@ -335,7 +334,7 @@ def claim_quasi_pure_reversibility() -> ClaimRecord:
         preparation_ebits(prep_ledger, 2),
         distilled_ebits(dist_ledger, 2),
         exact_branch_probabilities(branches, {0: 0.5, 1: 0.5}),
-        exact_conditionals(branches, {0: {(B1, B1): 1.0}, 1: {(B3, B3): 1.0}}),
+        exact_conditionals(branches, {0: BellEnsemble.point((B1, B1)), 1: BellEnsemble.point((B3, B3))}),
     ]
     return ClaimRecord(
         "quasi-pure-reversibility",
@@ -359,10 +358,10 @@ def claim_sigma_round_trip() -> ClaimRecord:
     for p in (0.1, 0.3, 0.7):
         for n in (1, 2, 4):
             build = protocols.build_sigma_n(p, n)
-            expected = {(B1,) * n: p, (B2,) * n: 1.0 - p}
-            ok &= build.ensemble.entries == expected
+            expected = mix([BellEnsemble.point((B1,) * n), BellEnsemble.point((B2,) * n)], [p, 1.0 - p])
+            ok &= build.ensemble == expected
             back = protocols.apply_steps(build.ensemble, build.inverse_steps)
-            ok &= back.entries == build.start.entries
+            ok &= back == build.start
     return ClaimRecord(
         "sigma-round-trip",
         8,
@@ -413,7 +412,7 @@ def claim_linearity_witnesses() -> ClaimRecord:
     """Cloning a separable mixture yields the correlated mixture exactly,
     whose log-negativity certifies the required ancilla entanglement."""
     rho_sep, cloned = protocols.separable_two_clone()
-    exact_ok = cloned.entries == {(B1, B1): 0.5, (B2, B2): 0.5}
+    exact_ok = cloned == mix([BellEnsemble.point((B1, B1)), BellEnsemble.point((B2, B2))], [0.5, 0.5])
     two_reports = protocols.necessity_witness_two((rho_sep, cloned))
     four_reports = protocols.necessity_witness_four()
     checks = [ppt(two_reports[0].value), entangled(two_reports[1].value, 1)]

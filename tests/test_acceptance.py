@@ -208,10 +208,11 @@ def test_criterion_10_linearity_witnesses():
     )
 
 
-def test_criterion_11_verify_all_under_60s():
+def test_criterion_11_verify_all_under_60s(child_env):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "bellclone.cli", "verify-all"],
+        env=child_env,
         capture_output=True,
         text=True,
         timeout=120,

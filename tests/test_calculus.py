@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -384,6 +386,37 @@ class TestFromTextBoundary:
             BellEnsemble.from_text("half 00\n")
         with pytest.raises(ValueError, match="line 1: no Bell labels"):
             BellEnsemble.from_text("1.0\n")
+
+    @pytest.mark.parametrize(
+        "text, line, prob",
+        [
+            ("0.5 00\n\ninf 01\n", 3, "inf"),
+            ("nan 00\n1 01\n", 1, "nan"),
+            ("1 00\n-0.5 01\n", 2, "-0.5"),
+            ("0.5 00\n0.5 01\n-inf 10\n", 3, "-inf"),
+        ],
+    )
+    def test_bad_probability_is_named_with_its_line(self, text, line, prob):
+        message = f"line {line}: probability {prob} is not a finite non-negative number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BellEnsemble.from_text(text)
+
+    @pytest.mark.parametrize(
+        "text, line, lengths",
+        [
+            ("0.5 00\n0.5 01 10\n", 2, [1, 2]),
+            ("0.5 00 11 01\n\n0.25 01 01 01\n0.25 10\n", 4, [1, 3]),
+            ("0 11\n0.5 00 00\n0.5 01 01 01\n", 3, [2, 3]),
+        ],
+    )
+    def test_unequal_length_is_named_with_its_line(self, text, line, lengths):
+        with pytest.raises(ValueError, match=f"^line {line}: strings of unequal length: {re.escape(str(lengths))}$"):
+            BellEnsemble.from_text(text)
+
+    def test_a_pruned_string_of_another_length_is_still_dropped(self):
+        # The constructor prunes before it compares lengths; so does the parser.
+        e = BellEnsemble.from_text("1e-16 11\n0.5 00 00\n0.5 01 01\n1e-17 10 10 10\n")
+        assert e == BellEnsemble({(B1, B1): 0.5, (B2, B2): 0.5})
 
 
 class TestNonFiniteProbabilities:

@@ -277,16 +277,17 @@ class TestParserReuse:
         assert reused == fresh * 2
         assert [code for code, _, _ in fresh] == [2, 0, 2, 0, 0]
 
-    def test_parser_is_not_built_at_import(self):
+    def test_parser_is_not_built_at_import(self, child_env):
         code = "import bellclone.cli as c; print(c._parser.cache_info().currsize)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=120)
         assert proc.stdout == "0\n"
 
 
 class TestConsoleEntryPoint:
-    def test_module_invocation(self):
+    def test_module_invocation(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "bellclone.cli", "teleport", "--input", "B3"],
+            env=child_env,
             capture_output=True,
             text=True,
             timeout=120,

@@ -27,11 +27,12 @@ def test_sizes_double_from_512_up_to_the_largest():
 
 def test_table_has_one_row_per_m_with_the_step_count():
     lines = tool.report([2, 3, 64])
+    assert tool.HEADER[2:7] == ["_rho_m_program", "apply_steps", "derive_ledger", "locc_violations", "prepare_rho_m"]
     assert lines[0] == "| " + " | ".join(tool.HEADER) + " |"
     rows = [line.strip("| ").split(" | ") for line in lines[2:]]
     # rho_m runs m steps for odd m and 2m - 3 for even m.
     assert [row[:2] for row in rows] == [["2", "1"], ["3", "3"], ["64", "125"]]
-    assert all(len(row) == len(tool.HEADER) and all(cell.endswith(")") for cell in row[2:6]) for row in rows)
+    assert all(len(row) == len(tool.HEADER) and all(cell.endswith(")") for cell in row[2:7]) for row in rows)
 
 
 def test_a_ledger_failing_the_audit_stops_the_run(monkeypatch):

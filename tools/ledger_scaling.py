@@ -3,15 +3,16 @@
 
     python3 tools/ledger_scaling.py [--max-m 65536]
 
-For each m = 512, 1024, 2048, ... up to ``--max-m``, rho_m's program
-(``protocols._rho_m_program(m)``) is built once, and four calls are timed,
+For each m = 512, 1024, 2048, ... up to ``--max-m``, five calls are timed,
 each the best of 3 runs with the cyclic garbage collector on, as in normal
-use: ``apply_steps`` on the program, ``derive_ledger`` of it,
-``locc_violations()`` of that ledger, and ``prepare_rho_m(m)``, which
-builds the program, runs its steps and derives its ledger.  Printed: one
-row per m with the program's step count, then each time in ms and in
-microseconds per pair, and last the ratio of ledger plus audit to
-``apply_steps``.  The package is imported from this checkout's ``src/``.
+use: the set-up, ``protocols._rho_m_program(m)``, which builds rho_m's
+program (its initial ensemble and step list); ``apply_steps`` on that
+program, ``derive_ledger`` of it, ``locc_violations()`` of that ledger,
+and ``prepare_rho_m(m)``, which builds the program, runs its steps and
+derives its ledger.  Printed: one row per m with the program's step
+count, then each time in ms and in microseconds per pair, and last the
+ratio of ledger plus audit to ``apply_steps``.  The package is imported
+from this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bellclone import calculus, protocols  # noqa: E402
 #: The smallest m timed; each further m doubles it.
 MIN_M = 512
 REPEATS = 3
-HEADER = ["m", "steps", "apply_steps", "derive_ledger", "locc_violations", "prepare_rho_m", "(ledger+audit)/steps"]
+HEADER = ["m", "steps", "_rho_m_program", "apply_steps", "derive_ledger", "locc_violations", "prepare_rho_m", "(ledger+audit)/steps"]
 
 
 def sizes(max_m: int) -> list[int]:
@@ -59,6 +60,7 @@ def measure(m: int) -> dict[str, float]:
         raise SystemExit(f"error: rho_{m}'s ledger fails the LOCC audit")
     return {
         "steps": len(program.steps),
+        "_rho_m_program": best(lambda: protocols._rho_m_program(m)),
         "apply_steps": best(lambda: calculus.apply_steps(program.initial, program.steps)),
         "derive_ledger": best(lambda: protocols.derive_ledger(program)),
         "locc_violations": best(ledger.locc_violations),
@@ -69,7 +71,7 @@ def measure(m: int) -> dict[str, float]:
 def row(m: int, t: dict[str, float]) -> list[str]:
     """One table row: each time as ``ms (us/pair)``."""
     cells = [f"{m:,}", f"{t['steps']:,}"]
-    cells += [f"{t[k] * 1e3:.2f} ms ({t[k] * 1e6 / m:.2f})" for k in HEADER[2:6]]
+    cells += [f"{t[k] * 1e3:.2f} ms ({t[k] * 1e6 / m:.2f})" for k in HEADER[2:7]]
     return cells + [f"{(t['derive_ledger'] + t['locc_violations']) / t['apply_steps']:.2f}"]
 
 
